@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import EdgeColoring, MopGraph, edge
-from .errors import PaletteExhausted
+from .errors import PaletteExhausted, RepairExhausted
 from .generators import fan_coloring
 from .metrics import bfs, ecc_diam_rad_center
-from .spine import build_ccs, primary_secondary, realize_paths
+from .spine import SpineNode, build_ccs, primary_secondary, realize_paths
 from .verify import is_rainbow_connected
 
 
@@ -193,26 +193,33 @@ _REPAIR_ROUNDS = 80
 def _repair_unconnected(
     g: MopGraph, colors: dict[tuple[int, int], int], rad: int
 ) -> None:
-    """Verifier-driven polish: recolor until every pair connects.
+    """Verifier-driven repair: recolor until every pair connects.
 
-    Each round asks the exhaustive checker for a failing pair and
-    patches one path for it. A pair that comes back gets the next
-    candidate fix instead of the one that failed to stick, so two
-    pairs trading places under the same patch cannot loop forever.
-    Stops when the coloring verifies, when a recurring pair runs out
-    of fresh candidates, or when the round budget runs out; the
-    caller's result is best-effort either way.
+    Each round asks the exact checker for a failing pair and patches
+    one path for it. A pair that comes back gets the next candidate fix
+    instead of the one that failed to stick, so two pairs trading
+    places under the same patch cannot loop forever. The checks run
+    with caps of the graph's own size and the 3 * rad palette, never
+    the public defaults. Returns only once the coloring verifies;
+    raises RepairExhausted when a recurring pair runs out of fresh
+    candidates or the round budget runs out.
     """
     attempts: dict[tuple[int, int], int] = {}
-    for _ in range(_REPAIR_ROUNDS):
-        res = is_rainbow_connected(g, EdgeColoring(dict(colors)))
+    for rounds in range(_REPAIR_ROUNDS + 1):
+        res = is_rainbow_connected(
+            g, EdgeColoring(dict(colors)), max_n=g.n, max_colors=3 * rad
+        )
         if res.ok:
             return
         pair = res.counterexample
+        if rounds == _REPAIR_ROUNDS:
+            raise RepairExhausted(
+                f"pair {pair} still unconnected after {rounds} repair rounds"
+            )
         tried = attempts.get(pair, 0)
         attempts[pair] = tried + 1
         if not _connect_pair(g, colors, *pair, rad, skip=tried):
-            return
+            raise RepairExhausted(f"no candidate recoloring connects pair {pair}")
 
 
 def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
@@ -220,6 +227,8 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
 
     Uses at most 3 * radius colors (at most 3 when the radius is 1).
     Deterministic: the same graph always yields the same coloring.
+    Above radius 1 the coloring is returned only after it passes the
+    exact checker; otherwise RepairExhausted is raised.
     """
     summary = ecc_diam_rad_center(g)
     rad = summary.radius

@@ -1,16 +1,23 @@
-"""Exhaustive verification oracles for rainbow connectivity.
+"""Exact verification oracles for rainbow connectivity.
 
 Everything here is independent of the constructive algorithms: these
-routines work on arbitrary connected graphs and edge colorings, use
-plain state-space search, and are meant as ground truth for tests and
-for the CLI `verify` / `rc` commands. The exact solvers never reuse a
-coloring produced elsewhere in the package; certificates come out of
-their own search.
+routines work on arbitrary graphs and edge colorings, use plain
+state-space search, and are meant as ground truth for tests, for the
+CLI `verify` / `rc` commands and for the repair loop of the coloring.
+They never import the spine or coloring code. The exact solvers never
+reuse a coloring produced elsewhere in the package; certificates come
+out of their own search.
 
 A path is rainbow when its edges carry pairwise distinct colors. A
 coloring is rainbow connected when every vertex pair is joined by a
 rainbow path, and strongly rainbow connected when every pair is joined
 by a rainbow shortest path.
+
+Checking a given coloring is NP-hard in general (Chakraborty, Fischer,
+Matsliah and Yuster, 2011), so `is_rainbow_connected` works in two
+phases. A single search out of one central hub vertex proves most pairs
+at once (the hub certificate); only the pairs it leaves open go to the
+exhaustive per-source search, which alone decides the verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +31,11 @@ from .metrics import bfs, ecc_diam_rad_center
 
 _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
+# Masks the hub search keeps per vertex. A full antichain can grow
+# exponentially with the palette; a truncated one only leaves more
+# pairs to the exhaustive search, so the verdict stays exact. A
+# multiple of 8, because each vertex gets a lane of this many bits.
+_HUB_MASK_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -32,11 +44,14 @@ class VerifyResult:
 
     counterexample is the lexicographically first pair with no
     qualifying rainbow path, or None when the property holds.
+    pairs_certified counts the pairs among pairs_checked that the hub
+    certificate proved; the rest were searched exhaustively.
     """
 
     ok: bool
     counterexample: tuple[int, int] | None
     pairs_checked: int
+    pairs_certified: int = 0
 
 
 def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int):
@@ -108,6 +123,121 @@ def _reach(adj, n: int, source: int, targets, max_len: int, level=None):
     return found
 
 
+def _hub(adj, n: int) -> int:
+    """The vertex of least (eccentricity, degree, label).
+
+    Grows the distance-d ball of every vertex at once, as bitsets over
+    the prepared adjacency, until some ball holds the whole graph: the
+    vertices whose balls do are the centers. When the balls stop
+    growing first, the graph is disconnected, no eccentricity is
+    finite, and every vertex ties.
+    """
+    everyone = (1 << (n + 1)) - 2
+    ball = [1 << v for v in range(n + 1)]
+    while True:
+        centers = [v for v in range(1, n + 1) if ball[v] == everyone]
+        if centers:
+            break
+        grown = ball[:]
+        for v in range(1, n + 1):
+            for w, _ in adj[v]:
+                grown[v] |= ball[w]
+        if grown == ball:
+            centers = list(range(1, n + 1))
+            break
+        ball = grown
+    return min(centers, key=lambda v: (len(adj[v]), v))
+
+
+def _hub_masks(adj, n: int, hub: int, max_len: int) -> list[list[int]]:
+    """Per vertex, minimal color masks of rainbow walks from the hub.
+
+    The same antichain search as `_reach`, run to the end instead of
+    stopping at targets, with at most _HUB_MASK_CAP masks per vertex.
+    """
+    best: list[list[int]] = [[] for _ in range(n + 1)]
+    best[hub].append(0)
+    frontier: list[tuple[int, int]] = [(hub, 0)]
+    for _ in range(max_len):
+        nxt: list[tuple[int, int]] = []
+        for v, mask in frontier:
+            for w, b in adj[v]:
+                if mask & b:
+                    continue
+                bw = best[w]
+                if len(bw) >= _HUB_MASK_CAP:
+                    continue
+                nm = mask | b
+                dominated = False
+                for old in bw:
+                    if old & nm == old:
+                        dominated = True
+                        break
+                if dominated:
+                    continue
+                bw.append(nm)
+                nxt.append((w, nm))
+        if not nxt:
+            break
+        frontier = nxt
+    return best
+
+
+def _open_pairs(masks: list[list[int]], n: int, k: int):
+    """Yield (u, the v > u the hub certificate leaves open), u = 1..n-1.
+
+    u proves v when some mask of u is disjoint from some mask of v.
+    All pairs of a row are tested at once on bitsets: slot i of vertex
+    v is bit v * W + i, with W = _HUB_MASK_CAP. clash[b] marks the
+    slots whose mask holds color bit b, and every unused slot. For a
+    mask a of u, the OR of clash[b] over the bits b of a marks the slots
+    that do not prove a pair with a; v stays open exactly when, ANDed
+    over all masks of u, its lane is still full.
+    """
+    w = _HUB_MASK_CAP
+    full = (1 << w) - 1
+    lanes: dict[int, list[int]] = {1 << j: [0] * (n + 1) for j in range(k)}
+    unused = [full] * (n + 1)
+    for v in range(1, n + 1):
+        unused[v] = full >> len(masks[v]) << len(masks[v])
+        for i, b in enumerate(masks[v]):
+            while b:
+                low = b & -b
+                lanes[low][v] |= 1 << i
+                b ^= low
+
+    def pack(lane: list[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(w // 8, "little") for x in lane), "little")
+
+    pad = pack(unused)
+    clash = {bit: pack(lane) | pad for bit, lane in lanes.items()}
+    every = (1 << (w * (n + 1))) - 1
+    lane_bit = every // full  # bit 0 of every lane
+    for u in range(1, n):
+        shut = every
+        for a in masks[u]:
+            blocked = pad
+            while a:
+                low = a & -a
+                blocked |= clash[low]
+                a ^= low
+            shut &= blocked
+        # Fold each lane onto its bit 0, which then tells whether any
+        # slot of the lane proves the pair.
+        proven = every ^ shut
+        shift = w // 2
+        while shift:
+            proven |= proven >> shift
+            shift //= 2
+        rest = (lane_bit & ~proven) >> (w * (u + 1))
+        left = []
+        while rest:
+            low = rest & -rest
+            left.append(u + 1 + (low.bit_length() - 1) // w)
+            rest ^= low
+        yield u, left
+
+
 def is_rainbow_connected(
     g: Graph,
     coloring: EdgeColoring,
@@ -115,18 +245,34 @@ def is_rainbow_connected(
     max_n: int = _DEFAULT_MAX_N,
     max_colors: int = _DEFAULT_MAX_COLORS,
 ) -> VerifyResult:
-    """Exhaustively check that every pair has a rainbow path."""
+    """Exactly check that every pair has a rainbow path.
+
+    Phase 1, the hub certificate: one rainbow search from the hub (the
+    vertex of least eccentricity, then degree, then label) keeps, per
+    vertex, minimal color masks of rainbow walks from the hub. A pair
+    (u, v) is proven when some mask of u is disjoint from some mask of
+    v: the walk u -> hub -> v then repeats no color, and every walk
+    contains a u..v path on a subset of its edges, which is rainbow.
+
+    Phase 2, the fallback: for each u in ascending order, the pairs
+    (u, v) left unproven go to the exhaustive search from u. A proven
+    pair never fails, so the first counterexample and pairs_checked
+    are those of a plain search over all pairs in lexicographic order.
+    """
     adj, k = _prepare(g, coloring, max_n, max_colors)
-    max_len = min(g.n - 1, k)
-    pairs = 0
-    for u in range(1, g.n):
-        targets = range(u + 1, g.n + 1)
-        pairs += g.n - u
-        got = _reach(adj, g.n, u, targets, max_len)
-        if len(got) != g.n - u:
-            v = min(set(targets) - got)
-            return VerifyResult(False, (u, v), pairs)
-    return VerifyResult(True, None, pairs)
+    n = g.n
+    max_len = min(n - 1, k)
+    masks = _hub_masks(adj, n, _hub(adj, n), max_len)
+    pairs = certified = 0
+    for u, left in _open_pairs(masks, n, k):
+        pairs += n - u
+        certified += n - u - len(left)
+        if left:
+            got = _reach(adj, n, u, left, max_len)
+            if len(got) != len(left):
+                v = min(set(left) - got)
+                return VerifyResult(False, (u, v), pairs, certified)
+    return VerifyResult(True, None, pairs, certified)
 
 
 def is_strong_rainbow_connected(

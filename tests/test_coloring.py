@@ -1,9 +1,12 @@
 """Rainbow coloring construction: bound, determinism, oracle agreement."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moprc.coloring
 from moprc import (
+    RepairExhausted,
     ecc_diam_rad_center,
     eta,
     fan,
@@ -104,3 +107,39 @@ def test_sun_graph():
 @settings(max_examples=50, deadline=None)
 def test_oracle_and_bound_property(n, seed):
     _check(random_mop_graph(n, seed))
+
+
+# Each of these raised ScaleLimit while the repair loop checked its
+# colorings under the public verifier caps (n <= 200, 32 colors).
+BEYOND_PUBLIC_CAPS = {
+    "lad(21)": lambda: lad(21).graph,
+    "lad_plus(21)": lambda: lad_plus(21).graph,
+    "lad(24)": lambda: lad(24).graph,
+    "lad(30)": lambda: lad(30).graph,
+    "random_mop(210,1)": lambda: random_mop_graph(210, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(BEYOND_PUBLIC_CAPS))
+def test_inputs_beyond_public_verifier_caps(name):
+    g = BEYOND_PUBLIC_CAPS[name]()
+    col, stats = rainbow_coloring(g)
+    summary = ecc_diam_rad_center(g)
+    assert summary.diameter <= stats.colors_used <= 3 * summary.radius
+    assert is_rainbow_connected(g, col, max_n=g.n, max_colors=stats.colors_used).ok
+
+
+# The staged coloring of this graph needs one repair round.
+NEEDS_REPAIR = (22, 14)
+
+
+def test_repair_budget_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(moprc.coloring, "_REPAIR_ROUNDS", 0)
+    with pytest.raises(RepairExhausted):
+        rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
+
+
+def test_unfixable_pair_raises(monkeypatch):
+    monkeypatch.setattr(moprc.coloring, "_connect_pair", lambda *args, **kwargs: False)
+    with pytest.raises(RepairExhausted):
+        rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))

@@ -1,6 +1,8 @@
 """Brute-force oracles: connectivity checks, exact values, cuts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moprc import (
     DomainError,
@@ -17,10 +19,12 @@ from moprc import (
     is_rainbow_connected,
     is_strong_rainbow_connected,
     lad,
+    lad_plus,
     rainbow_coloring,
     rainbow_witness,
     random_mop_graph,
 )
+from moprc import verify
 from moprc._rng import SplitMix64
 
 from conftest import independent_rainbow_ok
@@ -75,6 +79,91 @@ def test_strong_check_distinguishes_shortest_paths():
     res = is_strong_rainbow_connected(g, tweaked)
     assert not res.ok
     assert res.counterexample == (1, 7)
+
+
+def per_source_check(g: Graph, colors: dict[tuple[int, int], int]):
+    """(ok, counterexample, pairs_checked) of a plain per-source search.
+
+    From each u in turn, a breadth-first search over (vertex, colors
+    used) states finds every vertex a rainbow walk reaches; a rainbow
+    walk contains a rainbow path. Stops at the first u that misses some
+    v > u, after counting the pairs of that u.
+    """
+    pairs = 0
+    for u in range(1, g.n):
+        seen = {(u, frozenset())}
+        frontier = list(seen)
+        reached = {u}
+        while frontier:
+            nxt = []
+            for x, used in frontier:
+                for y in g.neighbors(x):
+                    c = colors[edge(x, y)]
+                    if c in used:
+                        continue
+                    state = (y, used | {c})
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+                        reached.add(y)
+            frontier = nxt
+        pairs += g.n - u
+        missed = [v for v in range(u + 1, g.n + 1) if v not in reached]
+        if missed:
+            return False, (u, missed[0]), pairs
+    return True, None, pairs
+
+
+@st.composite
+def colored_mops(draw):
+    family = draw(st.sampled_from(["random", "lad", "lad_plus"]))
+    if family == "random":
+        g = random_mop_graph(draw(st.integers(3, 12)), draw(st.integers(0, 2**32)))
+    else:
+        g = (lad if family == "lad" else lad_plus)(draw(st.integers(2, 6))).graph
+    k = draw(st.integers(1, 9))
+    colors = {e: draw(st.integers(1, k)) for e in sorted(g.edges)}
+    return g, colors
+
+
+def assert_matches_per_source_check(g: Graph, colors) -> bool:
+    res = is_rainbow_connected(g, EdgeColoring(colors))
+    assert (res.ok, res.counterexample, res.pairs_checked) == per_source_check(g, colors)
+    assert 0 <= res.pairs_certified <= res.pairs_checked
+    return res.ok
+
+
+@given(colored_mops())
+@settings(max_examples=150, deadline=None)
+def test_hub_certificate_matches_per_source_check(case):
+    assert_matches_per_source_check(*case)
+
+
+@pytest.mark.parametrize("cap", [8, verify._HUB_MASK_CAP])
+def test_hub_certificate_matches_on_both_verdicts(monkeypatch, cap):
+    # A smaller mask cap truncates more antichains; only the split
+    # between certified and searched pairs may change.
+    monkeypatch.setattr(verify, "_HUB_MASK_CAP", cap)
+    rng = SplitMix64(7)
+    verdicts = []
+    for n in range(5, 15):
+        for trial in range(4):
+            g = random_mop_graph(n, 900 + 10 * n + trial)
+            k = 2 + rng.below(2 * n)
+            colors = {e: 1 + rng.below(k) for e in sorted(g.edges)}
+            verdicts.append(assert_matches_per_source_check(g, colors))
+    for d in range(3, 9):
+        g = lad_plus(d).graph
+        k = d + rng.below(d)
+        colors = {e: 1 + rng.below(k) for e in sorted(g.edges)}
+        verdicts.append(assert_matches_per_source_check(g, colors))
+    assert True in verdicts and False in verdicts
+
+
+def test_disconnected_graph_fails_at_first_split_pair():
+    g = Graph(4, [(1, 2), (3, 4)])
+    res = is_rainbow_connected(g, EdgeColoring({(1, 2): 1, (3, 4): 1}))
+    assert (res.ok, res.counterexample, res.pairs_checked) == (False, (1, 3), 3)
 
 
 def test_verdicts_match_independent_path_enumeration():
