@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .core import EdgeColoring, MopGraph, edge
 from .errors import PaletteExhausted, RepairExhausted
 from .generators import fan_coloring
-from .metrics import bfs, ecc_diam_rad_center
+from .metrics import bfs
 from .spine import SpineNode, build_ccs, primary_secondary, realize_paths
 from .verify import is_rainbow_connected
 
@@ -230,14 +230,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     Above radius 1 the coloring is returned only after it passes the
     exact checker; otherwise RepairExhausted is raised.
     """
-    summary = ecc_diam_rad_center(g)
-    rad = summary.radius
+    spine = build_ccs(g)
+    rad = spine.radius
     if rad <= 1:
         hub = min(v for v in g.vertices() if g.degree(v) == g.n - 1)
         coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
         return coloring, _stats(rad, coloring)
 
-    spine = build_ccs(g)
     v_r = spine.root_vertex
     colors: dict[tuple[int, int], int] = {}
     level_one = set(spine.layers[1])
@@ -262,7 +261,6 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     reserve = list(range(rad + 5, 3 * rad + 1))
     usage = {c: 0 for c in reserve}
     ordered = sorted(spine.nodes[1:], key=lambda nd: (nd.level, nd.realization))
-    shorts = {node: realize_paths(g, spine, node)[0] for node in ordered}
     longs: dict[SpineNode, tuple[int, ...]] = {}
     if rad == 2:
         ordered = []
@@ -270,7 +268,7 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     for lvl in sorted({nd.level for nd in ordered}):
         batch = [nd for nd in ordered if nd.level == lvl]
         for node in batch:
-            short = shorts[node]
+            short = spine.routes.shorts[node]
             for i in range(len(short) - 1):
                 pick = 5 if i == 0 else 6 + i
                 if pick > rad + 4:

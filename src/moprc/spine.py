@@ -6,7 +6,10 @@ cuts (adjacent pairs), red nodes are single cut-ish vertices, and the
 root is the chosen center. The spine drives the staged rainbow
 coloring: every leaf gets two edge-disjoint realization paths from the
 root, one short (a BFS tree path) and one long (threaded through the
-other endpoint of each green ancestor).
+other endpoint of each green ancestor). The routing data those paths
+share (the short paths themselves, the edges long paths avoid, the
+fixed-color crossing tags, the root spokes short paths ride) is built
+once with the spine, as its `routes`.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -95,12 +98,30 @@ class SpineNode:
 
 
 @dataclass(frozen=True)
+class SpineRoutes:
+    """Routing data shared by every realization path of one spine.
+
+    shorts maps each non-root node to its short path, the rail-tree
+    path from the root to its primary vertex. tags maps each
+    fixed-color edge to its crossing class; no path crosses two edges
+    of one class. penalized is the tagged edges plus every rail-tree
+    edge, which long paths prefer to avoid. gateways are the layer-1
+    vertices whose root spoke some short path rides.
+    """
+
+    shorts: dict[SpineNode, tuple[int, ...]]
+    penalized: frozenset[tuple[int, int]]
+    tags: dict[tuple[int, int], int]
+    gateways: frozenset[int]
+
+
+@dataclass(frozen=True)
 class CutSpine:
     """Cut spine of a MOP: nodes plus their tree structure.
 
     layers[k] lists the vertices at BFS distance k from the root
     vertex. degenerate_radius marks radius <= 1 graphs, whose spine is
-    just the root.
+    just the root. routes is built once, with the spine.
     """
 
     root: SpineNode
@@ -109,6 +130,7 @@ class CutSpine:
     layers: tuple[tuple[int, ...], ...]
     radius: int
     degenerate_radius: bool
+    routes: SpineRoutes = field(compare=False)
 
     @property
     def root_vertex(self) -> int:
@@ -211,7 +233,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
     if rad <= 1:
-        return CutSpine(root, (root,), {}, lay, rad, True)
+        return CutSpine(root, (root,), {}, lay, rad, True, _routes(g, (root,), lay))
 
     greens: list[SpineNode] = []
     green_seen: set[tuple[int, tuple[int, int]]] = set()
@@ -300,7 +322,8 @@ def build_ccs(g: MopGraph) -> CutSpine:
                     chosen = p
                     break
         parent[node] = chosen if chosen is not None else root
-    return CutSpine(root, tuple(nodes), parent, lay, rad, False)
+    nodes = tuple(nodes)
+    return CutSpine(root, nodes, parent, lay, rad, False, _routes(g, nodes, lay))
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
@@ -372,18 +395,26 @@ def _route(
     return None
 
 
-def _rail_parents(g: MopGraph, spine: CutSpine) -> dict[int, int | None]:
-    """BFS-tree parents that prefer primary realization vertices.
+def _routes(
+    g: MopGraph, nodes: tuple[SpineNode, ...], lay: tuple[tuple[int, ...], ...]
+) -> SpineRoutes:
+    """The routing data of a spine with these nodes and layers.
 
-    Layer by layer, each vertex picks its parent from the previous
-    layer preferring primaries, then vertices on no spine node, then
-    secondaries, breaking ties by smallest label. Short realization
-    paths follow this tree, which keeps them on the primary rail
-    whenever the graph allows it.
+    Short paths follow the rail tree, a BFS tree in which each vertex
+    picks its parent from the previous layer preferring primaries, then
+    vertices on no spine node, then secondaries, breaking ties by
+    smallest label; this keeps short paths on the primary rail whenever
+    the graph allows it. Green pair edges and layer-1 edges all share
+    one color, so they form a single crossing class (tag 0): a route
+    crossing two of them would carry a repeated color, so the path
+    router prunes such routes. Long paths prefer to avoid tree edges,
+    which are reserved for short paths, and tagged edges, which carry
+    fixed colors; steering them around both keeps the color bands from
+    bleeding into each other.
     """
     primaries: set[int] = set()
     secondaries: set[int] = set()
-    for nd in spine.nodes[1:]:
+    for nd in nodes[1:]:
         p, s = primary_secondary(g, nd)
         primaries.add(p)
         if s != p:
@@ -396,75 +427,36 @@ def _rail_parents(g: MopGraph, spine: CutSpine) -> dict[int, int | None]:
             return (2, u)
         return (1, u)
 
-    parent: dict[int, int | None] = {spine.root_vertex: None}
-    for k in range(1, len(spine.layers)):
-        above = set(spine.layers[k - 1])
-        for v in spine.layers[k]:
+    parent: dict[int, int | None] = {lay[0][0]: None}
+    for k in range(1, len(lay)):
+        above = set(lay[k - 1])
+        for v in lay[k]:
             cands = [u for u in g.neighbors(v) if u in above]
             parent[v] = min(cands, key=rank)
-    return parent
+    shorts: dict[SpineNode, tuple[int, ...]] = {}
+    for nd in nodes[1:]:
+        chain = [primary_secondary(g, nd)[0]]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        shorts[nd] = tuple(reversed(chain))
 
-
-def _rail_path(parent: dict[int, int | None], target: int) -> tuple[int, ...]:
-    chain = [target]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    return tuple(reversed(chain))
-
-
-def _static_penalties(g: MopGraph, spine: CutSpine) -> set[tuple[int, int]]:
-    """Edges the long realization paths should prefer to avoid.
-
-    BFS-tree edges are reserved for short paths, while green pair edges
-    and layer-1 edges carry fixed colors; steering long paths around
-    all of them keeps the color bands from bleeding into each other.
-    """
-    parent = _rail_parents(g, spine)
-    avoid = {
-        edge(parent[v], v) for v in g.vertices() if parent[v] is not None
-    }
-    for nd in spine.nodes:
-        if nd.kind == "green":
-            avoid.add(edge(*nd.realization))
-    n1 = spine.layers[1] if len(spine.layers) > 1 else ()
-    inside = set(n1)
-    for v in n1:
-        for u in g.neighbors(v):
-            if u in inside:
-                avoid.add(edge(u, v))
-    return avoid
-
-
-def _crossing_tags(g: MopGraph, spine: CutSpine) -> dict[tuple[int, int], int]:
-    """Tag classes of fixed-color edges a path may cross at most once.
-
-    Green pair edges and layer-1 edges all share one color, so they
-    form a single class (tag 0). A route crossing two edges of one tag
-    would carry a repeated color, so the path router prunes such paths.
-    """
     tags: dict[tuple[int, int], int] = {}
-    for nd in spine.nodes:
+    for nd in nodes:
         if nd.kind == "green":
             tags[edge(*nd.realization)] = 0
-    n1 = spine.layers[1] if len(spine.layers) > 1 else ()
+    n1 = lay[1] if len(lay) > 1 else ()
     inside = set(n1)
     for v in n1:
         for u in g.neighbors(v):
             if u in inside:
                 tags.setdefault(edge(u, v), 0)
-    return tags
-
-
-def _rail_gateways(g: MopGraph, spine: CutSpine) -> set[int]:
-    """Layer-1 vertices whose root spoke some short path rides."""
-    parent = _rail_parents(g, spine)
-    out: set[int] = set()
-    for nd in spine.nodes[1:]:
-        p, _ = primary_secondary(g, nd)
-        path = _rail_path(parent, p)
-        if len(path) > 1:
-            out.add(path[1])
-    return out
+    tree = {edge(p, v) for v, p in parent.items() if p is not None}
+    return SpineRoutes(
+        shorts,
+        frozenset(tree | tags.keys()),
+        tags,
+        frozenset(path[1] for path in shorts.values() if len(path) > 1),
+    )
 
 
 def _realize_with_stats(
@@ -491,12 +483,11 @@ def _realize_with_stats(
     if node.kind == "root":
         return ((v_r,), (v_r,), 0)
     primary, secondary = primary_secondary(g, node)
-    a_path = _rail_path(_rail_parents(g, spine), primary)
+    routes = spine.routes
+    a_path = routes.shorts[node]
     a_edges = {edge(a_path[i], a_path[i + 1]) for i in range(len(a_path) - 1)}
-
-    penalized = _static_penalties(g, spine) | a_edges
-    gateways = _rail_gateways(g, spine)
-    tags = _crossing_tags(g, spine)
+    # The short path's edges are rail-tree edges, so already penalized.
+    penalized, gateways, tags = routes.penalized, routes.gateways, routes.tags
     own_pair: set[tuple[int, int]] = set()
     if node.kind == "green":
         own_pair.add(edge(primary, secondary))
@@ -569,7 +560,7 @@ def _realize_with_stats(
             if secondary not in cut_out:
                 b_path = b_path[: j1 + 1] + b_path[j2 + 1 :]
 
-    return tuple(a_path), tuple(b_path), repairs
+    return a_path, tuple(b_path), repairs
 
 
 def realize_paths(

@@ -1,5 +1,8 @@
 """Rainbow coloring construction: bound, determinism, oracle agreement."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 import moprc.coloring
 from moprc import (
     RepairExhausted,
+    build_ccs,
     ecc_diam_rad_center,
     eta,
     fan,
@@ -75,6 +79,67 @@ def test_frozen_mid_size_run():
     col, stats = rainbow_coloring(g)
     assert col.colors == FROZEN_N10
     assert (stats.radius, stats.colors_used, stats.bound, stats.excess) == (2, 6, 6, 0)
+
+
+# sha256 of repr(sorted(colors.items())), pinned beyond n = 10.
+FROZEN_DIGESTS = {
+    "random_mop(120,2)": (
+        lambda: random_mop_graph(120, 2),
+        "5f2b8bc9420fc9feac00023a66680975093ec84b1162a5bd52583e656b843b69",
+    ),
+    "lad(15)": (
+        lambda: lad(15).graph,
+        "288cfb4d3971a1922edae134742d9ad94f37d6e0f83dbdee4537619e87972240",
+    ),
+    "lad_plus(12)": (
+        lambda: lad_plus(12).graph,
+        "b7790cc63de90e975971d6628f856caa33a46477fee749d15a6b9b3c1be948a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_DIGESTS))
+def test_frozen_digests_beyond_n10(name):
+    make, digest = FROZEN_DIGESTS[name]
+    col, _ = rainbow_coloring(make())
+    assert hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest() == digest
+
+
+# (graph, radius): at radius 2 no long path is routed at all.
+CALL_COUNT_GRAPHS = {
+    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2),
+    "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4),
+    "lad(12)": (lambda: lad(12).graph, 6),
+    "lad_plus(10)": (lambda: lad_plus(10).graph, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_COUNT_GRAPHS))
+def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
+    make, radius = CALL_COUNT_GRAPHS[name]
+    g = make()
+    spine = build_ccs(g)
+    assert spine.radius == radius
+    calls = {"realize": 0, "ecc": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        moprc.coloring, "realize_paths", counting("realize", moprc.coloring.realize_paths)
+    )
+    # Count the eccentricity pass under every name a moprc module binds it to.
+    ecc = ecc_diam_rad_center
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("moprc") and getattr(mod, "ecc_diam_rad_center", None) is ecc:
+            monkeypatch.setattr(mod, "ecc_diam_rad_center", counting("ecc", ecc))
+    rainbow_coloring(g)
+    expected = 0 if radius == 2 else len(spine.nodes) - 1
+    assert calls == {"realize": expected, "ecc": 1}
 
 
 def test_deterministic_across_runs():
