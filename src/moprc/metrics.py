@@ -248,17 +248,13 @@ def linear_eccentricities(g: MopGraph) -> dict[int, int]:
     """
     if g.n == 3:
         return {1: 1, 2: 1, 3: 1}
-    table = edge_side_eccentricities(g)
-    sides = _side_map(g)
+    # The table holds both side states of every edge, so it alone gives
+    # each edge its two records.
+    states: dict[tuple[int, int], list[EdgeEccentricity]] = {}
+    for (e, _), rec in edge_side_eccentricities(g).items():
+        states.setdefault(e, []).append(rec)
     ecc = {}
     for v in g.vertices():
         e = edge(v, g.neighbors(v)[0])
-        total = 0
-        ts = sides[e]
-        keys = [(e, ts[0]), (e, ts[1] if len(ts) == 2 else None)]
-        for key in keys:
-            rec = table[key]
-            val = rec.value_at_lo if v == e[0] else rec.value_at_hi
-            total = max(total, abs(val))
-        ecc[v] = total
+        ecc[v] = max(abs(r.value_at_lo if v == e[0] else r.value_at_hi) for r in states[e])
     return ecc

@@ -352,69 +352,73 @@ class ExactResult:
     infeasible_below: every smaller palette size is impossible, by the
     diameter lower bound together with the exhausted sizes listed in
     ruled_out (the sizes the search actually tried and refuted).
+    nodes: the search-tree nodes visited for each palette size tried,
+    in the order ruled_out + (value,).
     """
 
     value: int
     certificate: EdgeColoring
     infeasible_below: int
     ruled_out: tuple[int, ...]
+    nodes: tuple[int, ...]
 
 
-def _pair_possible(adj_idx, colors, u, v, k, level=None) -> bool:
-    """Optimistic reachability under a partial coloring.
+def _relaxed_walk(adj_idx, bits, u, v, k) -> list[int] | None:
+    """Edge indices of a u..v walk that a partial coloring may make rainbow.
 
-    Unassigned edges act as wildcards (a fresh color each); assigned
-    edges consume their color bit. If even this relaxation cannot join
-    u and v within k steps (on shortest paths when level is given),
-    no completion of the partial coloring can.
+    adj_idx[x] lists the (neighbor, edge index) steps the walk may take
+    from x. bits[i] is the color bit of edge i, or 0 while it is
+    unassigned. Unassigned edges act as wildcards (a fresh color each);
+    assigned edges consume their color bit. The walk has at most k
+    edges and its assigned colors are pairwise distinct. If there is no
+    such walk, no completion of the partial coloring can join u and v,
+    and the result is None.
     """
-    best: dict[int, list[int]] = {u: [0]}
-    frontier = [(u, 0)]
-    steps = 0
-    while frontier and steps < k:
-        steps += 1
+    best: list[list[int]] = [[] for _ in adj_idx]
+    best[u].append(0)
+    frontier: list[tuple[int, int, tuple | None]] = [(u, 0, None)]
+    for _ in range(k):
         nxt = []
-        for x, mask in frontier:
-            lv = level[x] + 1 if level is not None else 0
+        for x, mask, trail in frontier:
             for w, ei in adj_idx[x]:
-                if level is not None and level[w] != lv:
+                b = bits[ei]
+                if mask & b:
                     continue
-                c = colors[ei]
-                if c:
-                    b = 1 << c
-                    if mask & b:
-                        continue
-                    nm = mask | b
+                nm = mask | b
+                bw = best[w]
+                for old in bw:
+                    if old & nm == old:
+                        break
                 else:
-                    nm = mask
-                bw = best.setdefault(w, [])
-                if any(old & nm == old for old in bw):
-                    continue
-                if w == v:
-                    return True
-                bw.append(nm)
-                nxt.append((w, nm))
+                    if w == v:
+                        walk = [ei]
+                        while trail is not None:
+                            ei, trail = trail
+                            walk.append(ei)
+                        return walk
+                    bw.append(nm)
+                    nxt.append((w, nm, (ei, trail)))
+        if not nxt:
+            break
         frontier = nxt
-    return False
-
-
-def _full_check(adj_idx, n, colors, k, strong_levels=None):
-    """First failing pair under a total assignment, or None if valid."""
-    for u in range(1, n):
-        level = strong_levels[u] if strong_levels is not None else None
-        for v in range(u + 1, n + 1):
-            if not _pair_possible(adj_idx, colors, u, v, k, level):
-                return (u, v)
     return None
 
 
-def _search_k(g: Graph, edges_sorted, k: int, strong: bool, deadline) -> EdgeColoring | None:
+def _search_k(
+    g: Graph, edges_sorted, k: int, strong: bool, deadline
+) -> tuple[EdgeColoring | None, int]:
     """Find any valid k-coloring, or prove there is none.
 
     DFS in lexicographic edge order with the restricted-growth rule:
     color i may be used only if some earlier edge used color i-1, which
     kills color-permutation symmetry. Recently failing pairs are
     re-checked first (against the wildcard relaxation) to prune early.
+
+    Each pair keeps the last walk that the relaxation found for it.
+    While that walk's assigned colors stay pairwise distinct it still
+    proves the pair, so the pair is searched again only once a color
+    breaks it; every prune decision is the one a fresh search would
+    make. Returns the coloring (or None) and the number of DFS nodes.
     """
     m = len(edges_sorted)
     adj_idx: list[tuple[tuple[int, int], ...]] = [()] * (g.n + 1)
@@ -424,19 +428,45 @@ def _search_k(g: Graph, edges_sorted, k: int, strong: bool, deadline) -> EdgeCol
         tmp[b].append((a, i))
     for v in g.vertices():
         adj_idx[v] = tuple(sorted(tmp[v]))
-    strong_levels = None
+    # The steps a walk from each source may take: every edge, or for the
+    # strong check only the edges one BFS level further from the
+    # source, so that walks are shortest paths.
+    steps = [adj_idx] * (g.n + 1)
     if strong:
-        strong_levels = {u: bfs(g, u).dist for u in range(1, g.n + 1)}
-    colors = [0] * m
+        for u in g.vertices():
+            level = bfs(g, u).dist
+            steps[u] = [()] + [
+                tuple(st for st in adj_idx[x] if level[st[0]] == level[x] + 1)
+                for x in g.vertices()
+            ]
+    bits = [0] * m
+    walks: dict[tuple[int, int], list[int]] = {}
     watched: list[tuple[int, int]] = []
     ticks = 0
 
-    def watched_ok() -> bool:
-        for (u, v) in watched:
-            level = strong_levels[u] if strong_levels is not None else None
-            if not _pair_possible(adj_idx, colors, u, v, k, level):
-                return False
+    def joinable(u: int, v: int) -> bool:
+        walk = walks.get((u, v))
+        if walk is not None:
+            mask = 0
+            for ei in walk:
+                b = bits[ei]
+                if mask & b:
+                    break
+                mask |= b
+            else:
+                return True
+        walk = _relaxed_walk(steps[u], bits, u, v, k)
+        if walk is None:
+            return False
+        walks[(u, v)] = walk
         return True
+
+    def first_failing() -> tuple[int, int] | None:
+        for u in range(1, g.n):
+            for v in range(u + 1, g.n + 1):
+                if not joinable(u, v):
+                    return (u, v)
+        return None
 
     def dfs(idx: int, max_used: int) -> bool:
         nonlocal ticks
@@ -444,7 +474,7 @@ def _search_k(g: Graph, edges_sorted, k: int, strong: bool, deadline) -> EdgeCol
         if deadline is not None and ticks % 256 == 0 and time.monotonic() > deadline:
             raise ScaleLimit("exact search timed out")
         if idx == m:
-            bad = _full_check(adj_idx, g.n, colors, k, strong_levels)
+            bad = first_failing()
             if bad is None:
                 return True
             if bad not in watched:
@@ -452,16 +482,20 @@ def _search_k(g: Graph, edges_sorted, k: int, strong: bool, deadline) -> EdgeCol
                 del watched[8:]
             return False
         for c in range(1, min(max_used + 1, k) + 1):
-            colors[idx] = c
-            if watched_ok():
+            bits[idx] = 1 << c
+            for u, v in watched:
+                if not joinable(u, v):
+                    break
+            else:
                 if dfs(idx + 1, max(max_used, c)):
                     return True
-            colors[idx] = 0
+            bits[idx] = 0
         return False
 
     if dfs(0, 0):
-        return EdgeColoring({e: colors[i] for i, e in enumerate(edges_sorted)})
-    return None
+        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges_sorted)}
+        return EdgeColoring(colors), ticks
+    return None, ticks
 
 
 def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> ExactResult:
@@ -474,10 +508,12 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
     summary = ecc_diam_rad_center(g)  # also proves connectivity
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
     ruled: list[int] = []
+    nodes: list[int] = []
     for k in range(summary.diameter, g.m + 1):
-        cert = _search_k(g, sorted(g.edges), k, strong, deadline)
+        cert, visited = _search_k(g, sorted(g.edges), k, strong, deadline)
+        nodes.append(visited)
         if cert is not None:
-            return ExactResult(k, cert, k - 1, tuple(ruled))
+            return ExactResult(k, cert, k - 1, tuple(ruled), tuple(nodes))
         ruled.append(k)
     raise AssertionError("all-distinct coloring must be feasible")
 

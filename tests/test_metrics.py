@@ -90,6 +90,17 @@ def test_linear_eccentricities_fixed_values():
     assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
 
 
+def test_linear_eccentricities_build_the_side_map_once(monkeypatch):
+    from moprc import metrics
+
+    calls = []
+    real = metrics._side_map
+    monkeypatch.setattr(metrics, "_side_map", lambda g: calls.append(g) or real(g))
+    g = random_mop_graph(30, 4)
+    assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
+    assert len(calls) == 1
+
+
 def test_linear_eccentricities_match_oracle_large():
     g = random_mop_graph(200, 99)
     assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc

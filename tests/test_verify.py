@@ -1,5 +1,7 @@
 """Brute-force oracles: connectivity checks, exact values, cuts."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,59 @@ def test_exact_result_certificate_and_bounds():
     res = exact_rc(star)
     assert res.value == 4
     assert res.ruled_out == (2, 3)
+
+
+# exact_rc / exact_src outputs recorded with the relaxed search that
+# kept no walks: the sha256 of repr((value, ruled_out, sorted
+# certificate)) and the search-tree nodes per palette size tried. A
+# changed certificate or a changed prune decision shows here.
+FROZEN_EXACT = [
+    pytest.param(exact_rc, Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)]),
+                 "f2d2340715924320acf1030a5ca90c32ab4e15b00c15531523361814284803b6",
+                 (11, 14, 15), id="rc-star5"),
+    pytest.param(exact_rc, fan(8).graph,
+                 "d8326c59e2f77ff168b809af094e75f9f790ccc880b9d5a917a87b701767d9d0",
+                 (1011, 52), id="rc-fan8"),
+    pytest.param(exact_rc, fan(10).graph,
+                 "ad5e67dcf3d1d7f50dc7329a851117790246c50e091f9ddb49b2198511fdbd01",
+                 (2395, 87), id="rc-fan10"),
+    pytest.param(exact_rc, random_mop_graph(9, 1),
+                 "0d18abcf56411b29465d050d5ed05011c8c607c79deae4a24865d305b6f15bb9",
+                 (96,), id="rc-random9_1"),
+    pytest.param(exact_rc, random_mop_graph(9, 2),
+                 "ddc9dcba65c4132018b5af3d2246fb8d2cc535a1645207d1ec26e1a561dd754e",
+                 (193,), id="rc-random9_2"),
+    pytest.param(exact_rc, random_mop_graph(10, 1),
+                 "8bcaf3f35f32d9a17584a96db23986fc2ed3cfa071d8f39e952a49ac541c3477",
+                 (170,), id="rc-random10_1"),
+    pytest.param(exact_rc, random_mop_graph(10, 2),
+                 "289a023b2ed5db33ad1fe25de48c35ef91c04e455108047601123d329c96cf80",
+                 (136,), id="rc-random10_2"),
+    pytest.param(exact_rc, random_mop_graph(11, 1),
+                 "5980abd61f0bcfdd710a89f2bff0f24a17b6f6d1755084ed2994e2655ed75cf1",
+                 (8038,), id="rc-random11_1"),
+    pytest.param(exact_rc, random_mop_graph(11, 2),
+                 "d8c13c9b168872f011045a4c794dd1c43156bf3eac18bdddeb1a6f3338b86801",
+                 (240,), id="rc-random11_2"),
+    pytest.param(exact_src, fan(8).graph,
+                 "18a43c15f24ec68444bea4e15679a6805aa49fd588c52b5f0a435391ea4c8bd1",
+                 (1011, 415), id="src-fan8"),
+    pytest.param(exact_src, lad(4).graph,
+                 "25a62fff444437157583cabaa0aac62dafd5ebacf880b23a3dae671aba4becaf",
+                 (49,), id="src-lad4"),
+    pytest.param(exact_src, random_mop_graph(8, 1),
+                 "b9db01d7739a499ee148aae1ad355ad9d953659c55d93ee94ea28e8f9fd9b57c",
+                 (50,), id="src-random8_1"),
+]
+
+
+@pytest.mark.parametrize("solver,g,digest,nodes", FROZEN_EXACT)
+def test_frozen_exact_outputs(solver, g, digest, nodes):
+    res = solver(g)
+    key = (res.value, res.ruled_out, sorted(res.certificate.colors.items()))
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+    assert res.nodes == nodes
+    assert len(res.nodes) == len(res.ruled_out) + 1
 
 
 def test_exact_search_respects_caps():
