@@ -120,6 +120,7 @@ def _cmd_color(args) -> int:
         print(f"colors_used: {stats.colors_used}")
         print(f"bound_3rad: {stats.bound}")
         print(f"excess: {stats.excess}")
+        print(f"repair_rounds: {stats.repair_rounds}")
     else:
         sys.stdout.write(text)
     if args.dot:

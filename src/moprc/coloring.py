@@ -27,6 +27,7 @@ Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import EdgeColoring, MopGraph, edge
@@ -42,18 +43,24 @@ class ColoringStats:
     """Bookkeeping for one coloring run.
 
     excess measures distance from the 2*radius + 2 baseline; it can be
-    negative and never exceeds radius - 2.
+    negative and never exceeds radius - 2. repair_rounds counts the
+    failing pairs the verifier-driven repair patched (0 when the staged
+    coloring was already rainbow connected).
     """
 
     radius: int
     colors_used: int
     bound: int
     excess: int
+    repair_rounds: int = 0
 
 
-def _stats(radius: int, coloring: EdgeColoring) -> ColoringStats:
+def _stats(
+    radius: int, coloring: EdgeColoring, repair_rounds: int = 0
+) -> ColoringStats:
     used = len(coloring.used)
-    return ColoringStats(radius, used, 3 * radius, used - (2 * radius + 2))
+    excess = used - (2 * radius + 2)
+    return ColoringStats(radius, used, 3 * radius, excess, repair_rounds)
 
 
 def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> None:
@@ -86,51 +93,8 @@ def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> No
             return
 
 
-def _paths_between(
-    g: MopGraph, u: int, v: int, max_len: int, budget: int = 6000
-) -> list[tuple[int, ...]]:
-    """Simple u..v paths of at most max_len edges, shortest first.
-
-    Depth-first enumeration pruned by the exact remaining distance to
-    v, capped at `budget` paths so dense neighborhoods stay cheap.
-    """
-    dist_v = bfs(g, v).dist
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [(u,)]
-    while stack and len(out) < budget:
-        path = stack.pop()
-        x = path[-1]
-        if x == v:
-            out.append(path)
-            continue
-        used = len(path) - 1
-        for w in sorted(g.neighbors(x), reverse=True):
-            if w in path:
-                continue
-            if used + 1 + dist_v[w] > max_len:
-                continue
-            stack.append(path + (w,))
-    out.sort(key=lambda p: (len(p), p))
-    return out
-
-
-def _flip_priority(c: int, rad: int) -> int:
-    """How safely an edge of color c can be recolored (lower = safer).
-
-    Plain fan filler serves single hops only; spokes and the low band
-    carry whole path bundles, so they move last.
-    """
-    if c == 3:
-        return 0
-    if c in (1, 2):
-        return 1
-    if c >= rad + 5:
-        return 2
-    if c == 6:
-        return 3
-    if c >= 7:
-        return 4
-    return 5
+_PATH_BUDGET = 6000
+_REPAIR_ROUNDS = 80
 
 
 def _connect_pair(
@@ -143,56 +107,96 @@ def _connect_pair(
 ) -> bool:
     """Recolor a few edges so some u..v path becomes rainbow.
 
-    Scans candidate paths in conflict order; on the best path, each
-    duplicated color group donates one edge, which takes a color the
-    path does not carry yet. `skip` passes over that many fixable
-    paths, so a pair that failed again after an earlier fix gets a
-    genuinely different one. Returns False when no candidate path can
-    be fixed within the palette.
+    Walks the simple u..v paths of at most min(3 * rad, n - 1) edges
+    depth first, neighbors in ascending order and pruned by the exact
+    remaining distance to v, so paths arrive in lexicographic order;
+    the walk stops at the _PATH_BUDGET-th path, so dense neighborhoods
+    stay cheap. Among the paths with a repeated color it picks the
+    (skip + 1)-th by (conflicts, length, path), where conflicts counts
+    the edges minus the distinct colors. `skip` lets a pair that failed
+    again after an earlier fix get a genuinely different one. On the
+    pick, each duplicated color group donates one edge, which takes a
+    color the path does not carry yet. Any pick can be fixed: its at
+    most 3 * rad edges need as many fresh colors as they have
+    conflicts, and the 3 * rad palette always leaves that many spare.
+    Returns False when fewer than skip + 1 paths conflict.
     """
-    palette = range(1, 3 * rad + 1)
     max_len = min(3 * rad, g.n - 1)
-    depth_pairs: list[tuple[int, tuple[int, ...]]] = []
-    for path in _paths_between(g, u, v, max_len):
-        cols = [colors[edge(path[i], path[i + 1])] for i in range(len(path) - 1)]
-        conflicts = len(cols) - len(set(cols))
-        if conflicts:
-            depth_pairs.append((conflicts, path))
-    depth_pairs.sort(key=lambda cp: (cp[0], len(cp[1]), cp[1]))
-    for _, path in depth_pairs:
-        edges = [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        cols = [colors[e] for e in edges]
-        present = set(cols)
-        # High colors first: the reserve sits on few edges globally, so
-        # moving a flipped edge up there risks the least collateral.
-        spare = sorted((c for c in palette if c not in present), reverse=True)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for e, c in zip(edges, cols):
-            groups.setdefault(c, []).append(e)
-        dup_groups = [es for es in groups.values() if len(es) > 1]
-        need = sum(len(es) - 1 for es in dup_groups)
-        if need > len(spare):
-            continue
-        if skip:
-            skip -= 1
-            continue
-        spare_iter = iter(spare)
-        for es in dup_groups:
-            keep_and_flip = sorted(
-                es, key=lambda e: (_flip_priority(colors[e], rad), e)
-            )
-            for e in keep_and_flip[: len(es) - 1]:
-                colors[e] = next(spare_iter)
-        return True
-    return False
-
-
-_REPAIR_ROUNDS = 80
+    dist_v = bfs(g, v).dist
+    adj = [()] + [
+        [(w, colors[edge(x, w)], dist_v[w]) for w in g.neighbors(x)]
+        for x in g.vertices()
+    ]
+    # count[c]: edges of color c on the current path; dup: its edges
+    # whose color repeats an earlier one, i.e. its conflicts. cols[i]
+    # is the color of the edge entering path[i] (0 for u).
+    count = [0] * (max(colors.values()) + 1)
+    dup = 0
+    path, cols = [u], [0]
+    on_path = [False] * (g.n + 1)
+    on_path[u] = True
+    room = max_len - 1  # max_len - len(path): w fits when dist_v[w] <= room
+    stack = [iter(adj[u])]
+    found = 0
+    best: list[tuple[int, int, tuple[int, ...]]] = []
+    while stack:
+        for w, c, d in stack[-1]:
+            if d > room or on_path[w]:
+                continue
+            if not d:  # w == v
+                found += 1
+                conflicts = dup + (count[c] > 0)
+                # Later paths are lexicographically larger, so one that
+                # only ties the shortlist's worst (conflicts, length)
+                # cannot displace it.
+                if conflicts and (
+                    len(best) <= skip or (conflicts, len(path) + 1) < best[-1][:2]
+                ):
+                    insort(best, (conflicts, len(path) + 1, (*path, v)))
+                    del best[skip + 1 :]
+                if found == _PATH_BUDGET:
+                    stack.clear()
+                    break
+                continue
+            if count[c]:
+                dup += 1
+            count[c] += 1
+            path.append(w)
+            cols.append(c)
+            on_path[w] = True
+            room -= 1
+            stack.append(iter(adj[w]))
+            break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+            c = cols.pop()
+            count[c] -= 1
+            if count[c]:
+                dup -= 1
+            room += 1
+    if len(best) <= skip:
+        return False
+    pick = best[skip][2]
+    edges = [edge(pick[i], pick[i + 1]) for i in range(len(pick) - 1)]
+    present = {colors[e] for e in edges}
+    # High colors first: the reserve sits on few edges globally, so
+    # moving a flipped edge up there risks the least collateral.
+    spare = iter(sorted(set(range(1, 3 * rad + 1)) - present, reverse=True))
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        groups.setdefault(colors[e], []).append(e)
+    # A group shares one color, so only the edge order decides which
+    # edge keeps it: the largest does.
+    for es in groups.values():
+        for e in sorted(es)[:-1]:
+            colors[e] = next(spare)
+    return True
 
 
 def _repair_unconnected(
     g: MopGraph, colors: dict[tuple[int, int], int], rad: int
-) -> None:
+) -> int:
     """Verifier-driven repair: recolor until every pair connects.
 
     Each round asks the exact checker for a failing pair and patches
@@ -200,17 +204,17 @@ def _repair_unconnected(
     instead of the one that failed to stick, so two pairs trading
     places under the same patch cannot loop forever. The checks run
     with caps of the graph's own size and the 3 * rad palette, never
-    the public defaults. Returns only once the coloring verifies;
-    raises RepairExhausted when a recurring pair runs out of fresh
-    candidates or the round budget runs out.
+    the public defaults. Returns the number of pairs patched, only
+    once the coloring verifies; raises RepairExhausted when a recurring
+    pair runs out of fresh candidates or the round budget runs out.
     """
     attempts: dict[tuple[int, int], int] = {}
     for rounds in range(_REPAIR_ROUNDS + 1):
         res = is_rainbow_connected(
-            g, EdgeColoring(dict(colors)), max_n=g.n, max_colors=3 * rad
+            g, EdgeColoring(colors), max_n=g.n, max_colors=3 * rad
         )
         if res.ok:
-            return
+            return rounds
         pair = res.counterexample
         if rounds == _REPAIR_ROUNDS:
             raise RepairExhausted(
@@ -380,6 +384,6 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         colors.setdefault(e, 3)
 
     _repair_monochromatic(g, colors)
-    _repair_unconnected(g, colors, rad)
+    repair_rounds = _repair_unconnected(g, colors, rad)
     coloring = EdgeColoring(colors)
-    return coloring, _stats(rad, coloring)
+    return coloring, _stats(rad, coloring, repair_rounds)

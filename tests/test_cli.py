@@ -161,3 +161,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("moprc ")
+
+
+def test_color_reports_repair_rounds(workdir, capsys):
+    # random_mop(22, 14) is the graph whose staged coloring needs one
+    # repair round.
+    assert main(["gen", "random", "22", "--seed", "14", "--out", "g"]) == 0
+    assert main(["color", "g.mop", "--out", "g.colors"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("excess: 1") + 1] == "repair_rounds: 1"

@@ -1,6 +1,7 @@
 """Rainbow coloring construction: bound, determinism, oracle agreement."""
 
 import hashlib
+import random
 import sys
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 import moprc.coloring
 from moprc import (
     RepairExhausted,
+    bfs,
     build_ccs,
     ecc_diam_rad_center,
+    edge,
     eta,
     fan,
     from_canonical,
@@ -208,3 +211,151 @@ def test_unfixable_pair_raises(monkeypatch):
     monkeypatch.setattr(moprc.coloring, "_connect_pair", lambda *args, **kwargs: False)
     with pytest.raises(RepairExhausted):
         rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
+
+
+def test_repair_rounds_reported():
+    _, stats = rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
+    assert stats.repair_rounds == 1
+    _, stats = rainbow_coloring(lad(12).graph)
+    assert stats.repair_rounds == 0
+
+
+# Colorings that the verifier-driven repair patches, pinned like
+# FROZEN_DIGESTS (recorded before the repair path pick became one DFS
+# pass): (50, 1) retries a pair with skip = 1; on (80, 2) and (100, 1)
+# every call stops at the path budget.
+FROZEN_REPAIR_DIGESTS = {
+    (50, 1): "75d0c8a03141979eb83c197f96fe441e872d8d7a213c9b518549442724c62a46",
+    (80, 2): "cc0ca83ff3f6a768fd4d2e21f3c8a2a7a6b908c3afbc2cca2bce7712bb981f82",
+    (100, 1): "68a8f718b959ee5218b2b4e51742db05809100a2c26907985594534f628b27be",
+}
+
+
+@pytest.mark.parametrize("n_seed", list(FROZEN_REPAIR_DIGESTS))
+def test_frozen_repair_digests(n_seed, monkeypatch):
+    skips = []
+    connect = moprc.coloring._connect_pair
+
+    def recording(g, colors, u, v, rad, skip=0):
+        skips.append(skip)
+        return connect(g, colors, u, v, rad, skip)
+
+    monkeypatch.setattr(moprc.coloring, "_connect_pair", recording)
+    col, stats = rainbow_coloring(random_mop_graph(*n_seed))
+    digest = hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest()
+    assert digest == FROZEN_REPAIR_DIGESTS[n_seed]
+    assert skips and stats.repair_rounds == len(skips)
+    if n_seed == (50, 1):
+        assert max(skips) >= 1
+
+
+def _reference_paths_between(g, u, v, max_len, budget):
+    """The repair loop's former path source: every simple u..v path of
+    at most max_len edges (pruned by the distance to v), depth first in
+    lexicographic order, cut at `budget` paths, shortest first."""
+    dist_v = bfs(g, v).dist
+    out = []
+    stack = [(u,)]
+    while stack and len(out) < budget:
+        path = stack.pop()
+        x = path[-1]
+        if x == v:
+            out.append(path)
+            continue
+        used = len(path) - 1
+        for w in sorted(g.neighbors(x), reverse=True):
+            if w in path or used + 1 + dist_v[w] > max_len:
+                continue
+            stack.append(path + (w,))
+    out.sort(key=lambda p: (len(p), p))
+    return out
+
+
+def _reference_flip_priority(c, rad):
+    if c == 3:
+        return 0
+    if c in (1, 2):
+        return 1
+    if c >= rad + 5:
+        return 2
+    if c == 6:
+        return 3
+    if c >= 7:
+        return 4
+    return 5
+
+
+def _reference_connect_pair(g, colors, u, v, rad, skip, budget):
+    """The former pick: score every enumerated path, sort the
+    conflicting ones, skip the fixable ones `skip` times, recolor."""
+    palette = range(1, 3 * rad + 1)
+    max_len = min(3 * rad, g.n - 1)
+    scored = []
+    for path in _reference_paths_between(g, u, v, max_len, budget):
+        cols = [colors[edge(path[i], path[i + 1])] for i in range(len(path) - 1)]
+        conflicts = len(cols) - len(set(cols))
+        if conflicts:
+            scored.append((conflicts, path))
+    scored.sort(key=lambda cp: (cp[0], len(cp[1]), cp[1]))
+    for _, path in scored:
+        edges = [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
+        cols = [colors[e] for e in edges]
+        present = set(cols)
+        spare = sorted((c for c in palette if c not in present), reverse=True)
+        groups = {}
+        for e, c in zip(edges, cols):
+            groups.setdefault(c, []).append(e)
+        dup_groups = [es for es in groups.values() if len(es) > 1]
+        if sum(len(es) - 1 for es in dup_groups) > len(spare):
+            continue
+        if skip:
+            skip -= 1
+            continue
+        spare_iter = iter(spare)
+        for es in dup_groups:
+            ordered = sorted(
+                es, key=lambda e: (_reference_flip_priority(colors[e], rad), e)
+            )
+            for e in ordered[: len(es) - 1]:
+                colors[e] = next(spare_iter)
+        return True
+    return False
+
+
+def _assert_same_pick(n, seed, color_seed, skip):
+    g = random_mop_graph(n, seed)
+    rad = ecc_diam_rad_center(g).radius
+    rng = random.Random(color_seed)
+    colors = {e: rng.randint(1, 3 * rad) for e in sorted(g.edges)}
+    u, v = rng.sample(range(1, n + 1), 2)
+    expected = dict(colors)
+    budget = moprc.coloring._PATH_BUDGET
+    ok = _reference_connect_pair(g, expected, u, v, rad, skip, budget)
+    assert moprc.coloring._connect_pair(g, colors, u, v, rad, skip) == ok
+    assert colors == expected
+
+
+PICK_CASES = (
+    st.integers(min_value=6, max_value=30),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0, 1, 2]),
+)
+
+
+@given(*PICK_CASES)
+@settings(max_examples=60, deadline=None)
+def test_connect_pair_matches_sorted_enumeration(n, seed, color_seed, skip):
+    _assert_same_pick(n, seed, color_seed, skip)
+
+
+@given(*PICK_CASES, st.integers(min_value=2, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_connect_pair_matches_sorted_enumeration_at_small_budget(
+    n, seed, color_seed, skip, budget
+):
+    # Budgets this small cut most walks short, so the stop at the
+    # budget and the pick among a truncated set are both exercised.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moprc.coloring, "_PATH_BUDGET", budget)
+        _assert_same_pick(n, seed, color_seed, skip)
