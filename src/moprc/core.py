@@ -10,9 +10,8 @@ graph one exterior triangle at a time.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError, InvalidAttachment, NotMop
 
@@ -22,6 +21,28 @@ def edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise DomainError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def breadth_first(
+    neighbors: Callable[[int], Iterable[int]], sources: tuple[int, ...]
+) -> tuple[dict[int, int], dict[int, int | None]]:
+    """Breadth-first distances and parents over what the sources reach.
+
+    Sources sit at distance 0 with parent None and are expanded in the
+    given order; neighbors(v) lists the vertices one step from v, in
+    the order they are expanded.
+    """
+    dist = dict.fromkeys(sources, 0)
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    queue = list(sources)
+    for v in queue:
+        d = dist[v] + 1
+        for u in neighbors(v):
+            if u not in dist:
+                dist[u] = d
+                parent[u] = v
+                queue.append(u)
+    return dist, parent
 
 
 class Graph:
@@ -298,18 +319,6 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def _is_connected(g: Graph) -> bool:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
-
-
 def _induces_path(g: Graph, vs: tuple[int, ...]) -> bool:
     """Does the subgraph induced by vs form a simple path (P1 counts)?"""
     k = len(vs)
@@ -329,15 +338,8 @@ def _induces_path(g: Graph, vs: tuple[int, ...]) -> bool:
     if m != k - 1 or any(d > 2 for d in deg.values()):
         return False
     start = next(v for v in vs if deg[v] <= 1)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u in inside and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == k
+    reached, _ = breadth_first(lambda v: [u for u in g.neighbors(v) if u in inside], (start,))
+    return len(reached) == k
 
 
 def validate_mop(g: Graph) -> ValidationReport:
@@ -350,7 +352,7 @@ def validate_mop(g: Graph) -> ValidationReport:
     if g.n < 3:
         violations.append(f"n={g.n} is below the minimum of 3")
         return ValidationReport(False, tuple(violations))
-    if not _is_connected(g):
+    if len(breadth_first(g.neighbors, (1,))[0]) != g.n:
         violations.append("graph is not connected")
         return ValidationReport(False, tuple(violations))
     for v in g.vertices():

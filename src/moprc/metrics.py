@@ -10,10 +10,9 @@ incident edge, doing O(1) work per (edge, side) state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Graph, MopGraph, edge, triangles
+from .core import Graph, MopGraph, breadth_first, edge, triangles
 from .errors import DomainError, NotMop
 
 
@@ -37,16 +36,7 @@ def bfs(g: Graph, source: int) -> DistanceTable:
     """Breadth-first distances; neighbors expand in ascending label order."""
     if not 1 <= source <= g.n:
         raise DomainError(f"source {source} outside 1..{g.n}")
-    dist = {source: 0}
-    parent: dict[int, int | None] = {source: None}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
+    dist, parent = breadth_first(g.neighbors, (source,))
     if len(dist) != g.n:
         raise DomainError("graph is not connected")
     return DistanceTable(source, dist, parent)
@@ -87,14 +77,7 @@ def layers(g: Graph, sources: tuple[int, ...] | int) -> tuple[tuple[int, ...], .
     for s in sources:
         if not 1 <= s <= g.n:
             raise DomainError(f"source {s} outside 1..{g.n}")
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(sources))
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    dist, _ = breadth_first(g.neighbors, sources)
     if len(dist) != g.n:
         raise DomainError("graph is not connected")
     depth = max(dist.values())
@@ -169,9 +152,6 @@ def edge_side_eccentricities(g: MopGraph) -> dict[tuple[tuple[int, int], frozens
         return (e, ts[0] if ts[1] == away_from else ts[1])
 
     memo: dict[tuple[tuple[int, int], frozenset[int] | None], tuple[int, int]] = {}
-
-    def values(key) -> tuple[int, int]:
-        return memo[key]
 
     def signed_at(key, v: int) -> int:
         lo, hi = key[0]

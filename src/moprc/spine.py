@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .core import Graph, MopGraph, edge
+from .core import Graph, MopGraph, breadth_first, edge
 from .errors import NotChordal, NotMop
 from .metrics import ecc_diam_rad_center, layers
 
@@ -158,15 +158,9 @@ def _is_two_cut(g: Graph, a: int, b: int) -> bool:
     keep = [v for v in g.vertices() if v != a and v != b]
     if len(keep) <= 1:
         return False
-    seen = {keep[0]}
-    stack = [keep[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u == a or u == b or u in seen:
-                continue
-            seen.add(u)
-            stack.append(u)
+    seen, _ = breadth_first(
+        lambda v: [u for u in g.neighbors(v) if u != a and u != b], (keep[0],)
+    )
     return len(seen) != len(keep)
 
 
@@ -188,29 +182,14 @@ def _layer_paths(g: Graph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
         if v in seen:
             continue
         # Find the component's endpoints (degree <= 1 inside the layer).
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in nbr[x]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
+        comp, _ = breadth_first(nbr.__getitem__, (v,))
         ends = sorted(x for x in comp if len(nbr[x]) <= 1)
         if not ends:
             raise NotMop("layer component is a cycle, not a path")
-        start = ends[0]
-        path = [start]
-        prev = None
-        while True:
-            nxts = [u for u in nbr[path[-1]] if u != prev]
-            if not nxts:
-                break
-            prev = path[-1]
-            path.append(nxts[0])
-        if len(path) != len(comp):
-            raise NotMop("layer component is not a simple path")
-        seen |= comp
+        # With at most two neighbors each and an end, the component is
+        # a path, which a search from that end visits in order.
+        path, _ = breadth_first(nbr.__getitem__, (ends[0],))
+        seen.update(path)
         out.append(tuple(path))
     return out
 

@@ -22,10 +22,11 @@ exhaustive per-source search, which alone decides the verdict.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
-from .core import EdgeColoring, Graph, edge
+from .core import EdgeColoring, Graph, breadth_first, edge
 from .errors import DomainError, NotACut, ScaleLimit
 from .metrics import bfs, ecc_diam_rad_center
 
@@ -54,8 +55,39 @@ class VerifyResult:
     pairs_certified: int = 0
 
 
+def _steps(g: Graph, edges_sorted, labels) -> list[tuple[tuple[int, int], ...]]:
+    """Per vertex, its (neighbor, label) steps by ascending neighbor.
+
+    Edge edges_sorted[i] carries labels[i]: its index for the walk
+    kernel, its color bit for the mask kernel. Row 0 stays empty. In
+    sorted order every edge (a, x) with a < x comes before every edge
+    (x, b), so each row fills in ascending neighbor order.
+    """
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for (a, b), label in zip(edges_sorted, labels):
+        rows[a].append((b, label))
+        rows[b].append((a, label))
+    return [tuple(row) for row in rows]
+
+
+def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]]:
+    """The steps that lead one BFS level further from u.
+
+    Rows may hold any steps whose first entry is the neighbor. A walk
+    from u over the kept steps is a shortest path.
+    """
+    level = bfs(g, u).dist
+    return [()] + [
+        tuple(st for st in steps[x] if level[st[0]] == level[x] + 1) for x in g.vertices()
+    ]
+
+
 def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int):
-    """Bit-encode colors and build (neighbor, bit) adjacency."""
+    """Check the caps and bit-encode the colors.
+
+    Returns the sorted edges, each edge's color bit and the number of
+    colors.
+    """
     coloring.check_total(g)
     if g.n > max_n:
         raise ScaleLimit(f"n={g.n} exceeds cap {max_n}; raise max_n to override")
@@ -65,62 +97,94 @@ def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int):
             f"{len(distinct)} colors exceed cap {max_colors}; raise max_colors to override"
         )
     bit = {c: 1 << i for i, c in enumerate(distinct)}
-    tmp: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices()}
-    for (u, v), c in coloring.colors.items():
-        b = bit[c]
-        tmp[u].append((v, b))
-        tmp[v].append((u, b))
-    adj: list[tuple[tuple[int, int], ...]] = [()] * (g.n + 1)
-    for v in g.vertices():
-        adj[v] = tuple(sorted(tmp[v]))
-    return adj, len(distinct)
+    edges = sorted(g.edges)
+    return edges, [bit[coloring.colors[e]] for e in edges], len(distinct)
 
 
-def _reach(adj, n: int, source: int, targets, max_len: int, level=None):
-    """Vertices from `targets` reachable by a rainbow path from source.
+def _masks(
+    adj, source: int, max_len: int, targets=(), cap: int = sys.maxsize
+) -> list[list[int]]:
+    """Per vertex, minimal color masks of rainbow walks from source.
 
-    States are (vertex, color mask); per-vertex mask antichains prune
-    dominated states (a superset mask reached no sooner is useless).
-    With `level` set, only level-increasing edges are expanded, which
-    restricts the search to shortest paths from the source.
+    adj[x] lists the (neighbor, color bit) steps out of x. States are
+    (vertex, color mask); per-vertex mask antichains prune dominated
+    states (a superset mask reached no sooner is useless). Walks have
+    at most max_len edges. The search stops as soon as every vertex of
+    targets holds a mask, and keeps at most cap masks per vertex. The
+    cap is tested before the dominance loop: a full antichain takes no
+    mask either way, and the hub search fills it often.
     """
+    best: list[list[int]] = [[] for _ in adj]
+    best[source].append(0)
     remaining = set(targets)
     remaining.discard(source)
-    found = set(targets) - remaining
-    if not remaining:
-        return found
-    best: list[list[int]] = [[] for _ in range(n + 1)]
-    best[source].append(0)
     frontier: list[tuple[int, int]] = [(source, 0)]
     for _ in range(max_len):
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
-            lv = level[v] + 1 if level is not None else 0
             for w, b in adj[v]:
                 if mask & b:
                     continue
-                if level is not None and level[w] != lv:
+                bw = best[w]
+                if len(bw) >= cap:
                     continue
                 nm = mask | b
-                bw = best[w]
-                dominated = False
                 for old in bw:
                     if old & nm == old:
-                        dominated = True
                         break
-                if dominated:
-                    continue
-                bw.append(nm)
-                nxt.append((w, nm))
-                if w in remaining:
-                    remaining.discard(w)
-                    found.add(w)
-                    if not remaining:
-                        return found
+                else:
+                    bw.append(nm)
+                    nxt.append((w, nm))
+                    if w in remaining:
+                        remaining.discard(w)
+                        if not remaining:
+                            return best
         if not nxt:
             break
         frontier = nxt
-    return found
+    return best
+
+
+def _rainbow_walk(adj_idx, bits, u, v, k) -> list[int] | None:
+    """Edge indices of a u..v walk that a partial coloring may make rainbow.
+
+    adj_idx[x] lists the (neighbor, edge index) steps the walk may take
+    from x. bits[i] is the color bit of edge i, or 0 while it is
+    unassigned. Unassigned edges act as wildcards (a fresh color each);
+    assigned edges consume their color bit. The walk has at most k
+    edges and its assigned colors are pairwise distinct. If there is no
+    such walk, no completion of the partial coloring can join u and v,
+    and the result is None. With every edge assigned, the walk is a
+    rainbow path: a state that revisits a vertex is dominated.
+    """
+    best: list[list[int]] = [[] for _ in adj_idx]
+    best[u].append(0)
+    frontier: list[tuple[int, int, tuple | None]] = [(u, 0, None)]
+    for _ in range(k):
+        nxt = []
+        for x, mask, trail in frontier:
+            for w, ei in adj_idx[x]:
+                b = bits[ei]
+                if mask & b:
+                    continue
+                nm = mask | b
+                bw = best[w]
+                for old in bw:
+                    if old & nm == old:
+                        break
+                else:
+                    if w == v:
+                        walk = [ei]
+                        while trail is not None:
+                            ei, trail = trail
+                            walk.append(ei)
+                        return walk
+                    bw.append(nm)
+                    nxt.append((w, nm, (ei, trail)))
+        if not nxt:
+            break
+        frontier = nxt
+    return None
 
 
 def _hub(adj, n: int) -> int:
@@ -147,40 +211,6 @@ def _hub(adj, n: int) -> int:
             break
         ball = grown
     return min(centers, key=lambda v: (len(adj[v]), v))
-
-
-def _hub_masks(adj, n: int, hub: int, max_len: int) -> list[list[int]]:
-    """Per vertex, minimal color masks of rainbow walks from the hub.
-
-    The same antichain search as `_reach`, run to the end instead of
-    stopping at targets, with at most _HUB_MASK_CAP masks per vertex.
-    """
-    best: list[list[int]] = [[] for _ in range(n + 1)]
-    best[hub].append(0)
-    frontier: list[tuple[int, int]] = [(hub, 0)]
-    for _ in range(max_len):
-        nxt: list[tuple[int, int]] = []
-        for v, mask in frontier:
-            for w, b in adj[v]:
-                if mask & b:
-                    continue
-                bw = best[w]
-                if len(bw) >= _HUB_MASK_CAP:
-                    continue
-                nm = mask | b
-                dominated = False
-                for old in bw:
-                    if old & nm == old:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                bw.append(nm)
-                nxt.append((w, nm))
-        if not nxt:
-            break
-        frontier = nxt
-    return best
 
 
 def _open_pairs(masks: list[list[int]], n: int, k: int):
@@ -259,19 +289,20 @@ def is_rainbow_connected(
     pair never fails, so the first counterexample and pairs_checked
     are those of a plain search over all pairs in lexicographic order.
     """
-    adj, k = _prepare(g, coloring, max_n, max_colors)
+    edges, bits, k = _prepare(g, coloring, max_n, max_colors)
+    adj = _steps(g, edges, bits)
     n = g.n
     max_len = min(n - 1, k)
-    masks = _hub_masks(adj, n, _hub(adj, n), max_len)
+    masks = _masks(adj, _hub(adj, n), max_len, cap=_HUB_MASK_CAP)
     pairs = certified = 0
     for u, left in _open_pairs(masks, n, k):
         pairs += n - u
         certified += n - u - len(left)
         if left:
-            got = _reach(adj, n, u, left, max_len)
-            if len(got) != len(left):
-                v = min(set(left) - got)
-                return VerifyResult(False, (u, v), pairs, certified)
+            best = _masks(adj, u, max_len, targets=left)
+            missed = [v for v in left if not best[v]]
+            if missed:
+                return VerifyResult(False, (u, missed[0]), pairs, certified)
     return VerifyResult(True, None, pairs, certified)
 
 
@@ -283,16 +314,16 @@ def is_strong_rainbow_connected(
     max_colors: int = _DEFAULT_MAX_COLORS,
 ) -> VerifyResult:
     """Exhaustively check that every pair has a rainbow shortest path."""
-    adj, _ = _prepare(g, coloring, max_n, max_colors)
+    edges, bits, _ = _prepare(g, coloring, max_n, max_colors)
+    adj = _steps(g, edges, bits)
     pairs = 0
     for u in range(1, g.n):
-        level = bfs(g, u).dist
         targets = range(u + 1, g.n + 1)
         pairs += g.n - u
-        got = _reach(adj, g.n, u, targets, g.n - 1, level=level)
-        if len(got) != g.n - u:
-            v = min(set(targets) - got)
-            return VerifyResult(False, (u, v), pairs)
+        best = _masks(_shortest_steps(g, adj, u), u, g.n - 1, targets=targets)
+        missed = [v for v in targets if not best[v]]
+        if missed:
+            return VerifyResult(False, (u, missed[0]), pairs)
     return VerifyResult(True, None, pairs)
 
 
@@ -309,40 +340,18 @@ def rainbow_witness(
     """An actual rainbow path u..v (shortest when strong), or None."""
     if not (1 <= u <= g.n and 1 <= v <= g.n) or u == v:
         raise DomainError(f"need two distinct vertices in 1..{g.n}")
-    adj, k = _prepare(g, coloring, max_n, max_colors)
-    level = bfs(g, u).dist if strong else None
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {(u, 0): None}
-    best: list[list[int]] = [[] for _ in range(g.n + 1)]
-    best[u].append(0)
-    frontier = [(u, 0)]
-    max_len = g.n - 1 if strong else min(g.n - 1, k)
-    for _ in range(max_len):
-        nxt = []
-        for x, mask in frontier:
-            lv = level[x] + 1 if level is not None else 0
-            for w, b in adj[x]:
-                if mask & b:
-                    continue
-                if level is not None and level[w] != lv:
-                    continue
-                nm = mask | b
-                bw = best[w]
-                if any(old & nm == old for old in bw):
-                    continue
-                bw.append(nm)
-                parent[(w, nm)] = (x, mask)
-                if w == v:
-                    out = [w]
-                    state = (x, mask)
-                    while state is not None:
-                        out.append(state[0])
-                        state = parent[state]
-                    return tuple(reversed(out))
-                nxt.append((w, nm))
-        if not nxt:
-            break
-        frontier = nxt
-    return None
+    edges, bits, k = _prepare(g, coloring, max_n, max_colors)
+    steps = _steps(g, edges, range(len(edges)))
+    if strong:
+        steps = _shortest_steps(g, steps, u)
+    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, k))
+    if walk is None:
+        return None
+    path = [u]
+    for ei in reversed(walk):
+        a, b = edges[ei]
+        path.append(b if a == path[-1] else a)
+    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -363,47 +372,6 @@ class ExactResult:
     nodes: tuple[int, ...]
 
 
-def _relaxed_walk(adj_idx, bits, u, v, k) -> list[int] | None:
-    """Edge indices of a u..v walk that a partial coloring may make rainbow.
-
-    adj_idx[x] lists the (neighbor, edge index) steps the walk may take
-    from x. bits[i] is the color bit of edge i, or 0 while it is
-    unassigned. Unassigned edges act as wildcards (a fresh color each);
-    assigned edges consume their color bit. The walk has at most k
-    edges and its assigned colors are pairwise distinct. If there is no
-    such walk, no completion of the partial coloring can join u and v,
-    and the result is None.
-    """
-    best: list[list[int]] = [[] for _ in adj_idx]
-    best[u].append(0)
-    frontier: list[tuple[int, int, tuple | None]] = [(u, 0, None)]
-    for _ in range(k):
-        nxt = []
-        for x, mask, trail in frontier:
-            for w, ei in adj_idx[x]:
-                b = bits[ei]
-                if mask & b:
-                    continue
-                nm = mask | b
-                bw = best[w]
-                for old in bw:
-                    if old & nm == old:
-                        break
-                else:
-                    if w == v:
-                        walk = [ei]
-                        while trail is not None:
-                            ei, trail = trail
-                            walk.append(ei)
-                        return walk
-                    bw.append(nm)
-                    nxt.append((w, nm, (ei, trail)))
-        if not nxt:
-            break
-        frontier = nxt
-    return None
-
-
 def _search_k(
     g: Graph, edges_sorted, k: int, strong: bool, deadline
 ) -> tuple[EdgeColoring | None, int]:
@@ -421,24 +389,13 @@ def _search_k(
     make. Returns the coloring (or None) and the number of DFS nodes.
     """
     m = len(edges_sorted)
-    adj_idx: list[tuple[tuple[int, int], ...]] = [()] * (g.n + 1)
-    tmp: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices()}
-    for i, (a, b) in enumerate(edges_sorted):
-        tmp[a].append((b, i))
-        tmp[b].append((a, i))
-    for v in g.vertices():
-        adj_idx[v] = tuple(sorted(tmp[v]))
     # The steps a walk from each source may take: every edge, or for the
-    # strong check only the edges one BFS level further from the
-    # source, so that walks are shortest paths.
+    # strong check only the shortest-path steps.
+    adj_idx = _steps(g, edges_sorted, range(m))
     steps = [adj_idx] * (g.n + 1)
     if strong:
         for u in g.vertices():
-            level = bfs(g, u).dist
-            steps[u] = [()] + [
-                tuple(st for st in adj_idx[x] if level[st[0]] == level[x] + 1)
-                for x in g.vertices()
-            ]
+            steps[u] = _shortest_steps(g, adj_idx, u)
     bits = [0] * m
     walks: dict[tuple[int, int], list[int]] = {}
     watched: list[tuple[int, int]] = []
@@ -455,7 +412,7 @@ def _search_k(
                 mask |= b
             else:
                 return True
-        walk = _relaxed_walk(steps[u], bits, u, v, k)
+        walk = _rainbow_walk(steps[u], bits, u, v, k)
         if walk is None:
             return False
         walks[(u, v)] = walk
@@ -548,21 +505,18 @@ def exact_src(
 
 def _components_without(g: Graph, removed: frozenset[tuple[int, int]]) -> dict[int, int]:
     """Component label per vertex after deleting the given edges."""
+
+    def kept(v: int) -> list[int]:
+        return [u for u in g.neighbors(v) if edge(u, v) not in removed]
+
     comp: dict[int, int] = {}
     label = 0
     for s in g.vertices():
         if s in comp:
             continue
         label += 1
-        stack = [s]
-        comp[s] = label
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if edge(u, v) in removed or u in comp:
-                    continue
-                comp[u] = label
-                stack.append(u)
+        reached, _ = breadth_first(kept, (s,))
+        comp.update(dict.fromkeys(reached, label))
     return comp
 
 

@@ -1,6 +1,9 @@
 """Brute-force oracles: connectivity checks, exact values, cuts."""
 
+import ast
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,32 +86,55 @@ def test_strong_check_distinguishes_shortest_paths():
     assert res.counterexample == (1, 7)
 
 
-def per_source_check(g: Graph, colors: dict[tuple[int, int], int]):
+def levels(g: Graph, u: int) -> dict[int, int]:
+    """Distance from u of every vertex u reaches, by plain BFS."""
+    level = {u: 0}
+    queue = [u]
+    for x in queue:
+        for y in g.neighbors(x):
+            if y not in level:
+                level[y] = level[x] + 1
+                queue.append(y)
+    return level
+
+
+def rainbow_reach(g: Graph, colors: dict[tuple[int, int], int], u: int, shortest: bool = False):
+    """Every vertex some rainbow walk from u reaches.
+
+    A breadth-first search over (vertex, colors used) states; a rainbow
+    walk contains a rainbow path. With shortest set, a step must lead one
+    BFS level further from u, so every walk is a shortest path.
+    """
+    level = levels(g, u)
+    seen = {(u, frozenset())}
+    frontier = list(seen)
+    reached = {u}
+    while frontier:
+        nxt = []
+        for x, used in frontier:
+            for y in g.neighbors(x):
+                c = colors[edge(x, y)]
+                if c in used or (shortest and level[y] != level[x] + 1):
+                    continue
+                state = (y, used | {c})
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+                    reached.add(y)
+        frontier = nxt
+    return reached
+
+
+def per_source_check(g: Graph, colors: dict[tuple[int, int], int], shortest: bool = False):
     """(ok, counterexample, pairs_checked) of a plain per-source search.
 
-    From each u in turn, a breadth-first search over (vertex, colors
-    used) states finds every vertex a rainbow walk reaches; a rainbow
-    walk contains a rainbow path. Stops at the first u that misses some
-    v > u, after counting the pairs of that u.
+    From each u in turn, rainbow_reach finds every vertex a rainbow
+    walk (a shortest one, with shortest set) reaches. Stops at the first
+    u that misses some v > u, after counting the pairs of that u.
     """
     pairs = 0
     for u in range(1, g.n):
-        seen = {(u, frozenset())}
-        frontier = list(seen)
-        reached = {u}
-        while frontier:
-            nxt = []
-            for x, used in frontier:
-                for y in g.neighbors(x):
-                    c = colors[edge(x, y)]
-                    if c in used:
-                        continue
-                    state = (y, used | {c})
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-                        reached.add(y)
-            frontier = nxt
+        reached = rainbow_reach(g, colors, u, shortest)
         pairs += g.n - u
         missed = [v for v in range(u + 1, g.n + 1) if v not in reached]
         if missed:
@@ -160,6 +186,30 @@ def test_hub_certificate_matches_on_both_verdicts(monkeypatch, cap):
         colors = {e: 1 + rng.below(k) for e in sorted(g.edges)}
         verdicts.append(assert_matches_per_source_check(g, colors))
     assert True in verdicts and False in verdicts
+
+
+@given(colored_mops())
+@settings(max_examples=100, deadline=None)
+def test_strong_check_and_witnesses_match_per_source_search(case):
+    g, colors = case
+    coloring = EdgeColoring(colors)
+    res = is_strong_rainbow_connected(g, coloring)
+    assert (res.ok, res.counterexample, res.pairs_checked) == per_source_check(g, colors, True)
+    for u in range(1, g.n):
+        dist = levels(g, u)
+        for strong in (False, True):
+            reached = rainbow_reach(g, colors, u, strong)
+            for v in range(u + 1, g.n + 1):
+                w = rainbow_witness(g, coloring, u, v, strong=strong)
+                if v not in reached:
+                    assert w is None
+                    continue
+                assert w[0] == u and w[-1] == v and len(set(w)) == len(w)
+                assert all(g.has_edge(w[i], w[i + 1]) for i in range(len(w) - 1))
+                cols = [colors[edge(w[i], w[i + 1])] for i in range(len(w) - 1)]
+                assert len(set(cols)) == len(cols)
+                if strong:
+                    assert len(w) - 1 == dist[v]
 
 
 def test_disconnected_graph_fails_at_first_split_pair():
@@ -339,3 +389,67 @@ def test_exact_value_dominates_diameter_on_small_mops():
         res = exact_rc(g)
         assert s.diameter <= res.value <= g.m
         assert res.value <= 3 * s.radius
+
+
+def frozen_verifier_cases():
+    """Seeded random colorings, then lad(12)'s coloring with edge (1, 3)
+    recolored so that it fails. The two n = 30 colorings fill some hub
+    antichains to _HUB_MASK_CAP, so the hub phase's split into certified
+    and searched pairs shows in pairs_certified."""
+    for n, seed, k in ((8, 1, 3), (10, 2, 5), (14, 3, 8), (30, 2, 16), (30, 4, 16)):
+        g = random_mop_graph(n, seed)
+        rng = SplitMix64(seed)
+        yield g, EdgeColoring({e: 1 + rng.below(k) for e in sorted(g.edges)})
+    inst = lad(12)
+    colors = dict(inst.coloring.colors)
+    colors[(1, 3)] = 2
+    yield inst.graph, EdgeColoring(colors)
+
+
+def test_frozen_verifier_outputs():
+    # sha256 of every check's (ok, counterexample, pairs_checked,
+    # pairs_certified), and of every pair's plain and strong witness,
+    # recorded before the verifier's searches were merged.
+    verdicts, witnesses = [], []
+    for g, coloring in frozen_verifier_cases():
+        caps = {"max_n": g.n, "max_colors": 64}
+        for check in (is_rainbow_connected, is_strong_rainbow_connected):
+            res = check(g, coloring, **caps)
+            verdicts.append((res.ok, res.counterexample, res.pairs_checked, res.pairs_certified))
+        for u in range(1, g.n):
+            for v in range(u + 1, g.n + 1):
+                witnesses.append(
+                    (
+                        rainbow_witness(g, coloring, u, v, **caps),
+                        rainbow_witness(g, coloring, u, v, strong=True, **caps),
+                    )
+                )
+    assert False in [ok for ok, *_ in verdicts] and True in [ok for ok, *_ in verdicts]
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+        "2bef6b5fad004921e895d6291d1b2b0dc6bc0b3e4bde57bf52d1a1c22c13af46"
+    )
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+        "53f08e91b750547b7f654a053c7d5bfd0ea2477c1ac3edcf0b12128bd46ca517"
+    )
+
+
+@pytest.mark.parametrize(
+    "module,allowed",
+    [
+        ("verify", {"core", "errors", "metrics"}),
+        ("metrics", {"core", "errors", "metrics"}),
+        ("core", {"errors"}),
+    ],
+)
+def test_oracle_imports_no_constructive_code(module, allowed):
+    # The verifier and what it runs on import the standard library and
+    # these package modules only, so no constructive code can leak into
+    # the oracle that checks it.
+    tree = ast.parse(Path(verify.__file__).with_name(f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in allowed, ast.dump(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, name
