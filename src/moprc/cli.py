@@ -36,12 +36,16 @@ EXIT_INPUT = 2
 EXIT_SCALE = 3
 
 
-def _load_graph(path: str):
+def _read_ascii(path: str) -> str:
+    """A file's text; a missing file or a non-ASCII byte is bad input."""
     try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+        return Path(path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MoprcError(f"cannot read {path}: {exc}") from exc
-    return from_canonical(parse_mop(text))
+
+
+def _load_graph(path: str):
+    return from_canonical(parse_mop(_read_ascii(path)))
 
 
 def _relabelled_coloring(instance):
@@ -131,11 +135,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.mop)
-    try:
-        text = Path(args.colors).read_text(encoding="ascii")
-    except OSError as exc:
-        raise MoprcError(f"cannot read {args.colors}: {exc}") from exc
-    n, coloring = parse_coloring(text)
+    n, coloring = parse_coloring(_read_ascii(args.colors))
     if n != g.n:
         raise MoprcError(f"coloring is for n={n}, graph has n={g.n}")
     check = is_strong_rainbow_connected if args.strong else is_rainbow_connected

@@ -26,13 +26,18 @@ def write_mop(c: CanonicalMop) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_digits(s: str) -> bool:
+    # str.isdigit alone also accepts superscripts and non-ASCII digits.
+    return s.isascii() and s.isdigit()
+
+
 def _split_ints(line: str, lineno: int, expect: int) -> list[int]:
     parts = line.split(" ")
     if len(parts) != expect or any(p == "" for p in parts):
         raise FormatError(f"expected {expect} space-separated integers", lineno)
     out = []
     for p in parts:
-        if not (p.isdigit() or (p[0] == "-" and p[1:].isdigit())):
+        if not (_is_digits(p) or (p[0] == "-" and _is_digits(p[1:]))):
             raise FormatError(f"not an integer: {p!r}", lineno)
         out.append(int(p))
     return out
@@ -45,7 +50,7 @@ def parse_mop(text: str) -> CanonicalMop:
     if not lines:
         raise FormatError("empty input", 1)
     header = lines[0].split(" ")
-    if len(header) != 2 or header[0] != "MOP" or not header[1].isdigit():
+    if len(header) != 2 or header[0] != "MOP" or not _is_digits(header[1]):
         raise FormatError("header must be 'MOP <n>'", 1)
     n = int(header[1])
     if n < 3:
@@ -89,7 +94,7 @@ def parse_coloring(text: str) -> tuple[int, EdgeColoring]:
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != "COLORING":
         raise FormatError("header must be 'COLORING <n> <colors_used>'", 1)
-    if not (header[1].isdigit() and header[2].isdigit()):
+    if not (_is_digits(header[1]) and _is_digits(header[2])):
         raise FormatError("header counts must be integers", 1)
     n, claimed = int(header[1]), int(header[2])
     colors: dict[tuple[int, int], int] = {}

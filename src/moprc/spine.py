@@ -8,7 +8,7 @@ coloring: every leaf gets two edge-disjoint realization paths from the
 root, one short (a BFS tree path) and one long (threaded through the
 other endpoint of each green ancestor). The routing data those paths
 share (the short paths themselves, the edges long paths avoid, the
-fixed-color crossing tags, the root spokes short paths ride) is built
+fixed-color tagged edges, the root spokes short paths ride) is built
 once with the spine, as its `routes`.
 
 Also here: maximum-cardinality search (chordality certificates) and
@@ -102,16 +102,16 @@ class SpineRoutes:
     """Routing data shared by every realization path of one spine.
 
     shorts maps each non-root node to its short path, the rail-tree
-    path from the root to its primary vertex. tags maps each
-    fixed-color edge to its crossing class; no path crosses two edges
-    of one class. penalized is the tagged edges plus every rail-tree
-    edge, which long paths prefer to avoid. gateways are the layer-1
-    vertices whose root spoke some short path rides.
+    path from the root to its primary vertex. tagged holds the green
+    pair edges and the layer-1 edges, which share one fixed color; no
+    long path crosses two of them. penalized is the tagged edges plus
+    every rail-tree edge, which long paths prefer to avoid. gateways
+    are the layer-1 vertices whose root spoke some short path rides.
     """
 
     shorts: dict[SpineNode, tuple[int, ...]]
     penalized: frozenset[tuple[int, int]]
-    tags: dict[tuple[int, int], int]
+    tagged: frozenset[tuple[int, int]]
     gateways: frozenset[int]
 
 
@@ -323,54 +323,40 @@ def _route(
     g: Graph,
     src: int,
     dst: int,
-    forbidden: set[int],
-    penalized: set[tuple[int, int]],
-    banned: set[tuple[int, int]] | None = None,
-    tags: dict[tuple[int, int], int] | None = None,
+    penalized: frozenset[tuple[int, int]],
+    banned: set[tuple[int, int]],
+    tagged: frozenset[tuple[int, int]],
+    gateways: frozenset[int],
 ) -> tuple[int, ...] | None:
-    """Deterministic cheapest path src..dst.
+    """Deterministic cheapest simple path src..dst.
 
-    Cost is (hops, penalized edges used, path tuple), so the result is
-    a shortest path that secondarily avoids the penalized edge set,
-    with lexicographic tie-breaking. Vertices in `forbidden` and edges
-    in `banned` are never used, and no path ever crosses two edges
-    carrying the same `tags` value (tagged edges hold a fixed color, so
-    a repeat would put that color on the path twice). Returns None when
+    Cost is (hops, gated, penalized edges used, path tuple), where
+    gated is 1 when the first step enters a `gateways` vertex: the
+    result is a shortest path that secondarily does not leave src
+    toward a gateway, then avoids the penalized edge set, with
+    lexicographic tie-breaking. Edges in `banned` are never used, and
+    no path crosses two `tagged` edges (they hold one fixed color, so a
+    second would put that color on the path twice). Returns None when
     dst is unreachable under the constraints.
     """
-    if src == dst:
-        return (src,)
-    start: tuple[int, int, tuple[int, ...], frozenset[int]] = (
-        0,
-        0,
-        (src,),
-        frozenset(),
-    )
-    heap = [start]
-    settled: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+    heap: list[tuple[int, int, int, tuple[int, ...], bool]] = [(0, 0, 0, (src,), False)]
+    settled: set[tuple[int, bool]] = set()
     while heap:
-        hops, pen, path, used_tags = heapq.heappop(heap)
+        hops, gated, pen, path, crossed = heapq.heappop(heap)
         v = path[-1]
         if v == dst:
             return path
-        key = (v, used_tags)
-        if key in settled and settled[key] <= (hops, pen):
+        # Keys pop in ascending order, so the first pop of a state wins.
+        if (v, crossed) in settled:
             continue
-        settled[key] = (hops, pen)
+        settled.add((v, crossed))
         for u in g.neighbors(v):
-            if u in forbidden or u in path:
-                continue
             e = edge(u, v)
-            if banned is not None and e in banned:
+            if u in path or e in banned or (crossed and e in tagged):
                 continue
-            nxt_tags = used_tags
-            if tags is not None and e in tags:
-                t = tags[e]
-                if t in used_tags:
-                    continue
-                nxt_tags = used_tags | {t}
-            p = pen + (1 if e in penalized else 0)
-            heapq.heappush(heap, (hops + 1, p, path + (u,), nxt_tags))
+            step_gated = gated if hops else int(u in gateways)
+            step = (hops + 1, step_gated, pen + (e in penalized), path + (u,), crossed or e in tagged)
+            heapq.heappush(heap, step)
     return None
 
 
@@ -384,12 +370,11 @@ def _routes(
     vertices on no spine node, then secondaries, breaking ties by
     smallest label; this keeps short paths on the primary rail whenever
     the graph allows it. Green pair edges and layer-1 edges all share
-    one color, so they form a single crossing class (tag 0): a route
-    crossing two of them would carry a repeated color, so the path
-    router prunes such routes. Long paths prefer to avoid tree edges,
-    which are reserved for short paths, and tagged edges, which carry
-    fixed colors; steering them around both keeps the color bands from
-    bleeding into each other.
+    one color, so they are tagged: a route crossing two of them would
+    carry a repeated color, so the path router prunes such routes. Long
+    paths prefer to avoid tree edges, which are reserved for short
+    paths, and tagged edges, which carry fixed colors; steering them
+    around both keeps the color bands from bleeding into each other.
     """
     primaries: set[int] = set()
     secondaries: set[int] = set()
@@ -419,127 +404,16 @@ def _routes(
             chain.append(parent[chain[-1]])
         shorts[nd] = tuple(reversed(chain))
 
-    tags: dict[tuple[int, int], int] = {}
-    for nd in nodes:
-        if nd.kind == "green":
-            tags[edge(*nd.realization)] = 0
-    n1 = lay[1] if len(lay) > 1 else ()
-    inside = set(n1)
-    for v in n1:
-        for u in g.neighbors(v):
-            if u in inside:
-                tags.setdefault(edge(u, v), 0)
+    tagged = {edge(*nd.realization) for nd in nodes if nd.kind == "green"}
+    n1 = set(lay[1] if len(lay) > 1 else ())
+    tagged |= {edge(u, v) for v in n1 for u in g.neighbors(v) if u in n1}
     tree = {edge(p, v) for v, p in parent.items() if p is not None}
     return SpineRoutes(
         shorts,
-        frozenset(tree | tags.keys()),
-        tags,
+        frozenset(tree | tagged),
+        frozenset(tagged),
         frozenset(path[1] for path in shorts.values() if len(path) > 1),
     )
-
-
-def _realize_with_stats(
-    g: MopGraph,
-    spine: CutSpine,
-    node: SpineNode,
-    avoid: frozenset[tuple[int, int]] = frozenset(),
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Two edge-disjoint root-to-realization paths plus repair count.
-
-    The short path follows the primary-rail BFS tree to the node's
-    primary vertex, so its length is exactly that vertex's layer. The
-    long path is a cheapest route to the secondary vertex that prefers
-    to avoid tree edges, green pair edges, and layer-1 edges, that
-    hard-avoids the `avoid` edges whenever a route without them exists,
-    and that would rather not leave the root through a spoke some short
-    path rides (so the two bands keep distinct first colors even when
-    realization vertices chain across nodes); any edge it still shares
-    with the short path afterwards is repaired by detouring through a
-    triangle apex (each repair adds one edge and bumps the returned
-    counter).
-    """
-    v_r = spine.root_vertex
-    if node.kind == "root":
-        return ((v_r,), (v_r,), 0)
-    primary, secondary = primary_secondary(g, node)
-    routes = spine.routes
-    a_path = routes.shorts[node]
-    a_edges = {edge(a_path[i], a_path[i + 1]) for i in range(len(a_path) - 1)}
-    # The short path's edges are rail-tree edges, so already penalized.
-    penalized, gateways, tags = routes.penalized, routes.gateways, routes.tags
-    own_pair: set[tuple[int, int]] = set()
-    if node.kind == "green":
-        own_pair.add(edge(primary, secondary))
-
-    def fits_reserve(seg: tuple[int, ...]) -> bool:
-        # Edges after the first either hold a level-indexed pair color
-        # or will draw a fresh reserve color; both come out of the same
-        # reserve, which holds 2 * radius - 4 colors. Layer-1 edges
-        # ride the layer's own color and cost nothing.
-        need = 0
-        for i in range(1, len(seg) - 1):
-            t = tags.get(edge(seg[i], seg[i + 1]))
-            if t is None or t >= 1:
-                need += 1
-        return need <= 2 * spine.radius - 4
-
-    best: tuple[int, int, int, tuple[int, ...]] | None = None
-    for hard in (a_edges | own_pair | set(avoid), a_edges | own_pair):
-        for w in g.neighbors(v_r):
-            if edge(v_r, w) in hard:
-                continue
-            tail = _route(g, w, secondary, {v_r}, penalized, banned=hard, tags=tags)
-            if tail is None:
-                continue
-            seg = (v_r,) + tail
-            if not fits_reserve(seg):
-                continue
-            hops = len(seg) - 1
-            pens = sum(
-                1 for i in range(hops) if edge(seg[i], seg[i + 1]) in penalized
-            )
-            gated = 1 if w in gateways else 0
-            if best is None or (hops, gated, pens, seg) < best:
-                best = (hops, gated, pens, seg)
-        if best is not None:
-            break
-    if best is not None:
-        b_path = list(best[3])
-    else:
-        seg = _route(g, v_r, secondary, set(), penalized)
-        if seg is None:
-            raise AssertionError(
-                "graph is connected; routing cannot fail outright"
-            )
-        b_path = list(seg)
-
-    repairs = 0
-    while repairs < 4 * g.n:
-        shared_at = [
-            i
-            for i in range(len(b_path) - 1)
-            if edge(b_path[i], b_path[i + 1]) in a_edges
-        ]
-        if not shared_at:
-            break
-        i = shared_at[-1]
-        x, y = b_path[i], b_path[i + 1]
-
-        def apex_cost(w: int) -> tuple[bool, bool, int]:
-            touches_a = edge(x, w) in a_edges or edge(w, y) in a_edges
-            return (touches_a, w in b_path, w)
-
-        w = min(g.common_neighbors(x, y), key=apex_cost)
-        b_path = b_path[: i + 1] + [w] + b_path[i + 1 :]
-        repairs += 1
-        if b_path.count(w) > 1:
-            j1 = b_path.index(w)
-            j2 = len(b_path) - 1 - b_path[::-1].index(w)
-            cut_out = set(b_path[j1 + 1 : j2])
-            if secondary not in cut_out:
-                b_path = b_path[: j1 + 1] + b_path[j2 + 1 :]
-
-    return a_path, tuple(b_path), repairs
 
 
 def realize_paths(
@@ -552,10 +426,73 @@ def realize_paths(
 
     Both start at the root vertex; the short path ends at the node's
     primary vertex, the long one at its secondary (the same vertex for
-    red nodes), and they share no edge. The short path has fewer than
-    radius edges. The long path additionally stays off the `avoid`
-    edges whenever some route to the secondary can, at the price of
-    extra length.
+    red nodes), and they share no edge. The short path is the node's
+    rail-tree path, so it has fewer than radius edges. The long path is
+    one cheapest route from the root (see `_route`) that stays off the
+    short path and the node's own pair edge, that also stays off the
+    `avoid` edges whenever some route can (at the price of extra
+    length), and whose edges after the first fit the reserve band. It
+    would rather not leave the root through a spoke some short path
+    rides, so the two bands keep distinct first colors even when
+    realization vertices chain across nodes. A route that does not fit
+    drops its root spoke, and the search runs again. When no route
+    fits at all, the long path is the plain cheapest route, and each
+    edge it then shares with the short path is detoured through a
+    triangle apex.
     """
-    short, long_, _ = _realize_with_stats(g, spine, node, avoid)
-    return short, long_
+    v_r = spine.root_vertex
+    if node.kind == "root":
+        return ((v_r,), (v_r,))
+    primary, secondary = primary_secondary(g, node)
+    routes = spine.routes
+    short = routes.shorts[node]
+    short_edges = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
+    own = short_edges | ({edge(primary, secondary)} if node.kind == "green" else set())
+
+    def fits_reserve(seg: tuple[int, ...]) -> bool:
+        # Edges after the first either hold a level-indexed pair color
+        # or will draw a fresh reserve color; both come out of the same
+        # reserve, which holds 2 * radius - 4 colors. Tagged edges ride
+        # the layer-1 color and cost nothing.
+        need = sum(
+            1 for i in range(1, len(seg) - 1) if edge(seg[i], seg[i + 1]) not in routes.tagged
+        )
+        return need <= 2 * spine.radius - 4
+
+    for hard in (own | avoid, own):
+        banned = set(hard)
+        while True:
+            seg = _route(
+                g, v_r, secondary, routes.penalized, banned, routes.tagged, routes.gateways
+            )
+            if seg is None:
+                break
+            if fits_reserve(seg):
+                return short, seg
+            banned.add(edge(v_r, seg[1]))
+
+    seg = _route(g, v_r, secondary, routes.penalized, set(), frozenset(), frozenset())
+    if seg is None:
+        raise AssertionError("graph is connected; routing cannot fail outright")
+    long_ = list(seg)
+    for _ in range(4 * g.n):
+        shared_at = [
+            i for i in range(len(long_) - 1) if edge(long_[i], long_[i + 1]) in short_edges
+        ]
+        if not shared_at:
+            break
+        i = shared_at[-1]
+        x, y = long_[i], long_[i + 1]
+
+        def apex_cost(w: int) -> tuple[bool, bool, int]:
+            touches_short = edge(x, w) in short_edges or edge(w, y) in short_edges
+            return (touches_short, w in long_, w)
+
+        w = min(g.common_neighbors(x, y), key=apex_cost)
+        long_ = long_[: i + 1] + [w] + long_[i + 1 :]
+        if long_.count(w) > 1:
+            j1 = long_.index(w)
+            j2 = len(long_) - 1 - long_[::-1].index(w)
+            if secondary not in long_[j1 + 1 : j2]:
+                long_ = long_[: j1 + 1] + long_[j2 + 1 :]
+    return short, tuple(long_)

@@ -117,6 +117,16 @@ def test_malformed_file_is_input_error(workdir, capsys):
     assert main(["info", "missing.mop"]) == 2
     assert "cannot read" in capsys.readouterr().err
 
+    # A non-ASCII byte is bad input too, not a failed verification.
+    Path("accent.mop").write_bytes("MOP 4\n3 1 2\n4 2 \u00e9\n".encode("utf-8"))
+    assert main(["info", "accent.mop"]) == 2
+    assert "cannot read accent.mop" in capsys.readouterr().err
+
+    Path("ok.mop").write_text(MMOP4_TEXT, encoding="ascii")
+    Path("bad.colors").write_bytes(b"COLORING 4 1\n1 2 \xb9\n")
+    assert main(["verify", "ok.mop", "bad.colors"]) == 2
+    assert "cannot read bad.colors" in capsys.readouterr().err
+
 
 def test_mismatched_coloring_is_input_error(workdir, capsys):
     assert main(["gen", "lad", "3"]) == 0

@@ -98,6 +98,12 @@ FROZEN_DIGESTS = {
         lambda: lad_plus(12).graph,
         "b7790cc63de90e975971d6628f856caa33a46477fee749d15a6b9b3c1be948a6",
     ),
+    # Its long paths reach the unconstrained route and an apex detour,
+    # which no other entry does.
+    "random_mop(60,60192)": (
+        lambda: random_mop_graph(60, 60192),
+        "62cd705f82239a057669f9d667e62fcf0f1c79027418651faae04ae0d3d54948",
+    ),
 }
 
 

@@ -46,6 +46,9 @@ def test_parse_accepts_missing_final_newline():
         ("MOP 4\n4 2 3\n3 1 2\n", 2, "expected vertex 3"),
         ("MOP 4\n3 1 2\n4 x 3\n", 3, "not an integer"),
         ("MOP 4\n3 1 2\n4 2\n", 3, "3 space-separated"),
+        ("MOP \u00b2\n", 1, "header"),
+        ("MOP 3\n3 1 \u00b2\n", 2, "not an integer"),
+        ("MOP \u0663\n3 1 2\n", 1, "header"),
     ],
 )
 def test_construction_parse_errors(text, line, needle):
@@ -80,6 +83,9 @@ def test_coloring_round_trip_and_header():
         ("", 1, "empty"),
         ("COLORING 3\n", 1, "header"),
         ("COLORING 3 x\n", 1, "integers"),
+        ("COLORING \u00b3 1\n", 1, "integers"),
+        ("COLORING 4 1\n3 4 \u00b9\n", 2, "not an integer"),
+        ("COLORING 4 1\n3 4 -\u00b9\n", 2, "not an integer"),
         ("COLORING 3 1\n1 2 1\n2 1 1\n", 3, "1 <= u < v"),
         ("COLORING 3 1\n1 2 1\n1 4 1\n", 3, "1 <= u < v"),
         ("COLORING 3 1\n1 2 0\n", 2, "1-based"),
