@@ -33,6 +33,3 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % bound
-
-    def choice(self, items):
-        return items[self.below(len(items))]

@@ -275,10 +275,6 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
             short = spine.routes.shorts[node]
             for i in range(len(short) - 1):
                 pick = 5 if i == 0 else 6 + i
-                if pick > rad + 4:
-                    raise PaletteExhausted(
-                        f"short path position {i} exceeds the low band on {short}"
-                    )
                 e = edge(short[i], short[i + 1])
                 colors.setdefault(e, pick)
                 if colors[e] == 5 or colors[e] > 6:

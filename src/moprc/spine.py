@@ -7,9 +7,8 @@ root is the chosen center. The spine drives the staged rainbow
 coloring: every leaf gets two edge-disjoint realization paths from the
 root, one short (a BFS tree path) and one long (threaded through the
 other endpoint of each green ancestor). The routing data those paths
-share (the short paths themselves, the edges long paths avoid, the
-fixed-color tagged edges, the root spokes short paths ride) is built
-once with the spine, as its `routes`.
+share (the short paths themselves and the fixed-color tagged edges) is
+built once with the spine, as its `routes`.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -17,7 +16,6 @@ maximal closed-neighborhood fans, both used by structural checks.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .core import Graph, MopGraph, breadth_first, edge
@@ -104,15 +102,11 @@ class SpineRoutes:
     shorts maps each non-root node to its short path, the rail-tree
     path from the root to its primary vertex. tagged holds the green
     pair edges and the layer-1 edges, which share one fixed color; no
-    long path crosses two of them. penalized is the tagged edges plus
-    every rail-tree edge, which long paths prefer to avoid. gateways
-    are the layer-1 vertices whose root spoke some short path rides.
+    long path crosses two of them.
     """
 
     shorts: dict[SpineNode, tuple[int, ...]]
-    penalized: frozenset[tuple[int, int]]
     tagged: frozenset[tuple[int, int]]
-    gateways: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -323,40 +317,42 @@ def _route(
     g: Graph,
     src: int,
     dst: int,
-    penalized: frozenset[tuple[int, int]],
     banned: set[tuple[int, int]],
     tagged: frozenset[tuple[int, int]],
-    gateways: frozenset[int],
 ) -> tuple[int, ...] | None:
-    """Deterministic cheapest simple path src..dst.
+    """The lexicographically first shortest simple path src..dst.
 
-    Cost is (hops, gated, penalized edges used, path tuple), where
-    gated is 1 when the first step enters a `gateways` vertex: the
-    result is a shortest path that secondarily does not leave src
-    toward a gateway, then avoids the penalized edge set, with
-    lexicographic tie-breaking. Edges in `banned` are never used, and
-    no path crosses two `tagged` edges (they hold one fixed color, so a
-    second would put that color on the path twice). Returns None when
-    dst is unreachable under the constraints.
+    Edges in `banned` are never used, and no path crosses two `tagged`
+    edges (they hold one fixed color, so a second would put that color
+    on the path twice). A breadth-first search over (vertex, crossed)
+    states that expands neighbors in ascending label order first
+    reaches each state along its lexicographically first shortest walk,
+    and stops at the first dst state. That walk is a simple path: a
+    walk that repeats a vertex can be cut short. Returns None when dst
+    is unreachable under the constraints.
     """
-    heap: list[tuple[int, int, int, tuple[int, ...], bool]] = [(0, 0, 0, (src,), False)]
-    settled: set[tuple[int, bool]] = set()
-    while heap:
-        hops, gated, pen, path, crossed = heapq.heappop(heap)
-        v = path[-1]
-        if v == dst:
-            return path
-        # Keys pop in ascending order, so the first pop of a state wins.
-        if (v, crossed) in settled:
-            continue
-        settled.add((v, crossed))
+    if src == dst:
+        return (src,)
+    start = (src, False)
+    parent: dict[tuple[int, bool], tuple[int, bool] | None] = {start: None}
+    queue = [start]
+    for state in queue:
+        v, crossed = state
         for u in g.neighbors(v):
             e = edge(u, v)
-            if u in path or e in banned or (crossed and e in tagged):
+            if e in banned or (crossed and e in tagged):
                 continue
-            step_gated = gated if hops else int(u in gateways)
-            step = (hops + 1, step_gated, pen + (e in penalized), path + (u,), crossed or e in tagged)
-            heapq.heappush(heap, step)
+            step = (u, crossed or e in tagged)
+            if step in parent:
+                continue
+            parent[step] = state
+            if u == dst:
+                path = [u]
+                while state is not None:
+                    path.append(state[0])
+                    state = parent[state]
+                return tuple(reversed(path))
+            queue.append(step)
     return None
 
 
@@ -371,10 +367,7 @@ def _routes(
     smallest label; this keeps short paths on the primary rail whenever
     the graph allows it. Green pair edges and layer-1 edges all share
     one color, so they are tagged: a route crossing two of them would
-    carry a repeated color, so the path router prunes such routes. Long
-    paths prefer to avoid tree edges, which are reserved for short
-    paths, and tagged edges, which carry fixed colors; steering them
-    around both keeps the color bands from bleeding into each other.
+    carry a repeated color, so the path router prunes such routes.
     """
     primaries: set[int] = set()
     secondaries: set[int] = set()
@@ -407,13 +400,7 @@ def _routes(
     tagged = {edge(*nd.realization) for nd in nodes if nd.kind == "green"}
     n1 = set(lay[1] if len(lay) > 1 else ())
     tagged |= {edge(u, v) for v in n1 for u in g.neighbors(v) if u in n1}
-    tree = {edge(p, v) for v, p in parent.items() if p is not None}
-    return SpineRoutes(
-        shorts,
-        frozenset(tree | tagged),
-        frozenset(tagged),
-        frozenset(path[1] for path in shorts.values() if len(path) > 1),
-    )
+    return SpineRoutes(shorts, frozenset(tagged))
 
 
 def realize_paths(
@@ -428,17 +415,16 @@ def realize_paths(
     primary vertex, the long one at its secondary (the same vertex for
     red nodes), and they share no edge. The short path is the node's
     rail-tree path, so it has fewer than radius edges. The long path is
-    one cheapest route from the root (see `_route`) that stays off the
-    short path and the node's own pair edge, that also stays off the
-    `avoid` edges whenever some route can (at the price of extra
-    length), and whose edges after the first fit the reserve band. It
-    would rather not leave the root through a spoke some short path
-    rides, so the two bands keep distinct first colors even when
-    realization vertices chain across nodes. A route that does not fit
-    drops its root spoke, and the search runs again. When no route
-    fits at all, the long path is the plain cheapest route, and each
-    edge it then shares with the short path is detoured through a
-    triangle apex.
+    the lexicographically first shortest route from the root (see
+    `_route`) that stays off the short path and the node's own pair
+    edge, that also stays off the `avoid` edges whenever some route can
+    (at the price of extra length), and whose edges after the first fit
+    the reserve band. A route that does not fit drops its root spoke,
+    and the search runs again. When no route fits at all, the long path
+    is the plain first shortest route, and each edge it then shares
+    with the short path is detoured through the smallest-labelled
+    common neighbor of its ends; a detour that meets the path again
+    cuts out the loop it closes.
     """
     v_r = spine.root_vertex
     if node.kind == "root":
@@ -462,16 +448,14 @@ def realize_paths(
     for hard in (own | avoid, own):
         banned = set(hard)
         while True:
-            seg = _route(
-                g, v_r, secondary, routes.penalized, banned, routes.tagged, routes.gateways
-            )
+            seg = _route(g, v_r, secondary, banned, routes.tagged)
             if seg is None:
                 break
             if fits_reserve(seg):
                 return short, seg
             banned.add(edge(v_r, seg[1]))
 
-    seg = _route(g, v_r, secondary, routes.penalized, set(), frozenset(), frozenset())
+    seg = _route(g, v_r, secondary, set(), frozenset())
     if seg is None:
         raise AssertionError("graph is connected; routing cannot fail outright")
     long_ = list(seg)
@@ -482,17 +466,10 @@ def realize_paths(
         if not shared_at:
             break
         i = shared_at[-1]
-        x, y = long_[i], long_[i + 1]
-
-        def apex_cost(w: int) -> tuple[bool, bool, int]:
-            touches_short = edge(x, w) in short_edges or edge(w, y) in short_edges
-            return (touches_short, w in long_, w)
-
-        w = min(g.common_neighbors(x, y), key=apex_cost)
-        long_ = long_[: i + 1] + [w] + long_[i + 1 :]
+        w = min(g.common_neighbors(long_[i], long_[i + 1]))
+        long_.insert(i + 1, w)
         if long_.count(w) > 1:
             j1 = long_.index(w)
             j2 = len(long_) - 1 - long_[::-1].index(w)
-            if secondary not in long_[j1 + 1 : j2]:
-                long_ = long_[: j1 + 1] + long_[j2 + 1 :]
+            long_ = long_[: j1 + 1] + long_[j2 + 1 :]
     return short, tuple(long_)
