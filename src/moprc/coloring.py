@@ -204,14 +204,19 @@ def _repair_unconnected(
     instead of the one that failed to stick, so two pairs trading
     places under the same patch cannot loop forever. The checks run
     with caps of the graph's own size and the 3 * rad palette, never
-    the public defaults. Returns the number of pairs patched, only
-    once the coloring verifies; raises RepairExhausted when a recurring
-    pair runs out of fresh candidates or the round budget runs out.
+    the public defaults. All rounds share one proofs dict: a patch
+    recolors one to three edges, so most rainbow paths the checker
+    stored in earlier rounds still hold, and it searches again only
+    the pairs whose stored path broke or that have none. Returns the
+    number of pairs patched, only once the coloring verifies; raises
+    RepairExhausted when a recurring pair runs out of fresh candidates
+    or the round budget runs out.
     """
     attempts: dict[tuple[int, int], int] = {}
+    proofs: dict[tuple[int, int], tuple[int, ...]] = {}
     for rounds in range(_REPAIR_ROUNDS + 1):
         res = is_rainbow_connected(
-            g, EdgeColoring(colors), max_n=g.n, max_colors=3 * rad
+            g, EdgeColoring(colors), max_n=g.n, max_colors=3 * rad, proofs=proofs
         )
         if res.ok:
             return rounds

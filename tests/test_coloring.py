@@ -26,6 +26,8 @@ from moprc import (
     random_mop_graph,
 )
 
+from conftest import route_cases
+
 K3 = mop_from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
 # One mid-size run pinned exactly: any change to pass order, tie-breaking,
@@ -99,7 +101,8 @@ FROZEN_DIGESTS = {
         "b7790cc63de90e975971d6628f856caa33a46477fee749d15a6b9b3c1be948a6",
     ),
     # Its long paths reach the unconstrained route and an apex detour,
-    # which no other entry does.
+    # which no other entry does (asserted by
+    # test_pinned_graph_reaches_the_unconstrained_route_and_a_detour).
     "random_mop(60,60192)": (
         lambda: random_mop_graph(60, 60192),
         "74f7f70909950cbf44a71af8f851c02d60f8d9fc068daf5ab27c00c1e133119d",
@@ -112,6 +115,21 @@ def test_frozen_digests_beyond_n10(name):
     make, digest = FROZEN_DIGESTS[name]
     col, _ = rainbow_coloring(make())
     assert hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest() == digest
+
+
+def test_pinned_graph_reaches_the_unconstrained_route_and_a_detour(route_log, monkeypatch):
+    realize = moprc.coloring.realize_paths
+    reached = []
+
+    def logged(g, spine, node, avoid=frozenset()):
+        start = len(route_log)
+        short, long_ = realize(g, spine, node, avoid)
+        reached.append(route_cases(route_log[start:], spine.root_vertex, long_))
+        return short, long_
+
+    monkeypatch.setattr(moprc.coloring, "realize_paths", logged)
+    rainbow_coloring(FROZEN_DIGESTS["random_mop(60,60192)"][0]())
+    assert any({"unconstrained", "detour"} <= cases for cases in reached)
 
 
 # (graph, radius): at radius 2 no long path is routed at all.
@@ -229,7 +247,8 @@ def test_repair_rounds_reported():
 # Colorings that the verifier-driven repair patches, pinned like
 # FROZEN_DIGESTS (recorded when long paths became first shortest
 # routes): (100, 1) retries a pair with skip = 1; on (80, 1) and
-# (100, 1) every call stops at the path budget.
+# (100, 1) every call stops at the path budget (asserted by
+# test_pinned_repairs_stop_at_the_path_budget).
 FROZEN_REPAIR_DIGESTS = {
     (50, 1): "a5f3de011e97596b8065c3c1c160691f3812aa4e7d18ec49db7dc7aa7ca79264",
     (80, 1): "14d90f2b9490459fb62e001ce49b0f6f8886d828427108947beb5d8c43632e56",
@@ -253,6 +272,47 @@ def test_frozen_repair_digests(n_seed, monkeypatch):
     assert skips and stats.repair_rounds == len(skips)
     if n_seed == (100, 1):
         assert max(skips) >= 1
+
+
+@pytest.mark.parametrize("n_seed", [(80, 1), (100, 1)])
+def test_pinned_repairs_stop_at_the_path_budget(n_seed, monkeypatch):
+    calls = []
+    connect = moprc.coloring._connect_pair
+
+    def recording(g, colors, u, v, rad, skip=0):
+        calls.append((u, v, rad))
+        return connect(g, colors, u, v, rad, skip)
+
+    monkeypatch.setattr(moprc.coloring, "_connect_pair", recording)
+    g = random_mop_graph(*n_seed)
+    rainbow_coloring(g)
+    budget = moprc.coloring._PATH_BUDGET
+    assert calls
+    for u, v, rad in calls:
+        # More than budget paths exist, so the walk stopped at the budget.
+        paths = _reference_paths_between(g, u, v, min(3 * rad, g.n - 1), budget + 1)
+        assert len(paths) > budget
+
+
+# On NEEDS_REPAIR the hub certifies every pair but the failing one, so
+# the fallback stores no path; on (100, 1) it stores some every round.
+@pytest.mark.parametrize("n_seed,stores", [(NEEDS_REPAIR, False), ((100, 1), True)])
+def test_every_repair_round_matches_a_fresh_check(n_seed, stores, monkeypatch):
+    check = moprc.coloring.is_rainbow_connected
+    results, shared = [], []
+
+    def compared(g, coloring, *, proofs, **caps):
+        res = check(g, coloring, proofs=proofs, **caps)
+        assert res == check(g, coloring, **caps)
+        results.append(res)
+        shared.append(proofs)
+        return res
+
+    monkeypatch.setattr(moprc.coloring, "is_rainbow_connected", compared)
+    _, stats = rainbow_coloring(random_mop_graph(*n_seed))
+    assert [res.ok for res in results] == [False] * stats.repair_rounds + [True]
+    assert all(proofs is shared[0] for proofs in shared)
+    assert bool(shared[0]) == stores
 
 
 def _reference_paths_between(g, u, v, max_len, budget):

@@ -25,7 +25,7 @@ from moprc import (
 )
 from moprc.spine import _route, primary_secondary
 
-from conftest import all_simple_paths, is_vertex_pair_cut
+from conftest import all_simple_paths, is_vertex_pair_cut, route_cases
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -252,27 +252,58 @@ def _reference_realize(g, spine, node, avoid):
     return a_path, tuple(b_path)
 
 
+def _avoid_sets(n, seed, avoid_seed, share):
+    """The graph, its spine, and per spine node a random avoid set
+    holding `share` of the edges."""
+    g = random_mop_graph(n, seed)
+    spine = build_ccs(g)
+    edges = sorted(g.edges)
+    rng = random.Random(avoid_seed)
+    avoids = [
+        (node, frozenset(rng.sample(edges, round(share * len(edges)))))
+        for node in spine.nodes
+    ]
+    return g, spine, avoids
+
+
+# (n, seed, avoid_seed, share) inputs pinned for the routing case each
+# reaches; test_pinned_realizations_reach_their_cases asserts it.
+# Node (28, 47) of this graph reaches the unconstrained route and an
+# apex detour; avoiding every edge forces the second pass everywhere.
+FALLBACK_EXAMPLE = (60, 60192, 0, 1.0)
+# A route here fails the reserve, and another spoke's route is picked
+# in the same pass.
+RETRY_EXAMPLE = (22, 70482, 0, 0.1)
+
+
 @given(
     st.integers(min_value=5, max_value=60),
     st.integers(min_value=0, max_value=2**32),
     st.integers(min_value=0, max_value=2**32),
     st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
 )
-# Node (28, 47) of this graph reaches the unconstrained route and an
-# apex detour; avoiding every edge forces the second pass everywhere.
-@example(60, 60192, 0, 1.0)
-# A route here fails the reserve, and another spoke's route is picked
-# in the same pass.
-@example(22, 70482, 0, 0.1)
+@example(*FALLBACK_EXAMPLE)
+@example(*RETRY_EXAMPLE)
 @settings(max_examples=60, deadline=None)
 def test_realize_paths_matches_per_spoke_pick(n, seed, avoid_seed, share):
-    g = random_mop_graph(n, seed)
-    spine = build_ccs(g)
-    edges = sorted(g.edges)
-    rng = random.Random(avoid_seed)
-    for node in spine.nodes:
-        avoid = frozenset(rng.sample(edges, round(share * len(edges))))
+    g, spine, avoids = _avoid_sets(n, seed, avoid_seed, share)
+    for node, avoid in avoids:
         assert realize_paths(g, spine, node, avoid) == _reference_realize(g, spine, node, avoid)
+
+
+@pytest.mark.parametrize(
+    "case,expected",
+    [(FALLBACK_EXAMPLE, {"unconstrained", "detour"}), (RETRY_EXAMPLE, {"retry"})],
+    ids=["fallback", "retry"],
+)
+def test_pinned_realizations_reach_their_cases(case, expected, route_log):
+    g, spine, avoids = _avoid_sets(*case)
+    reached = []
+    for node, avoid in avoids:
+        start = len(route_log)
+        _, long_ = realize_paths(g, spine, node, avoid)
+        reached.append(route_cases(route_log[start:], spine.root_vertex, long_))
+    assert any(expected <= cases for cases in reached)
 
 
 @given(st.integers(min_value=3, max_value=12), st.integers(min_value=0, max_value=2**32), st.data())
