@@ -35,7 +35,6 @@ from .errors import (
     NotChordal,
     NotMop,
     PaletteExhausted,
-    RepairExhausted,
     ScaleLimit,
 )
 from .files import (
@@ -99,7 +98,6 @@ __all__ = [
     "NotChordal",
     "NotMop",
     "PaletteExhausted",
-    "RepairExhausted",
     "ScaleLimit",
     "SpineNode",
     "ValidationReport",

@@ -124,7 +124,7 @@ def _cmd_color(args) -> int:
         print(f"colors_used: {stats.colors_used}")
         print(f"bound_3rad: {stats.bound}")
         print(f"excess: {stats.excess}")
-        print(f"repair_rounds: {stats.repair_rounds}")
+        print(f"staged_valid: {stats.staged_valid}")
     else:
         sys.stdout.write(text)
     if args.dot:

@@ -21,20 +21,33 @@ high band), a pair edge (6) bridges between a node's two realization
 vertices, and fan spokes (1/2, with 3 to sidestep a parity clash) cover
 the first hop onto the spine.
 
+That argument is not a proof for every MOP, so the staged coloring is
+checked once, by the exact checker. When the check fails, the coloring
+is replaced as a whole by `_layered`, which spends three colors per BFS
+layer and is rainbow connected by construction (see its docstring).
+The staged coloring is kept whenever it passes: on strips the checker
+proves it far faster than the layered one, and on some small graphs it
+uses fewer colors.
+
 Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 2, or 3 colors depending on size) directly.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .core import EdgeColoring, MopGraph, edge
-from .errors import PaletteExhausted, RepairExhausted
+from .errors import NotMop, PaletteExhausted
 from .generators import fan_coloring
-from .metrics import bfs
-from .spine import SpineNode, build_ccs, primary_secondary, realize_paths
+from .spine import (
+    CutSpine,
+    SpineNode,
+    _layer_paths,
+    build_ccs,
+    primary_secondary,
+    realize_paths,
+)
 from .verify import is_rainbow_connected
 
 
@@ -43,24 +56,23 @@ class ColoringStats:
     """Bookkeeping for one coloring run.
 
     excess measures distance from the 2*radius + 2 baseline; it can be
-    negative and never exceeds radius - 2. repair_rounds counts the
-    failing pairs the verifier-driven repair patched (0 when the staged
-    coloring was already rainbow connected).
+    negative and never exceeds radius - 2. staged_valid tells whether
+    the staged coloring was returned: it passed its one exact check, or
+    the radius is at most 1 and the fan scheme applies. When it is
+    False, the layered fallback was returned instead.
     """
 
     radius: int
     colors_used: int
     bound: int
     excess: int
-    repair_rounds: int = 0
+    staged_valid: bool
 
 
-def _stats(
-    radius: int, coloring: EdgeColoring, repair_rounds: int = 0
-) -> ColoringStats:
+def _stats(radius: int, coloring: EdgeColoring, staged_valid: bool) -> ColoringStats:
     used = len(coloring.used)
     excess = used - (2 * radius + 2)
-    return ColoringStats(radius, used, 3 * radius, excess, repair_rounds)
+    return ColoringStats(radius, used, 3 * radius, excess, staged_valid)
 
 
 def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> None:
@@ -93,142 +105,58 @@ def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> No
             return
 
 
-_PATH_BUDGET = 6000
-_REPAIR_ROUNDS = 80
+def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
+    """A coloring that is rainbow connected by construction.
 
+    Level k = 1..radius owns three colors: alpha_k, beta_k and gamma_k
+    (3 * (radius - k) + 1, + 2, + 3). Every edge inside layer k takes
+    gamma_k. Every other edge is a spoke, joining a vertex of layer k to
+    a parent in layer k - 1. Along each path of layer k the spokes are
+    listed vertex by vertex, each vertex first listing the spoke to the
+    parent it shares with the previous vertex, and they alternate
+    alpha_k, beta_k along that list.
 
-def _connect_pair(
-    g: MopGraph,
-    colors: dict[tuple[int, int], int],
-    u: int,
-    v: int,
-    rad: int,
-    skip: int = 0,
-) -> bool:
-    """Recolor a few edges so some u..v path becomes rainbow.
+    Lemma: every pair is joined by a rainbow walk. In a MOP every vertex
+    has one or two parents, consecutive vertices of a layer path share
+    a parent, and a vertex with one parent has a neighbor in its layer.
+    So every vertex of layer k has an exit to layer k - 1 in alpha_k
+    and one in beta_k, where an exit is a spoke, or gamma_k followed by
+    a neighbor's spoke: two spokes of one vertex are adjacent in the
+    list, and so are the only spoke of a vertex and a spoke of its
+    neighbor. Two vertices of layer k therefore leave it on disjoint
+    colors: one takes a spoke of its own, in alpha_k say, and the other
+    its exit in beta_k, so only the second may spend gamma_k. By induction
+    on k, from the deeper layer to the root, the two walks down to the
+    root share no color, so together they form a rainbow walk, which
+    contains a rainbow path. At most 3 * radius colors are used.
 
-    Walks the simple u..v paths of at most min(3 * rad, n - 1) edges
-    depth first, neighbors in ascending order and pruned by the exact
-    remaining distance to v, so paths arrive in lexicographic order;
-    the walk stops at the _PATH_BUDGET-th path, so dense neighborhoods
-    stay cheap. Among the paths with a repeated color it picks the
-    (skip + 1)-th by (conflicts, length, path), where conflicts counts
-    the edges minus the distinct colors. `skip` lets a pair that failed
-    again after an earlier fix get a genuinely different one. On the
-    pick, each duplicated color group donates one edge, which takes a
-    color the path does not carry yet. Any pick can be fixed: its at
-    most 3 * rad edges need as many fresh colors as they have
-    conflicts, and the 3 * rad palette always leaves that many spare.
-    Returns False when fewer than skip + 1 paths conflict.
+    The three facts are checked while coloring; NotMop is raised when
+    one fails.
     """
-    max_len = min(3 * rad, g.n - 1)
-    dist_v = bfs(g, v).dist
-    adj = [()] + [
-        [(w, colors[edge(x, w)], dist_v[w]) for w in g.neighbors(x)]
-        for x in g.vertices()
-    ]
-    # count[c]: edges of color c on the current path; dup: its edges
-    # whose color repeats an earlier one, i.e. its conflicts. cols[i]
-    # is the color of the edge entering path[i] (0 for u).
-    count = [0] * (max(colors.values()) + 1)
-    dup = 0
-    path, cols = [u], [0]
-    on_path = [False] * (g.n + 1)
-    on_path[u] = True
-    room = max_len - 1  # max_len - len(path): w fits when dist_v[w] <= room
-    stack = [iter(adj[u])]
-    found = 0
-    best: list[tuple[int, int, tuple[int, ...]]] = []
-    while stack:
-        for w, c, d in stack[-1]:
-            if d > room or on_path[w]:
-                continue
-            if not d:  # w == v
-                found += 1
-                conflicts = dup + (count[c] > 0)
-                # Later paths are lexicographically larger, so one that
-                # only ties the shortlist's worst (conflicts, length)
-                # cannot displace it.
-                if conflicts and (
-                    len(best) <= skip or (conflicts, len(path) + 1) < best[-1][:2]
-                ):
-                    insort(best, (conflicts, len(path) + 1, (*path, v)))
-                    del best[skip + 1 :]
-                if found == _PATH_BUDGET:
-                    stack.clear()
-                    break
-                continue
-            if count[c]:
-                dup += 1
-            count[c] += 1
-            path.append(w)
-            cols.append(c)
-            on_path[w] = True
-            room -= 1
-            stack.append(iter(adj[w]))
-            break
-        else:
-            stack.pop()
-            on_path[path.pop()] = False
-            c = cols.pop()
-            count[c] -= 1
-            if count[c]:
-                dup -= 1
-            room += 1
-    if len(best) <= skip:
-        return False
-    pick = best[skip][2]
-    edges = [edge(pick[i], pick[i + 1]) for i in range(len(pick) - 1)]
-    present = {colors[e] for e in edges}
-    # High colors first: the reserve sits on few edges globally, so
-    # moving a flipped edge up there risks the least collateral.
-    spare = iter(sorted(set(range(1, 3 * rad + 1)) - present, reverse=True))
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e in edges:
-        groups.setdefault(colors[e], []).append(e)
-    # A group shares one color, so only the edge order decides which
-    # edge keeps it: the largest does.
-    for es in groups.values():
-        for e in sorted(es)[:-1]:
-            colors[e] = next(spare)
-    return True
-
-
-def _repair_unconnected(
-    g: MopGraph, colors: dict[tuple[int, int], int], rad: int
-) -> int:
-    """Verifier-driven repair: recolor until every pair connects.
-
-    Each round asks the exact checker for a failing pair and patches
-    one path for it. A pair that comes back gets the next candidate fix
-    instead of the one that failed to stick, so two pairs trading
-    places under the same patch cannot loop forever. The checks run
-    with caps of the graph's own size and the 3 * rad palette, never
-    the public defaults. All rounds share one proofs dict: a patch
-    recolors one to three edges, so most rainbow paths the checker
-    stored in earlier rounds still hold, and it searches again only
-    the pairs whose stored path broke or that have none. Returns the
-    number of pairs patched, only once the coloring verifies; raises
-    RepairExhausted when a recurring pair runs out of fresh candidates
-    or the round budget runs out.
-    """
-    attempts: dict[tuple[int, int], int] = {}
-    proofs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for rounds in range(_REPAIR_ROUNDS + 1):
-        res = is_rainbow_connected(
-            g, EdgeColoring(colors), max_n=g.n, max_colors=3 * rad, proofs=proofs
-        )
-        if res.ok:
-            return rounds
-        pair = res.counterexample
-        if rounds == _REPAIR_ROUNDS:
-            raise RepairExhausted(
-                f"pair {pair} still unconnected after {rounds} repair rounds"
-            )
-        tried = attempts.get(pair, 0)
-        attempts[pair] = tried + 1
-        if not _connect_pair(g, colors, *pair, rad, skip=tried):
-            raise RepairExhausted(f"no candidate recoloring connects pair {pair}")
+    rad = spine.radius
+    depth = {v: k for k, layer in enumerate(spine.layers) for v in layer}
+    colors: dict[tuple[int, int], int] = {}
+    for k in range(1, rad + 1):
+        alpha = 3 * (rad - k) + 1
+        for path in _layer_paths(g, spine.layers[k]):
+            spokes: list[tuple[int, int]] = []
+            before: list[int] = []  # the previous vertex's parents
+            for i, v in enumerate(path):
+                parents = sorted(u for u in g.neighbors(v) if depth[u] == k - 1)
+                if not 1 <= len(parents) <= 2:
+                    raise NotMop(f"vertex {v} has {len(parents)} parents")
+                if len(parents) == 1 and len(path) == 1:
+                    raise NotMop(f"vertex {v} has one parent and no neighbor in its layer")
+                if i:
+                    if not set(parents) & set(before):
+                        raise NotMop(f"layer neighbors {path[i - 1]} and {v} share no parent")
+                    colors[edge(path[i - 1], v)] = alpha + 2
+                    parents.sort(key=lambda u: u not in before)
+                spokes += [edge(v, u) for u in parents]
+                before = parents
+            for j, e in enumerate(spokes):
+                colors[e] = alpha + j % 2
+    return EdgeColoring(colors)
 
 
 def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
@@ -236,15 +164,16 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
 
     Uses at most 3 * radius colors (at most 3 when the radius is 1).
     Deterministic: the same graph always yields the same coloring.
-    Above radius 1 the coloring is returned only after it passes the
-    exact checker; otherwise RepairExhausted is raised.
+    Above radius 1 the staged coloring is checked once, exactly, and
+    returned when it passes; otherwise the layered coloring, rainbow
+    connected by construction, is returned.
     """
     spine = build_ccs(g)
     rad = spine.radius
     if rad <= 1:
         hub = min(v for v in g.vertices() if g.degree(v) == g.n - 1)
         coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
-        return coloring, _stats(rad, coloring)
+        return coloring, _stats(rad, coloring, True)
 
     v_r = spine.root_vertex
     colors: dict[tuple[int, int], int] = {}
@@ -385,6 +314,8 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         colors.setdefault(e, 3)
 
     _repair_monochromatic(g, colors)
-    repair_rounds = _repair_unconnected(g, colors, rad)
     coloring = EdgeColoring(colors)
-    return coloring, _stats(rad, coloring, repair_rounds)
+    staged_valid = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=3 * rad).ok
+    if not staged_valid:
+        coloring = _layered(g, spine)
+    return coloring, _stats(rad, coloring, staged_valid)

@@ -53,7 +53,3 @@ class ScaleLimit(MoprcError):
 
 class PaletteExhausted(MoprcError):
     """The staged palette ran out of colors; signals a spine-construction bug."""
-
-
-class RepairExhausted(MoprcError):
-    """The coloring's repair loop could not make every pair rainbow connected."""

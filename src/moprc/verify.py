@@ -3,7 +3,7 @@
 Everything here is independent of the constructive algorithms: these
 routines work on arbitrary graphs and edge colorings, use plain
 state-space search, and are meant as ground truth for tests, for the
-CLI `verify` / `rc` commands and for the repair loop of the coloring.
+CLI `verify` / `rc` commands and for the one check of the coloring.
 They never import the spine or coloring code. The exact solvers never
 reuse a coloring produced elsewhere in the package; certificates come
 out of their own search.
@@ -18,15 +18,6 @@ Matsliah and Yuster, 2011), so `is_rainbow_connected` works in two
 phases. A single search out of one central hub vertex proves most pairs
 at once (the hub certificate); only the pairs it leaves open go to the
 exhaustive per-source search, which alone decides the verdict.
-
-The repair loop of the coloring checks one graph again after each
-patch, and a patch recolors one to three edges. It keeps the
-fallback's proofs across its rounds: each pair the fallback proves
-stores a rainbow path in a dict the caller owns, and a later check
-re-checks that path in time linear in its length and searches the pair
-again only when the path broke. The re-check reads nothing but the
-current graph and coloring, so an entry can cost a search but never
-change a verdict.
 """
 
 from __future__ import annotations
@@ -154,25 +145,21 @@ def _masks(
     return best
 
 
-def _rainbow_walk(adj_idx, bits, u, targets, k) -> dict[int, list[int]]:
-    """Per target v, edge indices of a u..v walk that a partial coloring
-    may make rainbow, listed from v back to u.
+def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int) -> list[int] | None:
+    """Edge indices of a u..v walk that a partial coloring may make
+    rainbow, listed from v back to u, or None.
 
     adj_idx[x] lists the (neighbor, edge index) steps the walk may take
     from x. bits[i] is the color bit of edge i, or 0 while it is
     unassigned. Unassigned edges act as wildcards (a fresh color each);
-    assigned edges consume their color bit. A walk has at most k edges
-    and its assigned colors are pairwise distinct. One search serves
-    every vertex of targets: it keeps the first walk that reaches each
-    one and stops once all have a walk. A target with no such walk gets
-    no entry: no completion of the partial coloring can join it to u.
-    With every edge assigned, each walk is a rainbow path: a state that
-    revisits a vertex is dominated.
+    assigned edges consume their color bit. The walk has at most k
+    edges and its assigned colors are pairwise distinct; it is the
+    first one the search finds. None means that no completion of the
+    partial coloring can join v to u. With every edge assigned, the
+    walk is a rainbow path: a state that revisits a vertex is dominated.
     """
     best: list[list[int]] = [[] for _ in adj_idx]
     best[u].append(0)
-    remaining = set(targets)
-    walks: dict[int, list[int]] = {}
     frontier: list[tuple[int, int, tuple | None]] = [(u, 0, None)]
     for _ in range(k):
         nxt = []
@@ -187,22 +174,18 @@ def _rainbow_walk(adj_idx, bits, u, targets, k) -> dict[int, list[int]]:
                     if old & nm == old:
                         break
                 else:
-                    if w in remaining:
+                    if w == v:
                         walk = [ei]
-                        rest = trail
-                        while rest is not None:
-                            ei_back, rest = rest
+                        while trail is not None:
+                            ei_back, trail = trail
                             walk.append(ei_back)
-                        walks[w] = walk
-                        remaining.discard(w)
-                        if not remaining:
-                            return walks
+                        return walk
                     bw.append(nm)
                     nxt.append((w, nm, (ei, trail)))
         if not nxt:
             break
         frontier = nxt
-    return walks
+    return None
 
 
 def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
@@ -212,24 +195,6 @@ def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
         a, b = edges_sorted[ei]
         path.append(b if a == path[-1] else a)
     return tuple(path)
-
-
-def _still_rainbow(path, u: int, v: int, bit_of: dict[tuple[int, int], int]) -> bool:
-    """Whether path is a rainbow u..v walk under the current coloring.
-
-    path may be None (no entry). bit_of maps each edge of the graph to its color bit. Each step must
-    be an edge and no color may repeat; the walk need not be simple,
-    since a rainbow walk contains a rainbow path. O(len(path)).
-    """
-    if not path or path[0] != u or path[-1] != v:
-        return False
-    mask = 0
-    for a, b in zip(path, path[1:]):
-        bit = bit_of.get((a, b) if a < b else (b, a), 0)
-        if not bit or mask & bit:
-            return False
-        mask |= bit
-    return True
 
 
 def _hub(adj, n: int) -> int:
@@ -319,7 +284,6 @@ def is_rainbow_connected(
     *,
     max_n: int = _DEFAULT_MAX_N,
     max_colors: int = _DEFAULT_MAX_COLORS,
-    proofs: dict[tuple[int, int], tuple[int, ...]] | None = None,
 ) -> VerifyResult:
     """Exactly check that every pair has a rainbow path.
 
@@ -334,42 +298,20 @@ def is_rainbow_connected(
     (u, v) left unproven go to the exhaustive search from u. A proven
     pair never fails, so the first counterexample and pairs_checked
     are those of a plain search over all pairs in lexicographic order.
-
-    proofs, when given, is a caller-owned dict that carries the
-    fallback's work from one call to the next, for a caller that checks
-    one graph again after recoloring a few edges. It maps a pair (u, v)
-    to a rainbow u..v walk as a vertex tuple. The fallback first tries
-    each open pair's stored walk, re-checked against this graph and
-    coloring: its ends must be u and v, each step an edge, and no
-    color may repeat. The pairs whose walk passes are proven; the rest
-    are searched from u all at once, and each walk found is stored. A
-    stale or foreign entry either still proves its pair or fails the
-    re-check and costs a search; it never changes the verdict, and the
-    result equals that of a call without proofs.
     """
     edges, bits, k = _prepare(g, coloring, max_n, max_colors)
     adj = _steps(g, edges, bits)
     n = g.n
     max_len = min(n - 1, k)
     masks = _masks(adj, _hub(adj, n), max_len, cap=_HUB_MASK_CAP)
-    if proofs is not None:
-        bit_of = dict(zip(edges, bits))
-        adj_idx = _steps(g, edges, range(len(edges)))
     pairs = certified = 0
     for u, left in _open_pairs(masks, n, k):
         pairs += n - u
         certified += n - u - len(left)
         if not left:
             continue
-        if proofs is None:
-            best = _masks(adj, u, max_len, targets=left)
-            missed = [v for v in left if not best[v]]
-        else:
-            todo = [v for v in left if not _still_rainbow(proofs.get((u, v)), u, v, bit_of)]
-            walks = _rainbow_walk(adj_idx, bits, u, todo, max_len) if todo else {}
-            for v, walk in walks.items():
-                proofs[u, v] = _walk_path(edges, walk, u)
-            missed = [v for v in todo if v not in walks]
+        best = _masks(adj, u, max_len, targets=left)
+        missed = [v for v in left if not best[v]]
         if missed:
             return VerifyResult(False, (u, missed[0]), pairs, certified)
     return VerifyResult(True, None, pairs, certified)
@@ -413,7 +355,7 @@ def rainbow_witness(
     steps = _steps(g, edges, range(len(edges)))
     if strong:
         steps = _shortest_steps(g, steps, u)
-    walk = _rainbow_walk(steps, bits, u, (v,), min(g.n - 1, k)).get(v)
+    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, k))
     return None if walk is None else _walk_path(edges, walk, u)
 
 
@@ -475,7 +417,7 @@ def _search_k(
                 mask |= b
             else:
                 return True
-        walk = _rainbow_walk(steps[u], bits, u, (v,), k).get(v)
+        walk = _rainbow_walk(steps[u], bits, u, v, k)
         if walk is None:
             return False
         walks[(u, v)] = walk

@@ -173,10 +173,13 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("moprc ")
 
 
-def test_color_reports_repair_rounds(workdir, capsys):
-    # random_mop(22, 14) is the graph whose staged coloring needs one
-    # repair round.
+def test_color_reports_staged_valid(workdir, capsys):
+    # The staged coloring of random_mop(22, 14) fails its check, so the
+    # layered fallback is returned; that of lad(4) passes.
     assert main(["gen", "random", "22", "--seed", "14", "--out", "g"]) == 0
     assert main(["color", "g.mop", "--out", "g.colors"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[lines.index("excess: 1") + 1] == "repair_rounds: 1"
+    assert lines[lines.index("excess: 1") + 1] == "staged_valid: False"
+    assert main(["gen", "lad", "4", "--out", "l"]) == 0
+    assert main(["color", "l.mop", "--out", "l.colors"]) == 0
+    assert "staged_valid: True" in capsys.readouterr().out.splitlines()

@@ -1,8 +1,8 @@
 """Rainbow coloring construction: bound, determinism, oracle agreement."""
 
 import hashlib
-import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import moprc.coloring
 from moprc import (
-    RepairExhausted,
-    bfs,
+    EdgeColoring,
+    Graph,
+    NotMop,
     build_ccs,
     ecc_diam_rad_center,
     edge,
@@ -30,8 +31,8 @@ from conftest import route_cases
 
 K3 = mop_from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
-# One mid-size run pinned exactly: any change to pass order, tie-breaking,
-# or repair behavior shows up here first.
+# One mid-size run pinned exactly: any change to pass order or
+# tie-breaking shows up here first.
 FROZEN_N10 = {
     (1, 2): 6,
     (1, 3): 2,
@@ -103,9 +104,11 @@ FROZEN_DIGESTS = {
     # Its long paths reach the unconstrained route and an apex detour,
     # which no other entry does (asserted by
     # test_pinned_graph_reaches_the_unconstrained_route_and_a_detour).
+    # Its staged coloring fails the check, so the digest is that of the
+    # layered fallback.
     "random_mop(60,60192)": (
         lambda: random_mop_graph(60, 60192),
-        "74f7f70909950cbf44a71af8f851c02d60f8d9fc068daf5ab27c00c1e133119d",
+        "1a681b52dd4844e96aca64c7034468b5c958659a2187d1b3e638b8e60048f321",
     ),
 }
 
@@ -201,7 +204,7 @@ def test_oracle_and_bound_property(n, seed):
     _check(random_mop_graph(n, seed))
 
 
-# Each of these raised ScaleLimit while the repair loop checked its
+# Each of these raised ScaleLimit while a repair loop checked its
 # colorings under the public verifier caps (n <= 200, 32 colors).
 BEYOND_PUBLIC_CAPS = {
     "lad(21)": lambda: lad(21).graph,
@@ -209,6 +212,7 @@ BEYOND_PUBLIC_CAPS = {
     "lad(24)": lambda: lad(24).graph,
     "lad(30)": lambda: lad(30).graph,
     "random_mop(210,1)": lambda: random_mop_graph(210, 1),
+    "random_mop(400,1)": lambda: random_mop_graph(400, 1),
 }
 
 
@@ -221,207 +225,184 @@ def test_inputs_beyond_public_verifier_caps(name):
     assert is_rainbow_connected(g, col, max_n=g.n, max_colors=stats.colors_used).ok
 
 
-# The staged coloring of this graph needs one repair round.
-NEEDS_REPAIR = (22, 14)
-
-
-def test_repair_budget_exhausted_raises(monkeypatch):
-    monkeypatch.setattr(moprc.coloring, "_REPAIR_ROUNDS", 0)
-    with pytest.raises(RepairExhausted):
-        rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
-
-
-def test_unfixable_pair_raises(monkeypatch):
-    monkeypatch.setattr(moprc.coloring, "_connect_pair", lambda *args, **kwargs: False)
-    with pytest.raises(RepairExhausted):
-        rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
-
-
-def test_repair_rounds_reported():
-    _, stats = rainbow_coloring(random_mop_graph(*NEEDS_REPAIR))
-    assert stats.repair_rounds == 1
-    _, stats = rainbow_coloring(lad(12).graph)
-    assert stats.repair_rounds == 0
-
-
-# Colorings that the verifier-driven repair patches, pinned like
-# FROZEN_DIGESTS (recorded when long paths became first shortest
-# routes): (100, 1) retries a pair with skip = 1; on (80, 1) and
-# (100, 1) every call stops at the path budget (asserted by
-# test_pinned_repairs_stop_at_the_path_budget).
-FROZEN_REPAIR_DIGESTS = {
-    (50, 1): "a5f3de011e97596b8065c3c1c160691f3812aa4e7d18ec49db7dc7aa7ca79264",
-    (80, 1): "14d90f2b9490459fb62e001ce49b0f6f8886d828427108947beb5d8c43632e56",
-    (100, 1): "14b39c32285d4829bfeae317a97eca5f8b2a1d49e74721e38bc438288b8acc41",
+# The staged colorings of these graphs fail their check, so
+# rainbow_coloring returns the layered fallback; pinned like
+# FROZEN_DIGESTS.
+FROZEN_FALLBACK_DIGESTS = {
+    (50, 1): "ecaf8550d6aad9e01d7a0d7adb94f2bda6c04e3a91276464c2b31d2567fbf9cf",
+    (80, 1): "df2b2bfa57263c8481bfaf37f5934503c8ec1df1ab761779321373a71d2dc2f5",
+    (100, 1): "362fb99af6357b534d143250698aa7e80e4b619da7b951ab182f1e1b73c61d64",
 }
 
 
-@pytest.mark.parametrize("n_seed", list(FROZEN_REPAIR_DIGESTS))
-def test_frozen_repair_digests(n_seed, monkeypatch):
-    skips = []
-    connect = moprc.coloring._connect_pair
-
-    def recording(g, colors, u, v, rad, skip=0):
-        skips.append(skip)
-        return connect(g, colors, u, v, rad, skip)
-
-    monkeypatch.setattr(moprc.coloring, "_connect_pair", recording)
-    col, stats = rainbow_coloring(random_mop_graph(*n_seed))
+@pytest.mark.parametrize("n_seed", list(FROZEN_FALLBACK_DIGESTS))
+def test_frozen_fallback_digests(n_seed):
+    col, _ = rainbow_coloring(random_mop_graph(*n_seed))
     digest = hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest()
-    assert digest == FROZEN_REPAIR_DIGESTS[n_seed]
-    assert skips and stats.repair_rounds == len(skips)
-    if n_seed == (100, 1):
-        assert max(skips) >= 1
+    assert digest == FROZEN_FALLBACK_DIGESTS[n_seed]
 
 
-@pytest.mark.parametrize("n_seed", [(80, 1), (100, 1)])
-def test_pinned_repairs_stop_at_the_path_budget(n_seed, monkeypatch):
-    calls = []
-    connect = moprc.coloring._connect_pair
-
-    def recording(g, colors, u, v, rad, skip=0):
-        calls.append((u, v, rad))
-        return connect(g, colors, u, v, rad, skip)
-
-    monkeypatch.setattr(moprc.coloring, "_connect_pair", recording)
-    g = random_mop_graph(*n_seed)
-    rainbow_coloring(g)
-    budget = moprc.coloring._PATH_BUDGET
-    assert calls
-    for u, v, rad in calls:
-        # More than budget paths exist, so the walk stopped at the budget.
-        paths = _reference_paths_between(g, u, v, min(3 * rad, g.n - 1), budget + 1)
-        assert len(paths) > budget
+# Graph -> whether its staged coloring passes the check.
+ONE_CHECK_GRAPHS = {
+    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), True),
+    "random_mop(120,2)": (FROZEN_DIGESTS["random_mop(120,2)"][0], True),
+    "lad(15)": (FROZEN_DIGESTS["lad(15)"][0], True),
+    "lad_plus(12)": (FROZEN_DIGESTS["lad_plus(12)"][0], True),
+    "random_mop(60,60192)": (FROZEN_DIGESTS["random_mop(60,60192)"][0], False),
+    "random_mop(50,1)": (lambda: random_mop_graph(50, 1), False),
+    "random_mop(80,1)": (lambda: random_mop_graph(80, 1), False),
+    "random_mop(100,1)": (lambda: random_mop_graph(100, 1), False),
+    "random_mop(22,14)": (lambda: random_mop_graph(22, 14), False),
+    "lad(12)": (lambda: lad(12).graph, True),
+}
 
 
-# On NEEDS_REPAIR the hub certifies every pair but the failing one, so
-# the fallback stores no path; on (100, 1) it stores some every round.
-@pytest.mark.parametrize("n_seed,stores", [(NEEDS_REPAIR, False), ((100, 1), True)])
-def test_every_repair_round_matches_a_fresh_check(n_seed, stores, monkeypatch):
+@pytest.mark.parametrize("name", list(ONE_CHECK_GRAPHS))
+def test_one_check_then_staged_or_layered(name, monkeypatch):
+    make, passes = ONE_CHECK_GRAPHS[name]
+    g = make()
     check = moprc.coloring.is_rainbow_connected
-    results, shared = [], []
+    verdicts = []
 
-    def compared(g, coloring, *, proofs, **caps):
-        res = check(g, coloring, proofs=proofs, **caps)
-        assert res == check(g, coloring, **caps)
-        results.append(res)
-        shared.append(proofs)
+    def recording(*args, **kwargs):
+        res = check(*args, **kwargs)
+        verdicts.append(res.ok)
         return res
 
-    monkeypatch.setattr(moprc.coloring, "is_rainbow_connected", compared)
-    _, stats = rainbow_coloring(random_mop_graph(*n_seed))
-    assert [res.ok for res in results] == [False] * stats.repair_rounds + [True]
-    assert all(proofs is shared[0] for proofs in shared)
-    assert bool(shared[0]) == stores
+    monkeypatch.setattr(moprc.coloring, "is_rainbow_connected", recording)
+    col, stats = rainbow_coloring(g)
+    assert verdicts == [passes]
+    assert stats.staged_valid == passes
+    if not passes:
+        assert col == moprc.coloring._layered(g, build_ccs(g))
 
 
-def _reference_paths_between(g, u, v, max_len, budget):
-    """The repair loop's former path source: every simple u..v path of
-    at most max_len edges (pruned by the distance to v), depth first in
-    lexicographic order, cut at `budget` paths, shortest first."""
-    dist_v = bfs(g, v).dist
-    out = []
-    stack = [(u,)]
-    while stack and len(out) < budget:
-        path = stack.pop()
-        x = path[-1]
-        if x == v:
-            out.append(path)
+def exits_ok(g, coloring, root) -> bool:
+    """The local exit condition, checked in time linear in the graph.
+
+    Layers are BFS layers from root. An exit of a vertex v in layer
+    k >= 1 is a color set that takes v into layer k - 1: the color of
+    an edge to a parent, or the colors of an edge to a layer neighbor w
+    and of a spoke from w to a parent of w, when they differ. The
+    condition holds when every vertex has an exit, any two vertices of
+    one layer have exits with disjoint color sets, and no color is in
+    exits of two layers. Then two walks, each taking one exit per
+    layer, reach the root (or meet) on disjoint colors, so every pair
+    is joined by a rainbow walk.
+    """
+    depth = {root: 0}
+    queue = [root]
+    for x in queue:
+        for y in g.neighbors(x):
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                queue.append(y)
+    color = coloring.colors
+    families = {}  # layer -> {exit family: vertices having it}
+    for v in g.vertices():
+        k = depth[v]
+        if not k:
             continue
-        used = len(path) - 1
-        for w in sorted(g.neighbors(x), reverse=True):
-            if w in path or used + 1 + dist_v[w] > max_len:
-                continue
-            stack.append(path + (w,))
-    out.sort(key=lambda p: (len(p), p))
-    return out
+        exits = set()
+        for w in g.neighbors(v):
+            c = color[edge(v, w)]
+            if depth[w] == k - 1:
+                exits.add(frozenset({c}))
+            elif depth[w] == k:
+                for x in g.neighbors(w):
+                    if depth[x] == k - 1 and color[edge(w, x)] != c:
+                        exits.add(frozenset({c, color[edge(w, x)]}))
+        if not exits:
+            return False
+        fam = frozenset(exits)
+        layer = families.setdefault(k, {})
+        layer[fam] = layer.get(fam, 0) + 1
+    owner = {}
+    for k, layer in families.items():
+        for fam in layer:
+            for ex in fam:
+                for c in ex:
+                    if owner.setdefault(c, k) != k:
+                        return False
+        fams = list(layer)
+        for i, f1 in enumerate(fams):
+            for f2 in fams[i:]:
+                if f1 is f2 and layer[f1] < 2:
+                    continue
+                if not any(not (a & b) for a in f1 for b in f2):
+                    return False
+    return True
 
 
-def _reference_flip_priority(c, rad):
-    if c == 3:
-        return 0
-    if c in (1, 2):
-        return 1
-    if c >= rad + 5:
-        return 2
-    if c == 6:
-        return 3
-    if c >= 7:
-        return 4
-    return 5
+def _layered_of(g):
+    spine = build_ccs(g)
+    return moprc.coloring._layered(g, spine), spine
 
 
-def _reference_connect_pair(g, colors, u, v, rad, skip, budget):
-    """The former pick: score every enumerated path, sort the
-    conflicting ones, skip the fixable ones `skip` times, recolor."""
-    palette = range(1, 3 * rad + 1)
-    max_len = min(3 * rad, g.n - 1)
-    scored = []
-    for path in _reference_paths_between(g, u, v, max_len, budget):
-        cols = [colors[edge(path[i], path[i + 1])] for i in range(len(path) - 1)]
-        conflicts = len(cols) - len(set(cols))
-        if conflicts:
-            scored.append((conflicts, path))
-    scored.sort(key=lambda cp: (cp[0], len(cp[1]), cp[1]))
-    for _, path in scored:
-        edges = [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        cols = [colors[e] for e in edges]
-        present = set(cols)
-        spare = sorted((c for c in palette if c not in present), reverse=True)
-        groups = {}
-        for e, c in zip(edges, cols):
-            groups.setdefault(c, []).append(e)
-        dup_groups = [es for es in groups.values() if len(es) > 1]
-        if sum(len(es) - 1 for es in dup_groups) > len(spare):
-            continue
-        if skip:
-            skip -= 1
-            continue
-        spare_iter = iter(spare)
-        for es in dup_groups:
-            ordered = sorted(
-                es, key=lambda e: (_reference_flip_priority(colors[e], rad), e)
-            )
-            for e in ordered[: len(es) - 1]:
-                colors[e] = next(spare_iter)
-        return True
-    return False
-
-
-def _assert_same_pick(n, seed, color_seed, skip):
-    g = random_mop_graph(n, seed)
-    rad = ecc_diam_rad_center(g).radius
-    rng = random.Random(color_seed)
-    colors = {e: rng.randint(1, 3 * rad) for e in sorted(g.edges)}
-    u, v = rng.sample(range(1, n + 1), 2)
-    expected = dict(colors)
-    budget = moprc.coloring._PATH_BUDGET
-    ok = _reference_connect_pair(g, expected, u, v, rad, skip, budget)
-    assert moprc.coloring._connect_pair(g, colors, u, v, rad, skip) == ok
-    assert colors == expected
-
-
-PICK_CASES = (
-    st.integers(min_value=6, max_value=30),
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=0, max_value=2**32),
-    st.sampled_from([0, 1, 2]),
+@given(
+    st.one_of(
+        st.builds(random_mop_graph, st.integers(4, 60), st.integers(0, 2**63)),
+        st.builds(lambda d: lad(d).graph, st.integers(2, 8)),
+        st.builds(lambda d: lad_plus(d).graph, st.integers(2, 8)),
+    )
 )
-
-
-@given(*PICK_CASES)
 @settings(max_examples=60, deadline=None)
-def test_connect_pair_matches_sorted_enumeration(n, seed, color_seed, skip):
-    _assert_same_pick(n, seed, color_seed, skip)
+def test_layered_is_rainbow_connected_within_bound(g):
+    col, spine = _layered_of(g)
+    col.check_total(g)
+    assert len(col.used) <= 3 * spine.radius
+    assert is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * spine.radius).ok
+    assert exits_ok(g, col, spine.root_vertex)
 
 
-@given(*PICK_CASES, st.integers(min_value=2, max_value=25))
-@settings(max_examples=60, deadline=None)
-def test_connect_pair_matches_sorted_enumeration_at_small_budget(
-    n, seed, color_seed, skip, budget
-):
-    # Budgets this small cut most walks short, so the stop at the
-    # budget and the pick among a truncated set are both exercised.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moprc.coloring, "_PATH_BUDGET", budget)
-        _assert_same_pick(n, seed, color_seed, skip)
+# Where the exact oracle is too slow, the linear exit check stands in.
+BEYOND_THE_ORACLE = {
+    **{f"lad({d})": (lambda d=d: lad(d).graph) for d in (10, 20, 30)},
+    **{f"lad_plus({d})": (lambda d=d: lad_plus(d).graph) for d in (10, 20, 30)},
+    **{
+        f"random_mop({n},{seed})": (lambda n=n, seed=seed: random_mop_graph(n, seed))
+        for n in (200, 400)
+        for seed in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BEYOND_THE_ORACLE))
+def test_layered_meets_the_exit_condition_beyond_the_oracle(name):
+    g = BEYOND_THE_ORACLE[name]()
+    col, spine = _layered_of(g)
+    col.check_total(g)
+    assert len(col.used) <= 3 * spine.radius
+    assert exits_ok(g, col, spine.root_vertex)
+
+
+def test_exit_condition_rejects_a_single_color():
+    g = lad(4).graph
+    assert not exits_ok(g, EdgeColoring({e: 1 for e in g.edges}), build_ccs(g).root_vertex)
+
+
+# Hand-made layerings, each breaking one fact the layered lemma needs:
+# a vertex with three parents, layer neighbors with no common parent,
+# and a vertex with one parent and no neighbor in its layer.
+NOT_MOP_LAYERINGS = {
+    "three parents": (
+        Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]),
+        ((1,), (2, 3, 4), (5,)),
+    ),
+    "no shared parent": (
+        Graph(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]),
+        ((1,), (2, 3), (4, 5)),
+    ),
+    "lone vertex": (
+        Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+        ((1,), (2, 5), (3, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_MOP_LAYERINGS))
+def test_layered_rejects_broken_layerings(name):
+    g, layers = NOT_MOP_LAYERINGS[name]
+    spine = SimpleNamespace(radius=len(layers) - 1, layers=layers)
+    with pytest.raises(NotMop):
+        moprc.coloring._layered(g, spine)

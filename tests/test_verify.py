@@ -32,7 +32,7 @@ from moprc import (
 from moprc import verify
 from moprc._rng import SplitMix64
 
-from conftest import all_simple_paths, independent_rainbow_ok
+from conftest import independent_rainbow_ok
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -210,119 +210,6 @@ def test_strong_check_and_witnesses_match_per_source_search(case):
                 assert len(set(cols)) == len(cols)
                 if strong:
                     assert len(w) - 1 == dist[v]
-
-
-def assert_proofs_match_fresh_check(g: Graph, colors, proofs) -> bool:
-    """A check that reads and fills proofs equals one without them, in
-    all four fields."""
-    coloring = EdgeColoring(colors)
-    res = is_rainbow_connected(g, coloring, proofs=proofs)
-    assert res == is_rainbow_connected(g, coloring)
-    return res.ok
-
-
-@given(colored_mops(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_shared_proofs_match_fresh_checks_across_recolorings(case, data):
-    g, colors = case
-    edges = sorted(g.edges)
-    k = max(colors.values())
-    proofs = {}
-    assert_proofs_match_fresh_check(g, colors, proofs)
-    for _ in range(data.draw(st.integers(1, 5))):
-        for e in data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)):
-            colors[e] = data.draw(st.integers(1, k + 1))
-        assert_proofs_match_fresh_check(g, colors, proofs)
-
-
-@pytest.mark.parametrize("cap", [8, verify._HUB_MASK_CAP])
-def test_shared_proofs_match_on_both_verdicts(monkeypatch, cap):
-    # Seeded recoloring sequences, as the repair loop makes them. The
-    # smaller cap leaves more pairs to the fallback and its proofs.
-    monkeypatch.setattr(verify, "_HUB_MASK_CAP", cap)
-    rng = SplitMix64(11)
-    verdicts = []
-    for n in range(6, 16):
-        for trial in range(3):
-            g = random_mop_graph(n, 700 + 10 * n + trial)
-            edges = sorted(g.edges)
-            k = 2 + rng.below(n)
-            colors = {e: 1 + rng.below(k) for e in edges}
-            proofs = {}
-            verdicts.append(assert_proofs_match_fresh_check(g, colors, proofs))
-            for _ in range(5):
-                for _ in range(1 + rng.below(3)):
-                    colors[edges[rng.below(len(edges))]] = 1 + rng.below(k)
-                verdicts.append(assert_proofs_match_fresh_check(g, colors, proofs))
-    assert True in verdicts and False in verdicts
-
-
-@given(colored_mops(), colored_mops(), st.randoms(use_true_random=False))
-@settings(max_examples=100, deadline=None)
-def test_proofs_from_another_graph_or_coloring_are_harmless(case, other, rnd):
-    g, colors = case
-    k = max(colors.values())
-    recolored = {e: rnd.randint(1, k) for e in sorted(g.edges)}
-    for filled_on in ((g, recolored), other):
-        proofs = {}
-        is_rainbow_connected(filled_on[0], EdgeColoring(filled_on[1]), proofs=proofs)
-        assert_proofs_match_fresh_check(g, colors, proofs)
-
-
-def bad_proofs(g: Graph):
-    """Per kind of flaw, one hand-made entry for every pair (u, v):
-
-    non-edge: the walk (u, v), for every pair that is not an edge;
-    endpoints: a single edge out of u that misses v, or into v from a
-    vertex other than u, the first choice alternating by pair;
-    repeated color: u, x, then back along the same edge to u, and on
-    along some u..v path, so the color of edge (u, x) repeats.
-    """
-    kinds = {"non-edge": {}, "endpoints": {}, "repeated color": {}}
-    for u in range(1, g.n):
-        for v in range(u + 1, g.n + 1):
-            if not g.has_edge(u, v):
-                kinds["non-edge"][u, v] = (u, v)
-            outs = [(u, w) for w in g.neighbors(u) if w != v]
-            ins = [(x, v) for x in g.neighbors(v) if x != u]
-            kinds["endpoints"][u, v] = (outs + ins if (u + v) % 2 else ins + outs)[0]
-            path = next(all_simple_paths(g, u, v))
-            kinds["repeated color"][u, v] = (u, path[1]) + path
-    return kinds
-
-
-def test_hand_made_bad_proofs_prove_nothing():
-    # (1, 3) has no rainbow path under P3_MONO, and the hub leaves it
-    # to the fallback.
-    fresh = is_rainbow_connected(P3, P3_MONO)
-    for bad in [(), (1, 3), (1, 2), (2, 3), (3, 2, 1), (1, 2, 3), (1, 2, 1, 2, 3)]:
-        assert is_rainbow_connected(P3, P3_MONO, proofs={(1, 3): bad}) == fresh
-    for proofs in bad_proofs(P3).values():
-        assert is_rainbow_connected(P3, P3_MONO, proofs=dict(proofs)) == fresh
-
-
-@given(colored_mops())
-@settings(max_examples=100, deadline=None)
-def test_bad_proofs_never_change_the_result(case):
-    g, colors = case
-    for proofs in bad_proofs(g).values():
-        assert_proofs_match_fresh_check(g, colors, proofs)
-
-
-def test_valid_stored_proof_skips_the_search(monkeypatch):
-    # The hub, vertex 1, reaches 2 and 4 only on color 1, so (2, 4) is
-    # left to the fallback, which proves it along 2, 3, 4.
-    g = cycle(4)
-    rainbow = EdgeColoring({(1, 2): 1, (1, 4): 1, (2, 3): 2, (3, 4): 3})
-    proofs = {}
-    fresh = is_rainbow_connected(g, rainbow, proofs=proofs)
-    assert fresh.ok and proofs[2, 4] == (2, 3, 4)
-
-    def no_search(*args):
-        raise AssertionError("a valid stored path must not be searched again")
-
-    monkeypatch.setattr(verify, "_rainbow_walk", no_search)
-    assert is_rainbow_connected(g, rainbow, proofs=proofs) == fresh
 
 
 def test_disconnected_graph_fails_at_first_split_pair():
