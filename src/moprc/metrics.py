@@ -1,11 +1,11 @@
 """Distance metrics on graphs, plus a linear-time eccentricity scheme
 specific to maximal outerplanar graphs.
 
-The generic routines (bfs, eccentricities, layers) work on any
-connected `Graph`. `linear_eccentricities` exploits the tree structure
-of a MOP's inner faces: it propagates signed depth values across each
-edge from each side and reads every vertex eccentricity off a single
-incident edge, doing O(1) work per (edge, side) state.
+The generic routines (bfs, eccentricities by ball growth, layers) work
+on any connected `Graph`. `linear_eccentricities` exploits the tree
+structure of a MOP's inner faces: it propagates signed depth values
+across each edge from each side and reads every vertex eccentricity
+off a single incident edge, doing O(1) work per (edge, side) state.
 """
 
 from __future__ import annotations
@@ -52,12 +52,35 @@ class EccentricitySummary:
     center: tuple[int, ...]
 
 
+def _balls(g: Graph):
+    """Yield every vertex's distance-d ball for d = 0, 1, ...: entry v
+    has bit w set when w is within d of v. Stops once a round grows no
+    ball, so a ball is full (n bits set) only if the graph is connected.
+    """
+    nbrs = [()] + [g.neighbors(v) for v in g.vertices()]
+    ball = [0] + [1 << v for v in g.vertices()]
+    while True:
+        yield ball
+        grown = ball[:]
+        for v in g.vertices():
+            for w in nbrs[v]:
+                grown[v] |= ball[w]
+        if grown == ball:
+            return
+        ball = grown
+
+
 def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
-    """All vertex eccentricities by repeated BFS, with diam/rad/center."""
-    ecc = {}
-    for v in g.vertices():
-        table = bfs(g, v)
-        ecc[v] = max(table.dist.values())
+    """All vertex eccentricities by ball growth, with diam/rad/center.
+
+    ecc[v] counts the rounds in which v's ball misses some vertex.
+    """
+    ecc = dict.fromkeys(g.vertices(), 0)
+    for ball in _balls(g):
+        for v in ecc:
+            ecc[v] += ball[v].bit_count() < g.n
+    if ball[1].bit_count() < g.n:
+        raise DomainError("graph is not connected")
     diameter = max(ecc.values())
     radius = min(ecc.values())
     center = tuple(v for v in g.vertices() if ecc[v] == radius)

@@ -147,17 +147,6 @@ class CutSpine:
         return tuple(reversed(chain))
 
 
-def _is_two_cut(g: Graph, a: int, b: int) -> bool:
-    """Does removing vertices a and b disconnect the graph?"""
-    keep = [v for v in g.vertices() if v != a and v != b]
-    if len(keep) <= 1:
-        return False
-    seen, _ = breadth_first(
-        lambda v: [u for u in g.neighbors(v) if u != a and u != b], (keep[0],)
-    )
-    return len(seen) != len(keep)
-
-
 def _layer_paths(g: Graph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of an induced layer, each a path.
 
@@ -196,7 +185,8 @@ def build_ccs(g: MopGraph) -> CutSpine:
     in layers 1..radius-1 whose endpoints both continue outward (chords
     always; the outer pair too when the layer has exactly two
     vertices), and merged parent pairs over the final layer when the
-    pair is adjacent and verified to be a 2-vertex cut. Red nodes mark
+    pair is a chord, which in a MOP is exactly when the adjacent pair
+    is a 2-vertex cut. Red nodes mark
     single common parents of final-layer groups; a red falling inside a
     same-level green is dropped as redundant.
     """
@@ -250,7 +240,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
             cs = sorted(common)
             if len(cs) == 1:
                 red_candidates.append((cs[0], rad - 1))
-            elif len(cs) == 2 and g.has_edge(cs[0], cs[1]) and _is_two_cut(g, cs[0], cs[1]):
+            elif len(cs) == 2 and g.edge_kind.get((cs[0], cs[1])) == "chord":
                 add_green(cs[0], cs[1], rad - 1)
             else:
                 c = min(cs, key=lambda v: (-g.degree(v), v))

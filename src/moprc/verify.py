@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .core import EdgeColoring, Graph, breadth_first, edge
 from .errors import DomainError, NotACut, ScaleLimit
-from .metrics import bfs, ecc_diam_rad_center
+from .metrics import _balls, bfs, ecc_diam_rad_center
 
 _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
@@ -197,30 +197,16 @@ def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _hub(adj, n: int) -> int:
-    """The vertex of least (eccentricity, degree, label).
-
-    Grows the distance-d ball of every vertex at once, as bitsets over
-    the prepared adjacency, until some ball holds the whole graph: the
-    vertices whose balls do are the centers. When the balls stop
-    growing first, the graph is disconnected, no eccentricity is
-    finite, and every vertex ties.
+def _hub(g: Graph) -> int:
+    """The vertex of least (eccentricity, degree, label): the centers are
+    the first vertices whose balls (`metrics._balls`) hold the whole
+    graph. On a disconnected graph every vertex ties.
     """
-    everyone = (1 << (n + 1)) - 2
-    ball = [1 << v for v in range(n + 1)]
-    while True:
-        centers = [v for v in range(1, n + 1) if ball[v] == everyone]
+    for ball in _balls(g):
+        centers = [v for v in g.vertices() if ball[v].bit_count() == g.n]
         if centers:
             break
-        grown = ball[:]
-        for v in range(1, n + 1):
-            for w, _ in adj[v]:
-                grown[v] |= ball[w]
-        if grown == ball:
-            centers = list(range(1, n + 1))
-            break
-        ball = grown
-    return min(centers, key=lambda v: (len(adj[v]), v))
+    return min(centers or g.vertices(), key=lambda v: (g.degree(v), v))
 
 
 def _open_pairs(masks: list[list[int]], n: int, k: int):
@@ -303,7 +289,7 @@ def is_rainbow_connected(
     adj = _steps(g, edges, bits)
     n = g.n
     max_len = min(n - 1, k)
-    masks = _masks(adj, _hub(adj, n), max_len, cap=_HUB_MASK_CAP)
+    masks = _masks(adj, _hub(g), max_len, cap=_HUB_MASK_CAP)
     pairs = certified = 0
     for u, left in _open_pairs(masks, n, k):
         pairs += n - u

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from moprc import exact_rc, from_canonical, parse_mop
 from moprc.cli import main
 
 MMOP4_TEXT = "MOP 4\n3 1 2\n4 2 3\n"
@@ -88,6 +89,18 @@ def test_exact_search_writes_certificate(workdir, capsys):
     assert "src: 2" in out
     assert main(["verify", "lad_2.mop", "s.colors", "--strong"]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_rc_prints_search_nodes_per_palette_size(workdir, capsys):
+    assert main(["gen", "fan", "7"]) == 0
+    capsys.readouterr()
+    assert main(["rc", "fan_7.mop"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Size 2 is ruled out, so the search reports two node counts.
+    g = from_canonical(parse_mop(Path("fan_7.mop").read_text(encoding="ascii")))
+    expected = exact_rc(g).nodes
+    assert len(expected) == 2
+    assert lines[:2] == ["rc: 3", "nodes: " + " ".join(map(str, expected))]
 
 
 def test_bench_csv_shape(workdir, capsys):

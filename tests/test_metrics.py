@@ -84,10 +84,24 @@ def test_every_mop_edge_lies_in_a_triangle():
         eta(Graph(3, [(1, 2), (2, 3)]))
 
 
+def bfs_ecc(g: Graph) -> dict[int, int]:
+    """Every vertex eccentricity by one `bfs` per vertex: the oracle."""
+    return {v: max(bfs(g, v).dist.values()) for v in g.vertices()}
+
+
+def assert_summary_matches_bfs(g: Graph) -> None:
+    s = ecc_diam_rad_center(g)
+    ref = bfs_ecc(g)
+    assert s.ecc == ref and list(s.ecc) == list(g.vertices())
+    assert (s.diameter, s.radius) == (max(ref.values()), min(ref.values()))
+    assert s.center == tuple(v for v in g.vertices() if ref[v] == s.radius)
+
+
 def test_linear_eccentricities_fixed_values():
-    assert linear_eccentricities(TRIANGLE) == {1: 1, 2: 1, 3: 1}
+    assert linear_eccentricities(TRIANGLE) == bfs_ecc(TRIANGLE) == {1: 1, 2: 1, 3: 1}
     g = lad(5).graph
-    assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
+    assert linear_eccentricities(g) == bfs_ecc(g)
+    assert_summary_matches_bfs(g)
 
 
 def test_linear_eccentricities_build_the_side_map_once(monkeypatch):
@@ -97,20 +111,44 @@ def test_linear_eccentricities_build_the_side_map_once(monkeypatch):
     real = metrics._side_map
     monkeypatch.setattr(metrics, "_side_map", lambda g: calls.append(g) or real(g))
     g = random_mop_graph(30, 4)
-    assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
+    assert linear_eccentricities(g) == bfs_ecc(g)
     assert len(calls) == 1
 
 
 def test_linear_eccentricities_match_oracle_large():
     g = random_mop_graph(200, 99)
-    assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
+    assert linear_eccentricities(g) == bfs_ecc(g)
+    assert_summary_matches_bfs(g)
 
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=2**63))
 @settings(max_examples=60, deadline=None)
 def test_linear_eccentricities_match_oracle(n, seed):
     g = random_mop_graph(n, seed)
-    assert linear_eccentricities(g) == ecc_diam_rad_center(g).ecc
+    assert linear_eccentricities(g) == bfs_ecc(g)
+    assert_summary_matches_bfs(g)
+
+
+NOT_MOPS = {
+    "single vertex": Graph(1, []),
+    "K2": Graph(2, [(1, 2)]),
+    "path": Graph(6, [(i, i + 1) for i in range(1, 6)]),
+    "star": Graph(7, [(4, v) for v in (1, 2, 3, 5, 6, 7)]),
+    "cycle": Graph(7, [(i, i % 7 + 1) for i in range(1, 8)]),
+    "tree": Graph(9, [(1, 2), (1, 3), (2, 4), (2, 5), (5, 6), (3, 7), (7, 8), (8, 9)]),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_MOPS))
+def test_ball_growth_matches_bfs_beyond_mops(name):
+    assert_summary_matches_bfs(NOT_MOPS[name])
+
+
+def test_ball_growth_rejects_disconnected():
+    with pytest.raises(DomainError, match="not connected"):
+        ecc_diam_rad_center(Graph(4, [(1, 2), (3, 4)]))
+    with pytest.raises(DomainError, match="not connected"):
+        ecc_diam_rad_center(Graph(3, [(1, 2)]))
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**63))

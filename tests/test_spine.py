@@ -17,6 +17,7 @@ from moprc import (
     fan,
     from_canonical,
     lad,
+    lad_plus,
     maximal_fans,
     mcs,
     random_mop_graph,
@@ -123,6 +124,15 @@ def test_spine_invariants_on_corpus():
                 assert is_vertex_pair_cut(g, a, b)
             chain = s.ancestors(nd)
             assert chain[0] == s.root and chain[-1] == nd
+
+
+def test_chords_are_exactly_the_adjacent_two_cuts():
+    graphs = [random_mop_graph(n, 4000 + n) for n in range(3, 60, 4)]
+    graphs += [fam(d).graph for d in range(2, 15, 3) for fam in (lad, lad_plus)]
+    graphs += [fan(k).graph for k in (2, 5, 9)]
+    for g in graphs:
+        for a, b in sorted(g.edges):
+            assert (g.edge_kind[(a, b)] == "chord") == is_vertex_pair_cut(g, a, b), (g, a, b)
 
 
 def test_trees_are_identical_across_runs():

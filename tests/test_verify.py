@@ -161,6 +161,36 @@ def assert_matches_per_source_check(g: Graph, colors) -> bool:
     return res.ok
 
 
+HUB_GRAPHS = [
+    K3,
+    P3,
+    Graph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7)]),
+    fan(6).graph,
+    lad(5).graph,
+    lad_plus(4).graph,
+    random_mop_graph(30, 2),
+    random_mop_graph(61, 5),
+]
+
+
+@pytest.mark.parametrize("g", HUB_GRAPHS, ids=repr)
+def test_hub_is_least_eccentricity_degree_label(g):
+    ecc = {v: max(levels(g, v).values()) for v in g.vertices()}
+    assert verify._hub(g) == min(g.vertices(), key=lambda v: (ecc[v], g.degree(v), v))
+
+
+@pytest.mark.parametrize(
+    "g, hub",
+    [
+        (Graph(5, [(1, 2), (1, 3), (4, 5)]), 2),
+        (Graph(4, [(1, 2), (2, 3), (1, 3)]), 4),
+        (Graph(6, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6)]), 5),
+    ],
+)
+def test_hub_on_disconnected_graph_is_least_degree_label(g, hub):
+    assert verify._hub(g) == hub
+
+
 @given(colored_mops())
 @settings(max_examples=150, deadline=None)
 def test_hub_certificate_matches_per_source_check(case):
