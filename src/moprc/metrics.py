@@ -87,6 +87,22 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     return EccentricitySummary(ecc, diameter, radius, center)
 
 
+def central_vertex(g: Graph, center: tuple[int, ...] | None = None) -> int:
+    """The vertex of least (eccentricity, degree, label).
+
+    center: the centers, when the caller already has them. Otherwise
+    they are the first vertices whose balls hold the whole graph, so
+    ball growth stops at the radius. On a disconnected graph every
+    vertex ties.
+    """
+    if center is None:
+        for ball in _balls(g):
+            center = [v for v in g.vertices() if ball[v].bit_count() == g.n]
+            if center:
+                break
+    return min(center or g.vertices(), key=lambda v: (g.degree(v), v))
+
+
 def layers(g: Graph, sources: tuple[int, ...] | int) -> tuple[tuple[int, ...], ...]:
     """Vertices grouped by BFS distance from a source set.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .core import Graph, MopGraph, breadth_first, edge
 from .errors import NotChordal, NotMop
-from .metrics import ecc_diam_rad_center, layers
+from .metrics import central_vertex, ecc_diam_rad_center, layers
 
 
 def mcs(g: Graph) -> tuple[int, ...]:
@@ -192,7 +192,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
     """
     summary = ecc_diam_rad_center(g)
     rad = summary.radius
-    v_r = min(summary.center, key=lambda v: (g.degree(v), v))
+    v_r = central_vertex(g, summary.center)
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
     if rad <= 1:

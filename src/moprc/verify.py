@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .core import EdgeColoring, Graph, breadth_first, edge
 from .errors import DomainError, NotACut, ScaleLimit
-from .metrics import _balls, bfs, ecc_diam_rad_center
+from .metrics import bfs, central_vertex, ecc_diam_rad_center
 
 _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
@@ -197,18 +197,6 @@ def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _hub(g: Graph) -> int:
-    """The vertex of least (eccentricity, degree, label): the centers are
-    the first vertices whose balls (`metrics._balls`) hold the whole
-    graph. On a disconnected graph every vertex ties.
-    """
-    for ball in _balls(g):
-        centers = [v for v in g.vertices() if ball[v].bit_count() == g.n]
-        if centers:
-            break
-    return min(centers or g.vertices(), key=lambda v: (g.degree(v), v))
-
-
 def _open_pairs(masks: list[list[int]], n: int, k: int):
     """Yield (u, the v > u the hub certificate leaves open), u = 1..n-1.
 
@@ -289,7 +277,7 @@ def is_rainbow_connected(
     adj = _steps(g, edges, bits)
     n = g.n
     max_len = min(n - 1, k)
-    masks = _masks(adj, _hub(g), max_len, cap=_HUB_MASK_CAP)
+    masks = _masks(adj, central_vertex(g), max_len, cap=_HUB_MASK_CAP)
     pairs = certified = 0
     for u, left in _open_pairs(masks, n, k):
         pairs += n - u
@@ -363,6 +351,11 @@ class ExactResult:
     nodes: tuple[int, ...]
 
 
+def _check_deadline(deadline) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise ScaleLimit("exact search timed out")
+
+
 def _search_k(
     g: Graph, edges_sorted, k: int, strong: bool, deadline
 ) -> tuple[EdgeColoring | None, int]:
@@ -370,15 +363,20 @@ def _search_k(
 
     DFS in lexicographic edge order with the restricted-growth rule:
     color i may be used only if some earlier edge used color i-1, which
-    kills color-permutation symmetry. Recently failing pairs are
-    re-checked first (against the wildcard relaxation) to prune early.
+    kills color-permutation symmetry.
 
-    Each pair keeps the last walk that the relaxation found for it.
-    While that walk's assigned colors stay pairwise distinct it still
-    proves the pair, so the pair is searched again only once a color
-    breaks it; every prune decision is the one a fresh search would
-    make. Returns the coloring (or None) and the number of DFS nodes.
+    Forward checking against the wildcard relaxation of `_rainbow_walk`:
+    every pair stores one walk whose assigned colors are pairwise
+    distinct, and users[i] lists the pairs whose stored walk uses edge
+    i. Coloring edge i can break only those walks; a broken one is
+    searched again, and the node is pruned when some pair has no walk
+    left. So a node is pruned exactly when the relaxation fails for some
+    pair, whichever pair is checked first, and at a leaf every pair holds
+    a rainbow path. Clearing an edge on backtrack only turns it back into
+    a wildcard, which breaks no stored walk, so nothing is undone.
+    Returns the coloring (or None) and the number of DFS nodes.
     """
+    _check_deadline(deadline)
     m = len(edges_sorted)
     # The steps a walk from each source may take: every edge, or for the
     # strong check only the shortest-path steps.
@@ -388,55 +386,47 @@ def _search_k(
         for u in g.vertices():
             steps[u] = _shortest_steps(g, adj_idx, u)
     bits = [0] * m
-    walks: dict[tuple[int, int], list[int]] = {}
-    watched: list[tuple[int, int]] = []
+    pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
+    # All edges are wildcards, and k is at least the diameter, so every
+    # pair has a walk.
+    walks = [_rainbow_walk(steps[u], bits, u, v, k) for u, v in pairs]
+    users: list[set[int]] = [set() for _ in range(m)]
+    for p, walk in enumerate(walks):
+        for ei in walk:
+            users[ei].add(p)
     ticks = 0
 
-    def joinable(u: int, v: int) -> bool:
-        walk = walks.get((u, v))
-        if walk is not None:
-            mask = 0
+    def consistent(idx: int) -> bool:
+        b = bits[idx]
+        for p in list(users[idx]):
+            walk = walks[p]
             for ei in walk:
-                b = bits[ei]
-                if mask & b:
+                if bits[ei] == b and ei != idx:
                     break
-                mask |= b
             else:
-                return True
-        walk = _rainbow_walk(steps[u], bits, u, v, k)
-        if walk is None:
-            return False
-        walks[(u, v)] = walk
+                continue
+            u, v = pairs[p]
+            found = _rainbow_walk(steps[u], bits, u, v, k)
+            if found is None:
+                return False
+            for ei in walk:
+                users[ei].discard(p)
+            for ei in found:
+                users[ei].add(p)
+            walks[p] = found
         return True
-
-    def first_failing() -> tuple[int, int] | None:
-        for u in range(1, g.n):
-            for v in range(u + 1, g.n + 1):
-                if not joinable(u, v):
-                    return (u, v)
-        return None
 
     def dfs(idx: int, max_used: int) -> bool:
         nonlocal ticks
         ticks += 1
-        if deadline is not None and ticks % 256 == 0 and time.monotonic() > deadline:
-            raise ScaleLimit("exact search timed out")
+        if ticks % 256 == 0:
+            _check_deadline(deadline)
         if idx == m:
-            bad = first_failing()
-            if bad is None:
-                return True
-            if bad not in watched:
-                watched.insert(0, bad)
-                del watched[8:]
-            return False
+            return True
         for c in range(1, min(max_used + 1, k) + 1):
             bits[idx] = 1 << c
-            for u, v in watched:
-                if not joinable(u, v):
-                    break
-            else:
-                if dfs(idx + 1, max(max_used, c)):
-                    return True
+            if consistent(idx) and dfs(idx + 1, max(max_used, c)):
+                return True
             bits[idx] = 0
         return False
 

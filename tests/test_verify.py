@@ -30,6 +30,7 @@ from moprc import (
     random_mop_graph,
 )
 from moprc import verify
+from moprc.metrics import central_vertex
 from moprc._rng import SplitMix64
 
 from conftest import independent_rainbow_ok
@@ -176,7 +177,7 @@ HUB_GRAPHS = [
 @pytest.mark.parametrize("g", HUB_GRAPHS, ids=repr)
 def test_hub_is_least_eccentricity_degree_label(g):
     ecc = {v: max(levels(g, v).values()) for v in g.vertices()}
-    assert verify._hub(g) == min(g.vertices(), key=lambda v: (ecc[v], g.degree(v), v))
+    assert central_vertex(g) == min(g.vertices(), key=lambda v: (ecc[v], g.degree(v), v))
 
 
 @pytest.mark.parametrize(
@@ -188,7 +189,7 @@ def test_hub_is_least_eccentricity_degree_label(g):
     ],
 )
 def test_hub_on_disconnected_graph_is_least_degree_label(g, hub):
-    assert verify._hub(g) == hub
+    assert central_vertex(g) == hub
 
 
 @given(colored_mops())
@@ -315,47 +316,48 @@ def test_exact_result_certificate_and_bounds():
     assert res.ruled_out == (2, 3)
 
 
-# exact_rc / exact_src outputs recorded with the relaxed search that
-# kept no walks: the sha256 of repr((value, ruled_out, sorted
-# certificate)) and the search-tree nodes per palette size tried. A
-# changed certificate or a changed prune decision shows here.
+# exact_rc / exact_src outputs: the sha256 of repr((value, ruled_out,
+# sorted certificate)) and the search-tree nodes per palette size tried.
+# Any sound pruning keeps the first valid leaf in DFS order, so a changed
+# digest means a changed DFS order or an unsound prune; a changed node
+# count means a changed prune decision.
 FROZEN_EXACT = [
     pytest.param(exact_rc, Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)]),
                  "f2d2340715924320acf1030a5ca90c32ab4e15b00c15531523361814284803b6",
-                 (11, 14, 15), id="rc-star5"),
+                 (3, 4, 5), id="rc-star5"),
     pytest.param(exact_rc, fan(8).graph,
                  "d8326c59e2f77ff168b809af094e75f9f790ccc880b9d5a917a87b701767d9d0",
-                 (1011, 52), id="rc-fan8"),
+                 (356, 16), id="rc-fan8"),
     pytest.param(exact_rc, fan(10).graph,
                  "ad5e67dcf3d1d7f50dc7329a851117790246c50e091f9ddb49b2198511fdbd01",
-                 (2395, 87), id="rc-fan10"),
+                 (356, 20), id="rc-fan10"),
     pytest.param(exact_rc, random_mop_graph(9, 1),
                  "0d18abcf56411b29465d050d5ed05011c8c607c79deae4a24865d305b6f15bb9",
-                 (96,), id="rc-random9_1"),
+                 (16,), id="rc-random9_1"),
     pytest.param(exact_rc, random_mop_graph(9, 2),
                  "ddc9dcba65c4132018b5af3d2246fb8d2cc535a1645207d1ec26e1a561dd754e",
-                 (193,), id="rc-random9_2"),
+                 (47,), id="rc-random9_2"),
     pytest.param(exact_rc, random_mop_graph(10, 1),
                  "8bcaf3f35f32d9a17584a96db23986fc2ed3cfa071d8f39e952a49ac541c3477",
-                 (170,), id="rc-random10_1"),
+                 (18,), id="rc-random10_1"),
     pytest.param(exact_rc, random_mop_graph(10, 2),
                  "289a023b2ed5db33ad1fe25de48c35ef91c04e455108047601123d329c96cf80",
-                 (136,), id="rc-random10_2"),
+                 (22,), id="rc-random10_2"),
     pytest.param(exact_rc, random_mop_graph(11, 1),
                  "5980abd61f0bcfdd710a89f2bff0f24a17b6f6d1755084ed2994e2655ed75cf1",
-                 (8038,), id="rc-random11_1"),
+                 (1303,), id="rc-random11_1"),
     pytest.param(exact_rc, random_mop_graph(11, 2),
                  "d8c13c9b168872f011045a4c794dd1c43156bf3eac18bdddeb1a6f3338b86801",
-                 (240,), id="rc-random11_2"),
+                 (38,), id="rc-random11_2"),
     pytest.param(exact_src, fan(8).graph,
                  "18a43c15f24ec68444bea4e15679a6805aa49fd588c52b5f0a435391ea4c8bd1",
-                 (1011, 415), id="src-fan8"),
+                 (356, 129), id="src-fan8"),
     pytest.param(exact_src, lad(4).graph,
                  "25a62fff444437157583cabaa0aac62dafd5ebacf880b23a3dae671aba4becaf",
-                 (49,), id="src-lad4"),
+                 (14,), id="src-lad4"),
     pytest.param(exact_src, random_mop_graph(8, 1),
                  "b9db01d7739a499ee148aae1ad355ad9d953659c55d93ee94ea28e8f9fd9b57c",
-                 (50,), id="src-random8_1"),
+                 (14,), id="src-random8_1"),
 ]
 
 
@@ -372,9 +374,65 @@ def test_exact_search_respects_caps():
     with pytest.raises(ScaleLimit):
         exact_rc(random_mop_graph(30, 1))
     with pytest.raises(ScaleLimit):
-        # The two-color attempt on a wide fan burns well past the
-        # deadline check interval before it can be refuted.
         exact_rc(fan(10).graph, timeout_s=0.0)
+    with pytest.raises(ScaleLimit):
+        # The deadline is checked as each palette size starts, so even a
+        # search that would end before its 256th node times out.
+        exact_rc(K3, timeout_s=0.0)
+
+
+def restricted_growth_colorings(m: int, k: int):
+    """Colorings of m edges with colors 1..k in the exact search's DFS
+    order: edge i takes colors ascending, each at most one above the
+    largest color before it."""
+    def grow(prefix, top):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for c in range(1, min(top + 1, k) + 1):
+            yield from grow(prefix + [c], max(top, c))
+
+    yield from grow([], 0)
+
+
+DFS_ORDER_GRAPHS = {
+    "K3": K3,
+    "P3": P3,
+    "C4": cycle(4),
+    "C5": cycle(5),
+    "C6": cycle(6),
+    "star5": Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)]),
+    "fan5": fan(5).graph,
+    "lad2": lad(2).graph,
+    "lad3": lad(3).graph,
+    "lad_plus2": lad_plus(2).graph,
+    "random6_1": random_mop_graph(6, 1),
+    "random6_2": random_mop_graph(6, 2),
+}
+
+
+@pytest.mark.parametrize("g", DFS_ORDER_GRAPHS.values(), ids=DFS_ORDER_GRAPHS.keys())
+@pytest.mark.parametrize(
+    "solver, check",
+    [(exact_rc, is_rainbow_connected), (exact_src, is_strong_rainbow_connected)],
+    ids=["rc", "src"],
+)
+def test_exact_certificate_is_first_valid_coloring_in_dfs_order(g, solver, check):
+    res = solver(g)
+    edges = sorted(g.edges)
+    first = next(
+        colors
+        for colors in restricted_growth_colorings(len(edges), res.value)
+        if check(g, EdgeColoring(dict(zip(edges, colors)))).ok
+    )
+    assert res.certificate.colors == dict(zip(edges, first))
+
+
+def test_strong_exact_search_on_fan10():
+    # Once 257 s and 10.9 M nodes; forward checking needs about 108 k.
+    res = exact_src(fan(10).graph, timeout_s=60)
+    assert res.value == 4
+    assert res.ruled_out == (2, 3)
 
 
 def test_small_cut_enumeration():
