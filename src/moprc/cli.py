@@ -157,6 +157,7 @@ def _cmd_rc(args) -> int:
     name = "src" if args.strong else "rc"
     print(f"{name}: {result.value}")
     print("nodes: " + " ".join(str(k) for k in result.nodes))
+    print("seconds: " + " ".join(f"{s:.4f}" for s in result.seconds))
     out = args.out or f"{Path(args.mop).stem}_cert.colors"
     Path(out).write_text(write_coloring(g, result.certificate), encoding="ascii")
     print(f"wrote {out}")

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import EdgeColoring, Graph, breadth_first, edge
 from .errors import DomainError, NotACut, ScaleLimit
-from .metrics import bfs, central_vertex, ecc_diam_rad_center
+from .metrics import central_vertex, ecc_diam_rad_center
 
 _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
@@ -70,13 +70,20 @@ def _steps(g: Graph, edges_sorted, labels) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(row) for row in rows]
 
 
+def _levels(g: Graph, s: int) -> list[int]:
+    """Per vertex, its graph distance from s; sys.maxsize if s cannot reach it."""
+    dist, _ = breadth_first(g.neighbors, (s,))
+    return [dist.get(x, sys.maxsize) for x in range(g.n + 1)]
+
+
 def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]]:
     """The steps that lead one BFS level further from u.
 
     Rows may hold any steps whose first entry is the neighbor. A walk
-    from u over the kept steps is a shortest path.
+    from u over the kept steps is a shortest path. Vertices u cannot
+    reach keep no steps.
     """
-    level = bfs(g, u).dist
+    level = _levels(g, u)
     return [()] + [
         tuple(st for st in steps[x] if level[st[0]] == level[x] + 1) for x in g.vertices()
     ]
@@ -145,7 +152,7 @@ def _masks(
     return best
 
 
-def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int) -> list[int] | None:
+def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int, far) -> list[int] | None:
     """Edge indices of a u..v walk that a partial coloring may make
     rainbow, listed from v back to u, or None.
 
@@ -157,14 +164,22 @@ def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int) -> list[int] | None:
     first one the search finds. None means that no completion of the
     partial coloring can join v to u. With every edge assigned, the
     walk is a rainbow path: a state that revisits a vertex is dominated.
+
+    far is `_levels(g, v)`: a step to x is dropped when far[x] exceeds the
+    edges left after it. The states at x come in order of depth, so once
+    one is dropped every later one is too. No kept state is then
+    dominated by a dropped one, and the walk found is the one the search
+    without the pruning finds.
     """
     best: list[list[int]] = [[] for _ in adj_idx]
     best[u].append(0)
     frontier: list[tuple[int, int, tuple | None]] = [(u, 0, None)]
-    for _ in range(k):
+    for left in range(k - 1, -1, -1):
         nxt = []
         for x, mask, trail in frontier:
             for w, ei in adj_idx[x]:
+                if far[w] > left:
+                    continue
                 b = bits[ei]
                 if mask & b:
                     continue
@@ -329,7 +344,7 @@ def rainbow_witness(
     steps = _steps(g, edges, range(len(edges)))
     if strong:
         steps = _shortest_steps(g, steps, u)
-    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, k))
+    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, k), _levels(g, v))
     return None if walk is None else _walk_path(edges, walk, u)
 
 
@@ -341,7 +356,8 @@ class ExactResult:
     diameter lower bound together with the exhausted sizes listed in
     ruled_out (the sizes the search actually tried and refuted).
     nodes: the search-tree nodes visited for each palette size tried,
-    in the order ruled_out + (value,).
+    in the order ruled_out + (value,). seconds: the wall time of each
+    of those sizes, in the same order; it takes no part in equality.
     """
 
     value: int
@@ -349,6 +365,7 @@ class ExactResult:
     infeasible_below: int
     ruled_out: tuple[int, ...]
     nodes: tuple[int, ...]
+    seconds: tuple[float, ...] = field(compare=False)
 
 
 def _check_deadline(deadline) -> None:
@@ -368,12 +385,15 @@ def _search_k(
     Forward checking against the wildcard relaxation of `_rainbow_walk`:
     every pair stores one walk whose assigned colors are pairwise
     distinct, and users[i] lists the pairs whose stored walk uses edge
-    i. Coloring edge i can break only those walks; a broken one is
-    searched again, and the node is pruned when some pair has no walk
-    left. So a node is pruned exactly when the relaxation fails for some
-    pair, whichever pair is checked first, and at a leaf every pair holds
-    a rainbow path. Clearing an edge on backtrack only turns it back into
-    a wildcard, which breaks no stored walk, so nothing is undone.
+    i. Coloring edge i can break only those walks. A broken walk gives
+    way to the pair's spare, the walk it last replaced, when the spare's
+    assigned colors are still distinct, and otherwise to a new search;
+    the node is pruned when some pair has no walk left. A valid spare
+    only saves a search that would have found some walk. So a node is
+    pruned exactly when the relaxation fails for some pair, whichever
+    pair is checked first, and at a leaf every pair holds a rainbow
+    path. Clearing an edge on backtrack only turns it back into a
+    wildcard, which breaks no stored walk, so nothing is undone.
     Returns the coloring (or None) and the number of DFS nodes.
     """
     _check_deadline(deadline)
@@ -385,35 +405,47 @@ def _search_k(
     if strong:
         for u in g.vertices():
             steps[u] = _shortest_steps(g, adj_idx, u)
+    far = [[]] + [_levels(g, v) for v in g.vertices()]
     bits = [0] * m
     pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
     # All edges are wildcards, and k is at least the diameter, so every
     # pair has a walk.
-    walks = [_rainbow_walk(steps[u], bits, u, v, k) for u, v in pairs]
+    walks = [_rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
+    # The walk each pair last replaced, tried before a new search.
+    spares: list[list[int] | None] = [None] * len(pairs)
     users: list[set[int]] = [set() for _ in range(m)]
     for p, walk in enumerate(walks):
         for ei in walk:
             users[ei].add(p)
     ticks = 0
 
+    def rainbow(walk: list[int]) -> bool:
+        """Whether the walk's assigned colors are pairwise distinct."""
+        mask = 0
+        for ei in walk:
+            b = bits[ei]
+            if mask & b:
+                return False
+            mask |= b
+        return True
+
     def consistent(idx: int) -> bool:
-        b = bits[idx]
         for p in list(users[idx]):
             walk = walks[p]
-            for ei in walk:
-                if bits[ei] == b and ei != idx:
-                    break
-            else:
+            if rainbow(walk):
                 continue
-            u, v = pairs[p]
-            found = _rainbow_walk(steps[u], bits, u, v, k)
-            if found is None:
-                return False
+            found = spares[p]
+            if found is None or not rainbow(found):
+                u, v = pairs[p]
+                found = _rainbow_walk(steps[u], bits, u, v, k, far[v])
+                if found is None:
+                    return False
             for ei in walk:
                 users[ei].discard(p)
             for ei in found:
                 users[ei].add(p)
             walks[p] = found
+            spares[p] = walk
         return True
 
     def dfs(idx: int, max_used: int) -> bool:
@@ -447,11 +479,14 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
     ruled: list[int] = []
     nodes: list[int] = []
+    seconds: list[float] = []
     for k in range(summary.diameter, g.m + 1):
+        t0 = time.perf_counter()
         cert, visited = _search_k(g, sorted(g.edges), k, strong, deadline)
+        seconds.append(time.perf_counter() - t0)
         nodes.append(visited)
         if cert is not None:
-            return ExactResult(k, cert, k - 1, tuple(ruled), tuple(nodes))
+            return ExactResult(k, cert, k - 1, tuple(ruled), tuple(nodes), tuple(seconds))
         ruled.append(k)
     raise AssertionError("all-distinct coloring must be feasible")
 

@@ -101,6 +101,10 @@ def test_rc_prints_search_nodes_per_palette_size(workdir, capsys):
     expected = exact_rc(g).nodes
     assert len(expected) == 2
     assert lines[:2] == ["rc: 3", "nodes: " + " ".join(map(str, expected))]
+    # One wall time per palette size, in the order of the node counts.
+    label, *seconds = lines[2].split(" ")
+    assert label == "seconds:" and len(seconds) == len(expected)
+    assert all(float(s) >= 0 for s in seconds)
 
 
 def test_bench_csv_shape(workdir, capsys):

@@ -245,8 +245,10 @@ def test_strong_check_and_witnesses_match_per_source_search(case):
 
 def test_disconnected_graph_fails_at_first_split_pair():
     g = Graph(4, [(1, 2), (3, 4)])
-    res = is_rainbow_connected(g, EdgeColoring({(1, 2): 1, (3, 4): 1}))
-    assert (res.ok, res.counterexample, res.pairs_checked) == (False, (1, 3), 3)
+    coloring = EdgeColoring({(1, 2): 1, (3, 4): 1})
+    for check in (is_rainbow_connected, is_strong_rainbow_connected):
+        res = check(g, coloring)
+        assert (res.ok, res.counterexample, res.pairs_checked) == (False, (1, 3), 3)
 
 
 def test_verdicts_match_independent_path_enumeration():
@@ -314,6 +316,10 @@ def test_exact_result_certificate_and_bounds():
     res = exact_rc(star)
     assert res.value == 4
     assert res.ruled_out == (2, 3)
+    # One wall time per palette size tried; timings take no part in equality.
+    assert len(res.seconds) == len(res.nodes) == 3
+    assert all(s >= 0 for s in res.seconds)
+    assert exact_rc(star) == res
 
 
 # exact_rc / exact_src outputs: the sha256 of repr((value, ruled_out,
@@ -433,6 +439,128 @@ def test_strong_exact_search_on_fan10():
     res = exact_src(fan(10).graph, timeout_s=60)
     assert res.value == 4
     assert res.ruled_out == (2, 3)
+
+
+def plain_rainbow_walk(adj_idx, bits, u, v, k):
+    """`verify._rainbow_walk` without its distance pruning, for comparison."""
+    best = [[] for _ in adj_idx]
+    best[u].append(0)
+    frontier = [(u, 0, None)]
+    for _ in range(k):
+        nxt = []
+        for x, mask, trail in frontier:
+            for w, ei in adj_idx[x]:
+                b = bits[ei]
+                if mask & b:
+                    continue
+                nm = mask | b
+                bw = best[w]
+                for old in bw:
+                    if old & nm == old:
+                        break
+                else:
+                    if w == v:
+                        walk = [ei]
+                        while trail is not None:
+                            ei_back, trail = trail
+                            walk.append(ei_back)
+                        return walk
+                    bw.append(nm)
+                    nxt.append((w, nm, (ei, trail)))
+        if not nxt:
+            break
+        frontier = nxt
+    return None
+
+
+class CountedBits(list):
+    """A list of color bits that counts its reads: one per step tried."""
+
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def walk_and_reads(kernel, adj_idx, bits, *args):
+    """What the walk kernel returns, and the steps it tried."""
+    counted = CountedBits(bits)
+    return kernel(adj_idx, counted, *args), counted.reads
+
+
+@st.composite
+def partial_walk_cases(draw):
+    n = draw(st.integers(3, 20))
+    g = random_mop_graph(n, draw(st.integers(0, 2**32)))
+    edges = sorted(g.edges)
+    top = draw(st.integers(1, 8))
+    # Color 0 leaves an edge unassigned: a wildcard bit of 0.
+    bits = [0 if c == 0 else 1 << c for c in (draw(st.integers(0, top)) for _ in edges)]
+    u = draw(st.integers(1, n))
+    v = draw(st.integers(1, n).filter(lambda x: x != u))
+    k = draw(st.integers(levels(g, u)[v], n - 1))
+    return g, edges, bits, u, v, k, draw(st.booleans())
+
+
+@given(partial_walk_cases())
+@settings(max_examples=300, deadline=None)
+def test_pruned_walk_kernel_matches_the_unpruned_one(case):
+    g, edges, bits, u, v, k, shortest = case
+    steps = verify._steps(g, edges, range(len(edges)))
+    if shortest:
+        steps = verify._shortest_steps(g, steps, u)
+    plain, plain_reads = walk_and_reads(plain_rainbow_walk, steps, bits, u, v, k)
+    far = verify._levels(g, v)
+    walk, reads = walk_and_reads(verify._rainbow_walk, steps, bits, u, v, k, far)
+    assert walk == plain
+    assert reads <= plain_reads
+
+
+def test_exact_search_walk_searches_on_random14(monkeypatch):
+    # Every walk search the exact search makes returns what the unpruned
+    # kernel returns; the distance pruning tries fewer than half of its
+    # steps. Re-searching each broken walk from scratch made 14,847
+    # searches; trying the pair's spare walk first leaves 9,940.
+    kernel = verify._rainbow_walk
+    calls = pruned_reads = plain_reads = 0
+
+    def counted(adj_idx, bits, u, v, k, far):
+        nonlocal calls, pruned_reads, plain_reads
+        plain, reads = walk_and_reads(plain_rainbow_walk, adj_idx, bits, u, v, k)
+        walk, pruned = walk_and_reads(kernel, adj_idx, bits, u, v, k, far)
+        assert walk == plain
+        calls += 1
+        plain_reads += reads
+        pruned_reads += pruned
+        return walk
+
+    monkeypatch.setattr(verify, "_rainbow_walk", counted)
+    res = exact_rc(random_mop_graph(14, 1))
+    assert res.nodes == (2147,)
+    assert calls == 9940 < 14847
+    assert (pruned_reads, plain_reads) == (262872, 639175)
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_witness_at_the_length_limit_and_across_components(strong):
+    # The walk kernel searches min(n - 1, colors) edges. A path on five
+    # vertices meets the n - 1 limit and a 3-colored 6-cycle the color
+    # limit, each with a pair exactly that far apart.
+    path5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    rainbow = EdgeColoring({(1, 2): 1, (2, 3): 2, (3, 4): 3, (4, 5): 4})
+    assert rainbow_witness(path5, rainbow, 1, 5, strong=strong) == (1, 2, 3, 4, 5)
+    c6 = cycle(6)
+    colors = {edge(i, i % 6 + 1): (i - 1) % 3 + 1 for i in range(1, 7)}
+    assert rainbow_witness(c6, EdgeColoring(colors), 1, 4, strong=strong) == (1, 2, 3, 4)
+    # Vertices in other components are farther than any walk; a
+    # disconnected graph yields None, not an error.
+    split = Graph(4, [(1, 2), (3, 4)])
+    mono = EdgeColoring({(1, 2): 1, (3, 4): 1})
+    assert rainbow_witness(split, mono, 1, 3, strong=strong) is None
+    assert rainbow_witness(split, mono, 4, 3, strong=strong) == (4, 3)
 
 
 def test_small_cut_enumeration():
