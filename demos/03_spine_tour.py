@@ -5,7 +5,9 @@ is a most-central vertex, green nodes stand for chords whose endpoints
 form a 2-vertex cut, and red nodes mark hub vertices of fan-shaped
 regions in the outermost layer. Each node "realizes" back into the
 graph as two edge-disjoint paths from the root, which is what the
-staged coloring later exploits.
+staged coloring later exploits. A node may have no long path that fits
+the coloring's reserve of colors; the coloring then takes its layered
+form instead.
 
 Run:  python3 demos/03_spine_tour.py
 """
@@ -32,10 +34,10 @@ def show(node, depth):
 
 show(spine.root, 0)
 
-print("leaf realizations (two edge-disjoint root paths each):")
+print("leaf realizations (short / long root paths, edge-disjoint):")
 for leaf in spine.leaves():
     short, long_ = realize_paths(g, spine, leaf)
-    print(f"  {leaf.kind}{leaf.realization}: {short} / {long_}")
+    print(f"  {leaf.kind}{leaf.realization}: {short} / {long_ or 'no long path fits'}")
 
 print()
 print("DOT rendering (pipe into `dot -Tpng` if graphviz is installed):")

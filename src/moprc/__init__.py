@@ -34,7 +34,6 @@ from .errors import (
     NotACut,
     NotChordal,
     NotMop,
-    PaletteExhausted,
     ScaleLimit,
 )
 from .files import (
@@ -97,7 +96,6 @@ __all__ = [
     "NotACut",
     "NotChordal",
     "NotMop",
-    "PaletteExhausted",
     "ScaleLimit",
     "SpineNode",
     "ValidationReport",

@@ -9,8 +9,9 @@ The palette is laid out in fixed bands, writing each edge at most once
   paths are BFS-tree paths, the color of a shared edge never depends on
   which path claimed it.
 * 4, then radius+5 .. 3*radius: long realization paths. The root spoke
-  is 4; each deeper edge takes the smallest reserve color not yet on
-  its own path.
+  is 4; each deeper edge takes the least-used reserve color not yet on
+  its own path. `realize_paths` only returns a long path whose edges
+  after the root spoke fit the reserve, so a free color always exists.
 * 1, 2, 3: fans around the realization vertices of every non-root
   spine node (spokes alternate 1/2, fan path edges get 3), and finally
   3 for anything left over.
@@ -21,9 +22,11 @@ high band), a pair edge (6) bridges between a node's two realization
 vertices, and fan spokes (1/2, with 3 to sidestep a parity clash) cover
 the first hop onto the spine.
 
-That argument is not a proof for every MOP, so the staged coloring is
-checked once, by the exact checker. When the check fails, the coloring
-is replaced as a whole by `_layered`, which spends three colors per BFS
+That argument is not a proof for every MOP, so the staged coloring has
+one exit. When some spine node has no long path that fits the reserve,
+the staged construction gives up; otherwise it is checked once, by the
+exact checker. When it gives up or fails the check, the coloring is
+replaced as a whole by `_layered`, which spends three colors per BFS
 layer and is rainbow connected by construction (see its docstring).
 The staged coloring is kept whenever it passes: on strips the checker
 proves it far faster than the layered one, and on some small graphs it
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import EdgeColoring, MopGraph, edge
-from .errors import NotMop, PaletteExhausted
+from .errors import NotMop
 from .generators import fan_coloring
 from .spine import (
     CutSpine,
@@ -59,7 +62,8 @@ class ColoringStats:
     negative and never exceeds radius - 2. staged_valid tells whether
     the staged coloring was returned: it passed its one exact check, or
     the radius is at most 1 and the fan scheme applies. When it is
-    False, the layered fallback was returned instead.
+    False, the layered fallback was returned instead, because the staged
+    coloring failed its check or some long path did not fit the reserve.
     """
 
     radius: int
@@ -86,23 +90,18 @@ def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> No
     create a new monochromatic vertex there).
     """
     flip = {1: 2, 2: 1, 3: 1}
-    for _ in range(2):
-        changed = False
-        for v in g.vertices():
-            inc = [edge(v, u) for u in g.neighbors(v)]
-            if len(inc) < 2 or len({colors[e] for e in inc}) > 1:
-                continue
+    for v in g.vertices():
+        inc = [edge(v, u) for u in g.neighbors(v)]
+        if len(inc) < 2 or len({colors[e] for e in inc}) > 1:
+            continue
 
-            def variety(e: tuple[int, int]) -> tuple[int, int]:
-                w = e[0] if e[1] == v else e[1]
-                seen = {colors[edge(w, u)] for u in g.neighbors(w)}
-                return (len(seen), g.degree(w))
+        def variety(e: tuple[int, int]) -> tuple[int, int]:
+            w = e[0] if e[1] == v else e[1]
+            seen = {colors[edge(w, u)] for u in g.neighbors(w)}
+            return (len(seen), g.degree(w))
 
-            target = max(inc, key=variety)
-            colors[target] = flip.get(colors[target], 3)
-            changed = True
-        if not changed:
-            return
+        target = max(inc, key=variety)
+        colors[target] = flip.get(colors[target], 3)
 
 
 def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
@@ -165,8 +164,9 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     Uses at most 3 * radius colors (at most 3 when the radius is 1).
     Deterministic: the same graph always yields the same coloring.
     Above radius 1 the staged coloring is checked once, exactly, and
-    returned when it passes; otherwise the layered coloring, rainbow
-    connected by construction, is returned.
+    returned when it passes. When it fails, or when some spine node has
+    no long path that fits the reserve (then no check is made), the
+    layered coloring, rainbow connected by construction, is returned.
     """
     spine = build_ccs(g)
     rad = spine.radius
@@ -189,13 +189,14 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
 
     # Realization paths, level by level: every short path of a level
     # claims its edges before that level's long paths run, and long
-    # paths are re-routed around everything the low band has claimed so
-    # far, so the two bands stay disjoint even when realization
-    # vertices chain across nodes (the reserve is wide enough for the
-    # detours).  At radius 2 every realization path is a single root
-    # spoke, and fixing spokes by node role would let chains of
-    # overlapping pairs paint long runs of layer 1 with one color; the
-    # alternating root fan below handles that radius on its own.
+    # paths are routed around everything the low band has claimed so
+    # far whenever such a route fits the reserve, so the two bands stay
+    # disjoint even when realization vertices chain across nodes.  A
+    # node with no long path that fits ends the staged construction
+    # (see `realize_paths`).  At radius 2 every realization path is a
+    # single root spoke, and fixing spokes by node role would let chains
+    # of overlapping pairs paint long runs of layer 1 with one color;
+    # the alternating root fan below handles that radius on its own.
     reserve = list(range(rad + 5, 3 * rad + 1))
     usage = {c: 0 for c in reserve}
     ordered = sorted(spine.nodes[1:], key=lambda nd: (nd.level, nd.realization))
@@ -215,6 +216,9 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
                     low_claimed.add(e)
         for node in batch:
             long_ = realize_paths(g, spine, node, frozenset(low_claimed))[1]
+            if long_ is None:
+                coloring = _layered(g, spine)
+                return coloring, _stats(rad, coloring, False)
             longs[node] = long_
             on_path = set()
             for i in range(len(long_) - 1):
@@ -231,20 +235,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
                     pick = 6
                 else:
                     # Spread reserve colors evenly so different long
-                    # paths rarely lean on the same one. When the
-                    # reserve is spent, fall back on the layer-1
-                    # color: short paths never carry it, so one such
-                    # edge per path stays safe.
-                    free = [c for c in reserve if c not in on_path]
-                    if free:
-                        pick = min(free, key=lambda c: (usage[c], c))
-                        usage[pick] += 1
-                    elif 6 not in on_path:
-                        pick = 6
-                    else:
-                        raise PaletteExhausted(
-                            f"no reserve color left for edge {e} on path {long_}"
-                        )
+                    # paths rarely lean on the same one. The path fits
+                    # the reserve, so a free color is always left.
+                    pick = min(
+                        (c for c in reserve if c not in on_path),
+                        key=lambda c: (usage[c], c),
+                    )
+                    usage[pick] += 1
                 colors[e] = pick
                 on_path.add(pick)
                 if colors[e] == 5 or colors[e] > 6:

@@ -49,7 +49,3 @@ class NotACut(MoprcError):
 
 class ScaleLimit(MoprcError):
     """An exhaustive routine was asked to run beyond its configured caps."""
-
-
-class PaletteExhausted(MoprcError):
-    """The staged palette ran out of colors; signals a spine-construction bug."""

@@ -4,11 +4,12 @@ A cut spine hangs off a central root vertex and records, layer by
 layer, where the graph can be pinched apart: green nodes are 2-vertex
 cuts (adjacent pairs), red nodes are single cut-ish vertices, and the
 root is the chosen center. The spine drives the staged rainbow
-coloring: every leaf gets two edge-disjoint realization paths from the
-root, one short (a BFS tree path) and one long (threaded through the
-other endpoint of each green ancestor). The routing data those paths
-share (the short paths themselves and the fixed-color tagged edges) is
-built once with the spine, as its `routes`.
+coloring: every leaf gets a short realization path from the root (a
+BFS tree path) and, when one fits the coloring's reserve of colors, an
+edge-disjoint long one (threaded through the other endpoint of each
+green ancestor). The routing data those paths share (the short paths
+themselves and the fixed-color tagged edges) is built once with the
+spine, as its `routes`.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -398,7 +399,7 @@ def realize_paths(
     spine: CutSpine,
     node: SpineNode,
     avoid: frozenset[tuple[int, int]] = frozenset(),
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """The (short, long) realization paths of a spine node.
 
     Both start at the root vertex; the short path ends at the node's
@@ -407,14 +408,10 @@ def realize_paths(
     rail-tree path, so it has fewer than radius edges. The long path is
     the lexicographically first shortest route from the root (see
     `_route`) that stays off the short path and the node's own pair
-    edge, that also stays off the `avoid` edges whenever some route can
-    (at the price of extra length), and whose edges after the first fit
-    the reserve band. A route that does not fit drops its root spoke,
-    and the search runs again. When no route fits at all, the long path
-    is the plain first shortest route, and each edge it then shares
-    with the short path is detoured through the smallest-labelled
-    common neighbor of its ends; a detour that meets the path again
-    cuts out the loop it closes.
+    edge, and also off the `avoid` edges when that route fits the
+    reserve band; otherwise the route without `avoid` is taken when it
+    fits. When neither fits, the long path is None and the staged
+    coloring gives way to the layered one.
     """
     v_r = spine.root_vertex
     if node.kind == "root":
@@ -422,8 +419,9 @@ def realize_paths(
     primary, secondary = primary_secondary(g, node)
     routes = spine.routes
     short = routes.shorts[node]
-    short_edges = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
-    own = short_edges | ({edge(primary, secondary)} if node.kind == "green" else set())
+    own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
+    if node.kind == "green":
+        own.add(edge(primary, secondary))
 
     def fits_reserve(seg: tuple[int, ...]) -> bool:
         # Edges after the first either hold a level-indexed pair color
@@ -435,31 +433,8 @@ def realize_paths(
         )
         return need <= 2 * spine.radius - 4
 
-    for hard in (own | avoid, own):
-        banned = set(hard)
-        while True:
-            seg = _route(g, v_r, secondary, banned, routes.tagged)
-            if seg is None:
-                break
-            if fits_reserve(seg):
-                return short, seg
-            banned.add(edge(v_r, seg[1]))
-
-    seg = _route(g, v_r, secondary, set(), frozenset())
-    if seg is None:
-        raise AssertionError("graph is connected; routing cannot fail outright")
-    long_ = list(seg)
-    for _ in range(4 * g.n):
-        shared_at = [
-            i for i in range(len(long_) - 1) if edge(long_[i], long_[i + 1]) in short_edges
-        ]
-        if not shared_at:
-            break
-        i = shared_at[-1]
-        w = min(g.common_neighbors(long_[i], long_[i + 1]))
-        long_.insert(i + 1, w)
-        if long_.count(w) > 1:
-            j1 = long_.index(w)
-            j2 = len(long_) - 1 - long_[::-1].index(w)
-            long_ = long_[: j1 + 1] + long_[j2 + 1 :]
-    return short, tuple(long_)
+    for banned in (own | avoid, own):
+        seg = _route(g, v_r, secondary, banned, routes.tagged)
+        if seg is not None and fits_reserve(seg):
+            return short, seg
+    return short, None

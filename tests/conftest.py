@@ -2,19 +2,14 @@
 
 Everything here is deliberately written from scratch against the plain
 Graph interface (neighbor lists only), so the library's own search
-code is never trusted to check itself. The one exception is the
-`route_log` fixture, a call log around the long-path router that lets
-tests assert which routing case a pinned input reaches.
+code is never trusted to check itself.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-import pytest
-
-import moprc.spine
-from moprc import Graph, edge
+from moprc import Graph
 
 
 def all_simple_paths(g: Graph, u: int, v: int, max_len: int | None = None):
@@ -150,43 +145,3 @@ def unlabeled_trees(max_edges: int):
             if k not in seen:
                 seen[k] = (nv, edges)
     return list(seen.values())
-
-
-@pytest.fixture
-def route_log(monkeypatch):
-    """Every `spine._route` call, as (banned, tagged, route) in call order.
-
-    banned is copied at the call, since the router's callers grow one
-    set between calls.
-    """
-    calls = []
-    route = moprc.spine._route
-
-    def logged(g, src, dst, banned, tagged):
-        seg = route(g, src, dst, banned, tagged)
-        calls.append((frozenset(banned), tagged, seg))
-        return seg
-
-    monkeypatch.setattr(moprc.spine, "_route", logged)
-    return calls
-
-
-def route_cases(calls, root: int, long_: tuple[int, ...]) -> set[str]:
-    """The routing cases that one `realize_paths` call reached.
-
-    calls are that realization's `route_log` entries and long_ its long
-    path. "retry": a pass dropped a root spoke whose route did not fit
-    the reserve and routed again. "unconstrained": no pass found a
-    route, so the plain route (nothing banned or tagged) ran.
-    "detour": an apex detour changed that plain route.
-    """
-    cases = set()
-    for (banned, _, seg), (after, _, _) in zip(calls, calls[1:]):
-        if seg is not None and after == banned | {edge(root, seg[1])}:
-            cases.add("retry")
-    for banned, tagged, seg in calls:
-        if not banned and not tagged:
-            cases.add("unconstrained")
-            if seg != long_:
-                cases.add("detour")
-    return cases

@@ -214,6 +214,8 @@ def test_acceptance_6_spine_cut_validity():
                 bad.append((n, 7000 + t, "cut", nd.realization))
         for leaf in spine.leaves():
             short, long_ = realize_paths(g, spine, leaf)
+            if long_ is None:  # no long path fits; the coloring goes layered
+                continue
             se = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
             le = {edge(long_[i], long_[i + 1]) for i in range(len(long_) - 1)}
             if se & le:
