@@ -28,9 +28,11 @@ the staged construction gives up; otherwise it is checked once, by the
 exact checker. When it gives up or fails the check, the coloring is
 replaced as a whole by `_layered`, which spends three colors per BFS
 layer and is rainbow connected by construction (see its docstring).
-The staged coloring is kept whenever it passes: on strips the checker
-proves it far faster than the layered one, and on some small graphs it
-uses fewer colors.
+The staged coloring is kept whenever it passes, because on strips the
+checker proves it far faster than the layered one. It seldom saves
+colors: of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60)
+it passes on 719, and there uses one color fewer than `_layered` on 3
+and one more on 66 (7,594 colors in all, against 7,531 for `_layered`).
 
 Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 2, or 3 colors depending on size) directly.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from .core import EdgeColoring, Graph, breadth_first, edge
@@ -34,8 +35,9 @@ _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
 # Masks the hub search keeps per vertex. A full antichain can grow
 # exponentially with the palette; a truncated one only leaves more
-# pairs to the exhaustive search, so the verdict stays exact. A
-# multiple of 8, because each vertex gets a lane of this many bits.
+# pairs to the exhaustive search, so the verdict stays exact. One
+# array item: 8, 16, 32 or 64 bits, because each vertex gets a lane of
+# this many bits.
 _HUB_MASK_CAP = 32
 
 
@@ -222,9 +224,15 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
     mask a of u, the OR of clash[b] over the bits b of a marks the slots
     that do not prove a pair with a; v stays open exactly when, ANDed
     over all masks of u, its lane is still full.
+
+    Row u starts from the lanes of v > u only, and stops ANDing once no
+    lane is full, tested after masks 1, 2, 4, 8, ...: a pair proven by
+    some masks of u stays proven, so the row's open pairs are those of
+    all its masks.
     """
     w = _HUB_MASK_CAP
     full = (1 << w) - 1
+    code = {array(c).itemsize * 8: c for c in "BHILQ"}[w]
     lanes: dict[int, list[int]] = {1 << j: [0] * (n + 1) for j in range(k)}
     unused = [full] * (n + 1)
     for v in range(1, n + 1):
@@ -236,29 +244,35 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
                 b ^= low
 
     def pack(lane: list[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(w // 8, "little") for x in lane), "little")
+        return int.from_bytes(array(code, lane).tobytes(), sys.byteorder)
 
     pad = pack(unused)
     clash = {bit: pack(lane) | pad for bit, lane in lanes.items()}
     every = (1 << (w * (n + 1))) - 1
     lane_bit = every // full  # bit 0 of every lane
+
+    def full_lanes(shut: int) -> int:
+        # Fold each lane onto its bit 0, which then tells whether every
+        # slot of the lane is shut.
+        shift = w // 2
+        while shift:
+            shut &= shut >> shift
+            shift //= 2
+        return shut & lane_bit
+
     for u in range(1, n):
-        shut = every
-        for a in masks[u]:
+        low_lanes = w * (u + 1)
+        shut = every >> low_lanes << low_lanes
+        for count, a in enumerate(masks[u], 1):
             blocked = pad
             while a:
                 low = a & -a
                 blocked |= clash[low]
                 a ^= low
             shut &= blocked
-        # Fold each lane onto its bit 0, which then tells whether any
-        # slot of the lane proves the pair.
-        proven = every ^ shut
-        shift = w // 2
-        while shift:
-            proven |= proven >> shift
-            shift //= 2
-        rest = (lane_bit & ~proven) >> (w * (u + 1))
+            if not count & (count - 1) and not full_lanes(shut):
+                break
+        rest = full_lanes(shut) >> low_lanes
         left = []
         while rest:
             low = rest & -rest
@@ -282,6 +296,8 @@ def is_rainbow_connected(
     (u, v) is proven when some mask of u is disjoint from some mask of
     v: the walk u -> hub -> v then repeats no color, and every walk
     contains a u..v path on a subset of its edges, which is rainbow.
+    Each row u tests its pairs (u, v > u) together, and stops going
+    through the masks of u as soon as every one of them is proven.
 
     Phase 2, the fallback: for each u in ascending order, the pairs
     (u, v) left unproven go to the exhaustive search from u. A proven

@@ -219,6 +219,54 @@ def test_hub_certificate_matches_on_both_verdicts(monkeypatch, cap):
     assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("cap", [8, 16, 32, 64])
+def test_open_pairs_match_brute_force_rows(monkeypatch, cap):
+    # v is left open exactly when no mask of u is disjoint from any mask
+    # of v. Lists run from empty (a vertex the hub cannot reach) to full
+    # lanes of cap masks; sparse masks let rows settle after a few masks.
+    def proves(us: list[int], vs: list[int]) -> bool:
+        return any(a & b == 0 for a in us for b in vs)
+
+    monkeypatch.setattr(verify, "_HUB_MASK_CAP", cap)
+    rng = SplitMix64(cap)
+    for n in (1, 2, 3, 5, 9, 17):
+        for trial in range(12):
+            k = 1 + rng.below(64)
+            density = 1 + rng.below(8)
+            masks: list[list[int]] = [[]]
+            for _ in range(n):
+                size = rng.below(4)
+                count = (0, 1 + rng.below(cap), cap, 1 + rng.below(3))[size]
+                masks.append(
+                    [
+                        sum(1 << j for j in range(k) if rng.below(density) == 0)
+                        for _ in range(count)
+                    ]
+                )
+            expected = [
+                (u, [v for v in range(u + 1, n + 1) if not proves(masks[u], masks[v])])
+                for u in range(1, n)
+            ]
+            assert list(verify._open_pairs(masks, n, k)) == expected, (n, trial)
+
+
+def test_hub_split_of_pairs_on_returned_colorings():
+    # sha256 of every check's (ok, counterexample, pairs_checked,
+    # pairs_certified) on the colorings rainbow_coloring returns for the
+    # bench strips and random-200 graphs, recorded before the hub rows
+    # stopped early.
+    graphs = [f(d).graph for d in range(10, 21) for f in (lad, lad_plus)]
+    graphs += [random_mop_graph(200, s) for s in range(1, 4)]
+    splits = []
+    for g in graphs:
+        coloring, _ = rainbow_coloring(g)
+        res = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=64)
+        splits.append((res.ok, res.counterexample, res.pairs_checked, res.pairs_certified))
+    assert hashlib.sha256(repr(splits).encode()).hexdigest() == (
+        "b52df244da6fbbee61fe3d5ccfeb80452c2aa05b992d1c699ec7ea761b19951e"
+    )
+
+
 @given(colored_mops())
 @settings(max_examples=100, deadline=None)
 def test_strong_check_and_witnesses_match_per_source_search(case):
