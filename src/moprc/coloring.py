@@ -9,12 +9,13 @@ The palette is laid out in fixed bands, writing each edge at most once
   paths are BFS-tree paths, the color of a shared edge never depends on
   which path claimed it.
 * 4, then radius+5 .. 3*radius: long realization paths. The root spoke
-  is 4; each deeper edge takes the least-used reserve color not yet on
-  its own path. `realize_paths` only returns a long path whose edges
-  after the root spoke fit the reserve, so a free color always exists.
+  is 4; each deeper edge takes the first reserve color not yet on its
+  own path (first fit). `realize_paths` only returns a long path whose
+  edges after the root spoke fit the reserve, so a free color always
+  exists.
 * 1, 2, 3: fans around the realization vertices of every non-root
-  spine node (spokes alternate 1/2, fan path edges get 3), and finally
-  3 for anything left over.
+  spine node (spokes alternate 1/2), and every leftover edge, fan path
+  edges included, takes 3.
 
 Any vertex pair can then be joined through the root: one endpoint rides
 a short path (5 plus the low band), the other a long path (4 plus the
@@ -28,11 +29,14 @@ the staged construction gives up; otherwise it is checked once, by the
 exact checker. When it gives up or fails the check, the coloring is
 replaced as a whole by `_layered`, which spends three colors per BFS
 layer and is rainbow connected by construction (see its docstring).
-The staged coloring is kept whenever it passes, because on strips the
-checker proves it far faster than the layered one. It seldom saves
-colors: of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60)
-it passes on 719, and there uses one color fewer than `_layered` on 3
-and one more on 66 (7,594 colors in all, against 7,531 for `_layered`).
+The staged coloring is kept whenever it passes: it often saves colors,
+and on strips the checker proves it far faster than the layered one.
+Every strip `lad(d)` and `lad_plus(d)`, d = 3 .. 30, passes at
+2 * radius + 2 colors, where the layered coloring spends 3 * radius.
+Of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60),
+staged_valid holds on 557, and the returned coloring uses fewer colors
+than `_layered` on 279 and more on 15 (7,214 colors in all, against
+7,531 for `_layered`).
 
 Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 2, or 3 colors depending on size) directly.
@@ -45,14 +49,7 @@ from dataclasses import dataclass
 from .core import EdgeColoring, MopGraph, edge
 from .errors import NotMop
 from .generators import fan_coloring
-from .spine import (
-    CutSpine,
-    SpineNode,
-    _layer_paths,
-    build_ccs,
-    primary_secondary,
-    realize_paths,
-)
+from .spine import CutSpine, _layer_paths, build_ccs, primary_secondary, realize_paths
 from .verify import is_rainbow_connected
 
 
@@ -190,64 +187,44 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
             colors.setdefault(edge(*node.realization), 6)
 
     # Realization paths, level by level: every short path of a level
-    # claims its edges before that level's long paths run, and long
-    # paths are routed around everything the low band has claimed so
-    # far whenever such a route fits the reserve, so the two bands stay
-    # disjoint even when realization vertices chain across nodes.  A
-    # node with no long path that fits ends the staged construction
-    # (see `realize_paths`).  At radius 2 every realization path is a
-    # single root spoke, and fixing spokes by node role would let chains
-    # of overlapping pairs paint long runs of layer 1 with one color;
-    # the alternating root fan below handles that radius on its own.
-    reserve = list(range(rad + 5, 3 * rad + 1))
-    usage = {c: 0 for c in reserve}
+    # claims its edges before that level's long paths run, so an edge
+    # that a long path shares with a short path of its level keeps its
+    # low-band color. A node with no long path that fits ends the
+    # staged construction (see `realize_paths`). At radius 2 every
+    # realization path is a single root spoke, and fixing spokes by node
+    # role would let chains of overlapping pairs paint long runs of
+    # layer 1 with one color; the alternating root fan below handles
+    # that radius on its own.
+    reserve = range(rad + 5, 3 * rad + 1)
     ordered = sorted(spine.nodes[1:], key=lambda nd: (nd.level, nd.realization))
-    longs: dict[SpineNode, tuple[int, ...]] = {}
     if rad == 2:
         ordered = []
-    low_claimed: set[tuple[int, int]] = set()
     for lvl in sorted({nd.level for nd in ordered}):
         batch = [nd for nd in ordered if nd.level == lvl]
         for node in batch:
             short = spine.routes.shorts[node]
             for i in range(len(short) - 1):
-                pick = 5 if i == 0 else 6 + i
-                e = edge(short[i], short[i + 1])
-                colors.setdefault(e, pick)
-                if colors[e] == 5 or colors[e] > 6:
-                    low_claimed.add(e)
+                colors.setdefault(edge(short[i], short[i + 1]), 5 if i == 0 else 6 + i)
         for node in batch:
-            long_ = realize_paths(g, spine, node, frozenset(low_claimed))[1]
+            long_ = realize_paths(g, spine, node)[1]
             if long_ is None:
                 coloring = _layered(g, spine)
                 return coloring, _stats(rad, coloring, False)
-            longs[node] = long_
-            on_path = set()
-            for i in range(len(long_) - 1):
-                e = edge(long_[i], long_[i + 1])
-                if e in colors:
-                    on_path.add(colors[e])
-            for i in range(len(long_) - 1):
-                e = edge(long_[i], long_[i + 1])
+            path_edges = [edge(long_[i], long_[i + 1]) for i in range(len(long_) - 1)]
+            on_path = {colors[e] for e in path_edges if e in colors}
+            for i, e in enumerate(path_edges):
                 if e in colors:
                     continue
                 if i == 0:
                     pick = 4
-                elif long_[i] in level_one and long_[i + 1] in level_one:
+                elif e[0] in level_one and e[1] in level_one:
                     pick = 6
                 else:
-                    # Spread reserve colors evenly so different long
-                    # paths rarely lean on the same one. The path fits
-                    # the reserve, so a free color is always left.
-                    pick = min(
-                        (c for c in reserve if c not in on_path),
-                        key=lambda c: (usage[c], c),
-                    )
-                    usage[pick] += 1
+                    # First fit: the path fits the reserve, so a free
+                    # color is always left.
+                    pick = min(c for c in reserve if c not in on_path)
                 colors[e] = pick
                 on_path.add(pick)
-                if colors[e] == 5 or colors[e] > 6:
-                    low_claimed.add(e)
 
     # Root fan: alternating spokes, layer-1 path edges in 6.
     order = g.fan_neighbors(v_r)
@@ -259,9 +236,8 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     # Fans around every non-root spine node. All spokes are colored
     # before any fan path edge, so a fan's path never steals an edge
     # that is a spoke of a later fan (the alternation around each
-    # center must survive intact for parity switches to work).
-    centers: list[tuple[int, SpineNode]] = []
-    seen_centers: set[int] = set()
+    # center must survive intact for parity switches to work); the fan
+    # path edges take 3 with every other leftover edge below.
     for node in spine.nodes[1:]:
         primary, secondary = primary_secondary(g, node)
         fans = [primary]
@@ -271,43 +247,9 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
             if private:
                 fans.append(secondary)
         for f in fans:
-            if f not in seen_centers:
-                seen_centers.add(f)
-                centers.append((f, node))
-    for f, _ in centers:
-        fan_order = g.fan_neighbors(f)
-        phase = f % 2
-        for idx, u in enumerate(fan_order):
-            colors.setdefault(edge(f, u), 1 if idx % 2 == phase else 2)
-    # Fan path edges take 3; edges reaching into the deepest layer
-    # (never touched by any realization path, which all stop a layer
-    # higher) alternate 3 with reserve colors, so two consecutive fan
-    # path hops stay rainbow down there. Each fan skips the reserve
-    # colors its own node's long path uses: a route leaving this fan
-    # most likely rides exactly that long path.
-    depth = {v: k for k, layer in enumerate(spine.layers) for v in layer}
-    deepest = len(spine.layers) - 1
-    for f, node in centers:
-        long_ = longs.get(node, ())
-        burnt = {
-            colors.get(edge(long_[i], long_[i + 1]))
-            for i in range(len(long_) - 1)
-        }
-        fresh = [c for c in reserve if c not in burnt]
-        fan_order = g.fan_neighbors(f)
-        swing = 0
-        for i in range(len(fan_order) - 1):
-            u, w = fan_order[i], fan_order[i + 1]
-            pick = 3
-            if (
-                fresh
-                and max(depth[u], depth[w]) == deepest
-                and min(depth[u], depth[w]) >= deepest - 1
-            ):
-                if swing % 2:
-                    pick = fresh[(swing // 2) % len(fresh)]
-                swing += 1
-            colors.setdefault(edge(u, w), pick)
+            phase = f % 2
+            for idx, u in enumerate(g.fan_neighbors(f)):
+                colors.setdefault(edge(f, u), 1 if idx % 2 == phase else 2)
 
     for e in g.edges:
         colors.setdefault(e, 3)

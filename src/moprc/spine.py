@@ -398,7 +398,6 @@ def realize_paths(
     g: MopGraph,
     spine: CutSpine,
     node: SpineNode,
-    avoid: frozenset[tuple[int, int]] = frozenset(),
 ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """The (short, long) realization paths of a spine node.
 
@@ -408,10 +407,9 @@ def realize_paths(
     rail-tree path, so it has fewer than radius edges. The long path is
     the lexicographically first shortest route from the root (see
     `_route`) that stays off the short path and the node's own pair
-    edge, and also off the `avoid` edges when that route fits the
-    reserve band; otherwise the route without `avoid` is taken when it
-    fits. When neither fits, the long path is None and the staged
-    coloring gives way to the layered one.
+    edge, kept when it fits the reserve band. When it does not fit, the
+    long path is None and the staged coloring gives way to the layered
+    one.
     """
     v_r = spine.root_vertex
     if node.kind == "root":
@@ -433,8 +431,7 @@ def realize_paths(
         )
         return need <= 2 * spine.radius - 4
 
-    for banned in (own | avoid, own):
-        seg = _route(g, v_r, secondary, banned, routes.tagged)
-        if seg is not None and fits_reserve(seg):
-            return short, seg
+    seg = _route(g, v_r, secondary, own, routes.tagged)
+    if seg is not None and fits_reserve(seg):
+        return short, seg
     return short, None

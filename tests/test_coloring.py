@@ -87,17 +87,19 @@ def test_frozen_mid_size_run():
 
 # sha256 of repr(sorted(colors.items())), pinned beyond n = 10.
 FROZEN_DIGESTS = {
+    # The staged coloring fails its check here (at 12 colors), so the
+    # digest is that of the layered fallback.
     "random_mop(120,2)": (
         lambda: random_mop_graph(120, 2),
-        "f1cda48818bfec491aad38eae3ae76d3ed7bace7826d3ceb71806506b31947e5",
+        "fc0158ccc852328e6a3028c6967176ffb57c9a7d7f1b4ee5070575e800f22b32",
     ),
     "lad(15)": (
         lambda: lad(15).graph,
-        "288cfb4d3971a1922edae134742d9ad94f37d6e0f83dbdee4537619e87972240",
+        "66c50ae984e9f0a9c05929402a372ddc0c48ceedc99ea60082fbadee3efd96b5",
     ),
     "lad_plus(12)": (
         lambda: lad_plus(12).graph,
-        "b7790cc63de90e975971d6628f856caa33a46477fee749d15a6b9b3c1be948a6",
+        "964a3b0305d226ea29e321642f6a6df3b66e351a380a569f29848b98d1793c66",
     ),
     # Node (28, 47) has no long path that fits the reserve, so the
     # staged coloring gives up before its check and the digest is that
@@ -167,6 +169,16 @@ def test_strip_family_spots():
         _check(lad_plus(d).graph)
 
 
+def test_strips_meet_the_paper_palette():
+    # The abstract's 2 * rad + 2 + c colors with c = 0: the staged
+    # coloring of every strip passes its check at that count.
+    for d in range(3, 31):
+        for fam in (lad, lad_plus):
+            _, stats = rainbow_coloring(fam(d).graph)
+            assert stats.staged_valid, (fam.__name__, d)
+            assert stats.colors_used == 2 * stats.radius + 2, (fam.__name__, d)
+
+
 def test_random_spots_within_bound_and_connected():
     for n, seed in [(12, 4), (25, 13), (50, 6), (80, 91), (120, 2)]:
         _check(random_mop_graph(n, seed))
@@ -227,7 +239,7 @@ def test_frozen_fallback_digests(n_seed):
 # when some long path does not fit the reserve and no check is made.
 ONE_CHECK_GRAPHS = {
     "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), True),
-    "random_mop(120,2)": (FROZEN_DIGESTS["random_mop(120,2)"][0], True),
+    "random_mop(120,2)": (FROZEN_DIGESTS["random_mop(120,2)"][0], False),
     "lad(15)": (FROZEN_DIGESTS["lad(15)"][0], True),
     "lad_plus(12)": (FROZEN_DIGESTS["lad_plus(12)"][0], True),
     "random_mop(60,60192)": (FROZEN_DIGESTS["random_mop(60,60192)"][0], None),
