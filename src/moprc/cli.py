@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .coloring import rainbow_coloring
-from .core import from_canonical, to_canonical
+from .core import EdgeColoring, from_canonical, to_canonical
 from .errors import MoprcError, ScaleLimit
 from .files import parse_coloring, parse_mop, spine_to_dot, to_dot, write_coloring, write_mop
 from .generators import fan, lad, lad_plus, random_mop
@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SCALE = 3
+
+# bench runs the exact search only on graphs with at most this many edges.
+_BENCH_EXACT_CAP = 22
 
 
 def _read_ascii(path: str) -> str:
@@ -54,8 +57,6 @@ def _relabelled_coloring(instance):
     colors = {
         (mapping[u], mapping[v]): c for (u, v), c in instance.coloring.colors.items()
     }
-    from .core import EdgeColoring
-
     return canon, EdgeColoring(colors)
 
 
@@ -129,7 +130,8 @@ def _cmd_color(args) -> int:
         sys.stdout.write(text)
     if args.dot:
         Path(args.dot).write_text(to_dot(g, coloring), encoding="ascii")
-        print(f"wrote {args.dot}")
+        # Without --out stdout is the coloring file: keep it parseable.
+        print(f"wrote {args.dot}", file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -164,13 +166,13 @@ def _cmd_rc(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(g, timeout_s: float | None, exact_cap: int = 22) -> str:
+def _bench_row(g, timeout_s: float | None) -> str:
     summary = ecc_diam_rad_center(g)
     t0 = time.perf_counter()
     _, stats = rainbow_coloring(g)
     millis = (time.perf_counter() - t0) * 1000.0
     exact = ""
-    if g.m <= exact_cap:
+    if g.m <= _BENCH_EXACT_CAP:
         try:
             exact = str(exact_rc(g, timeout_s=timeout_s).value)
         except ScaleLimit:

@@ -3,11 +3,13 @@
 The palette is laid out in fixed bands, writing each edge at most once
 (later passes never recolor):
 
-* 6: every green pair edge, and every edge inside layer 1.
+* 6: the spine's tagged edges (`SpineRoutes.tagged`), every green pair
+  edge and every edge inside layer 1, painted before anything else.
 * 5, then 7 .. radius+4: short realization paths, indexed by layer (the
   root spoke is 5, the edge entering layer k is k+5). Because short
   paths are BFS-tree paths, the color of a shared edge never depends on
-  which path claimed it.
+  which path claimed it, and no short path claims an edge inside a
+  layer.
 * 4, then radius+5 .. 3*radius: long realization paths. The root spoke
   is 4; each deeper edge takes the first reserve color not yet on its
   own path (first fit). `realize_paths` only returns a long path whose
@@ -23,12 +25,12 @@ high band), a pair edge (6) bridges between a node's two realization
 vertices, and fan spokes (1/2, with 3 to sidestep a parity clash) cover
 the first hop onto the spine.
 
-That argument is not a proof for every MOP, so the staged coloring has
-one exit. When some spine node has no long path that fits the reserve,
-the staged construction gives up; otherwise it is checked once, by the
-exact checker. When it gives up or fails the check, the coloring is
-replaced as a whole by `_layered`, which spends three colors per BFS
-layer and is rainbow connected by construction (see its docstring).
+That argument is not a proof for every MOP. `_staged` builds the
+staged coloring, or returns None when some spine node has no long path
+that fits the reserve; `rainbow_coloring` is the one place that falls
+back. It checks a staged coloring once, by the exact checker, and
+otherwise returns `_layered`'s coloring, which spends three colors per
+BFS layer and is rainbow connected by construction (see its docstring).
 The staged coloring is kept whenever it passes: it often saves colors,
 and on strips the checker proves it far faster than the layered one.
 Every strip `lad(d)` and `lad_plus(d)`, d = 3 .. 30, passes at
@@ -45,6 +47,8 @@ Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .core import EdgeColoring, MopGraph, edge
 from .errors import NotMop
@@ -57,8 +61,9 @@ from .verify import is_rainbow_connected
 class ColoringStats:
     """Bookkeeping for one coloring run.
 
-    excess measures distance from the 2*radius + 2 baseline; it can be
-    negative and never exceeds radius - 2. staged_valid tells whether
+    bound is the guaranteed 3 * radius. excess is the abstract's c, the
+    colors used beyond its 2 * radius + 2 baseline: negative when fewer
+    are used, and never above radius - 2. staged_valid tells whether
     the staged coloring was returned: it passed its one exact check, or
     the radius is at most 1 and the fan scheme applies. When it is
     False, the layered fallback was returned instead, because the staged
@@ -67,15 +72,15 @@ class ColoringStats:
 
     radius: int
     colors_used: int
-    bound: int
-    excess: int
     staged_valid: bool
 
+    @property
+    def bound(self) -> int:
+        return 3 * self.radius
 
-def _stats(radius: int, coloring: EdgeColoring, staged_valid: bool) -> ColoringStats:
-    used = len(coloring.used)
-    excess = used - (2 * radius + 2)
-    return ColoringStats(radius, used, 3 * radius, excess, staged_valid)
+    @property
+    def excess(self) -> int:
+        return self.colors_used - (2 * self.radius + 2)
 
 
 def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> None:
@@ -157,50 +162,27 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
     return EdgeColoring(colors)
 
 
-def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
-    """Color all edges so every vertex pair gets a rainbow path.
-
-    Uses at most 3 * radius colors (at most 3 when the radius is 1).
-    Deterministic: the same graph always yields the same coloring.
-    Above radius 1 the staged coloring is checked once, exactly, and
-    returned when it passes. When it fails, or when some spine node has
-    no long path that fits the reserve (then no check is made), the
-    layered coloring, rainbow connected by construction, is returned.
-    """
-    spine = build_ccs(g)
+def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
+    """The staged coloring at radius >= 2, or None if a long path does not fit."""
     rad = spine.radius
-    if rad <= 1:
-        hub = min(v for v in g.vertices() if g.degree(v) == g.n - 1)
-        coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
-        return coloring, _stats(rad, coloring, True)
-
     v_r = spine.root_vertex
-    colors: dict[tuple[int, int], int] = {}
-    level_one = set(spine.layers[1])
-
     # Green pair edges bridge a node's two realization vertices, so a
     # route can hop from the secondary over to the short path ending
     # at the primary; they share color 6 with the layer-1 edges, and
     # the path router never crosses two edges of that shared class.
-    for node in spine.nodes:
-        if node.kind == "green":
-            colors.setdefault(edge(*node.realization), 6)
+    colors = dict.fromkeys(spine.routes.tagged, 6)
 
     # Realization paths, level by level: every short path of a level
     # claims its edges before that level's long paths run, so an edge
     # that a long path shares with a short path of its level keeps its
-    # low-band color. A node with no long path that fits ends the
-    # staged construction (see `realize_paths`). At radius 2 every
-    # realization path is a single root spoke, and fixing spokes by node
-    # role would let chains of overlapping pairs paint long runs of
-    # layer 1 with one color; the alternating root fan below handles
-    # that radius on its own.
+    # low-band color. At radius 2 every realization path is a single
+    # root spoke, and fixing spokes by node role would let chains of
+    # overlapping pairs paint long runs of layer 1 with one color; the
+    # alternating root fan below handles that radius on its own.
     reserve = range(rad + 5, 3 * rad + 1)
-    ordered = sorted(spine.nodes[1:], key=lambda nd: (nd.level, nd.realization))
-    if rad == 2:
-        ordered = []
-    for lvl in sorted({nd.level for nd in ordered}):
-        batch = [nd for nd in ordered if nd.level == lvl]
+    ordered = spine.nodes[1:] if rad > 2 else ()
+    for _, level in groupby(ordered, key=attrgetter("level")):
+        batch = list(level)
         for node in batch:
             short = spine.routes.shorts[node]
             for i in range(len(short) - 1):
@@ -208,30 +190,21 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         for node in batch:
             long_ = realize_paths(g, spine, node)[1]
             if long_ is None:
-                coloring = _layered(g, spine)
-                return coloring, _stats(rad, coloring, False)
+                return None
             path_edges = [edge(long_[i], long_[i + 1]) for i in range(len(long_) - 1)]
             on_path = {colors[e] for e in path_edges if e in colors}
             for i, e in enumerate(path_edges):
                 if e in colors:
                     continue
-                if i == 0:
-                    pick = 4
-                elif e[0] in level_one and e[1] in level_one:
-                    pick = 6
-                else:
-                    # First fit: the path fits the reserve, so a free
-                    # color is always left.
-                    pick = min(c for c in reserve if c not in on_path)
+                # First fit: the path fits the reserve, so a free color
+                # is always left.
+                pick = 4 if i == 0 else min(c for c in reserve if c not in on_path)
                 colors[e] = pick
                 on_path.add(pick)
 
-    # Root fan: alternating spokes, layer-1 path edges in 6.
-    order = g.fan_neighbors(v_r)
-    for idx, u in enumerate(order):
+    # Root fan: alternating spokes (its path edges are layer 1's, in 6).
+    for idx, u in enumerate(g.fan_neighbors(v_r)):
         colors.setdefault(edge(v_r, u), 4 if idx % 2 == 0 else 5)
-    for i in range(len(order) - 1):
-        colors.setdefault(edge(order[i], order[i + 1]), 6)
 
     # Fans around every non-root spine node. All spokes are colored
     # before any fan path edge, so a fan's path never steals an edge
@@ -255,8 +228,31 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         colors.setdefault(e, 3)
 
     _repair_monochromatic(g, colors)
-    coloring = EdgeColoring(colors)
-    staged_valid = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=3 * rad).ok
+    return EdgeColoring(colors)
+
+
+def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
+    """Color all edges so every vertex pair gets a rainbow path.
+
+    Uses at most 3 * radius colors (at most 3 when the radius is 1).
+    Deterministic: the same graph always yields the same coloring.
+    Above radius 1 the staged coloring is checked once, exactly, and
+    returned when it passes. When it fails, or when `_staged` gives up
+    (then no check is made), the layered coloring, rainbow connected by
+    construction, is returned.
+    """
+    spine = build_ccs(g)
+    rad = spine.radius
+    if rad <= 1:
+        hub = min(v for v in g.vertices() if g.degree(v) == g.n - 1)
+        coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
+        return coloring, ColoringStats(rad, len(coloring.used), True)
+
+    coloring = _staged(g, spine)
+    staged_valid = (
+        coloring is not None
+        and is_rainbow_connected(g, coloring, max_n=g.n, max_colors=3 * rad).ok
+    )
     if not staged_valid:
         coloring = _layered(g, spine)
-    return coloring, _stats(rad, coloring, staged_valid)
+    return coloring, ColoringStats(rad, len(coloring.used), staged_valid)

@@ -102,8 +102,9 @@ class SpineRoutes:
 
     shorts maps each non-root node to its short path, the rail-tree
     path from the root to its primary vertex. tagged holds the green
-    pair edges and the layer-1 edges, which share one fixed color; no
-    long path crosses two of them.
+    pair edges and the layer-1 edges, which share one fixed color: it
+    is exactly the set of edges the staged coloring paints 6. No long
+    path crosses two of them.
     """
 
     shorts: dict[SpineNode, tuple[int, ...]]
@@ -124,8 +125,11 @@ class CutSpine:
     parent: dict = field(compare=False)
     layers: tuple[tuple[int, ...], ...]
     radius: int
-    degenerate_radius: bool
     routes: SpineRoutes = field(compare=False)
+
+    @property
+    def degenerate_radius(self) -> bool:
+        return self.radius <= 1
 
     @property
     def root_vertex(self) -> int:
@@ -197,7 +201,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
     if rad <= 1:
-        return CutSpine(root, (root,), {}, lay, rad, True, _routes(g, (root,), lay))
+        return CutSpine(root, (root,), {}, lay, rad, _routes(g, (root,), lay))
 
     greens: list[SpineNode] = []
     green_seen: set[tuple[int, tuple[int, int]]] = set()
@@ -269,25 +273,17 @@ def build_ccs(g: MopGraph) -> CutSpine:
             g.has_edge(u, v) for u in p.realization for v in child.realization
         )
 
+    # Candidate parents, deepest level first.
+    deepest_first = sorted(nodes, key=lambda p: (-p.level, p.realization))
     parent: dict[SpineNode, SpineNode] = {}
     for node in nodes[1:]:
-        cands = sorted(
-            (p for p in nodes if p.level < node.level),
-            key=lambda p: (-p.level, p.realization),
-        )
-        chosen = None
-        for p in cands:
-            if touches_all(p, node):
-                chosen = p
-                break
+        cands = [p for p in deepest_first if p.level < node.level]
+        chosen = next((p for p in cands if touches_all(p, node)), None)
         if chosen is None:
-            for p in cands:
-                if touches_any(p, node):
-                    chosen = p
-                    break
-        parent[node] = chosen if chosen is not None else root
+            chosen = next((p for p in cands if touches_any(p, node)), root)
+        parent[node] = chosen
     nodes = tuple(nodes)
-    return CutSpine(root, nodes, parent, lay, rad, False, _routes(g, nodes, lay))
+    return CutSpine(root, nodes, parent, lay, rad, _routes(g, nodes, lay))
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:

@@ -368,20 +368,23 @@ def rainbow_witness(
 class ExactResult:
     """Minimum number of colors plus a certificate coloring.
 
-    infeasible_below: every smaller palette size is impossible, by the
-    diameter lower bound together with the exhausted sizes listed in
-    ruled_out (the sizes the search actually tried and refuted).
-    nodes: the search-tree nodes visited for each palette size tried,
-    in the order ruled_out + (value,). seconds: the wall time of each
-    of those sizes, in the same order; it takes no part in equality.
+    infeasible_below (value - 1): every smaller palette size is
+    impossible, by the diameter lower bound together with the exhausted
+    sizes listed in ruled_out (the sizes the search actually tried and
+    refuted). nodes: the search-tree nodes visited for each palette size
+    tried, in the order ruled_out + (value,). seconds: the wall time of
+    each of those sizes, in the same order; it takes no part in equality.
     """
 
     value: int
     certificate: EdgeColoring
-    infeasible_below: int
     ruled_out: tuple[int, ...]
     nodes: tuple[int, ...]
     seconds: tuple[float, ...] = field(compare=False)
+
+    @property
+    def infeasible_below(self) -> int:
+        return self.value - 1
 
 
 def _check_deadline(deadline) -> None:
@@ -502,7 +505,7 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
         seconds.append(time.perf_counter() - t0)
         nodes.append(visited)
         if cert is not None:
-            return ExactResult(k, cert, k - 1, tuple(ruled), tuple(nodes), tuple(seconds))
+            return ExactResult(k, cert, tuple(ruled), tuple(nodes), tuple(seconds))
         ruled.append(k)
     raise AssertionError("all-distinct coloring must be feasible")
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from moprc import exact_rc, from_canonical, parse_mop
+from moprc import exact_rc, from_canonical, parse_coloring, parse_mop
 from moprc.cli import main
 
 MMOP4_TEXT = "MOP 4\n3 1 2\n4 2 3\n"
@@ -67,6 +67,22 @@ def test_color_without_out_prints_the_file(workdir, capsys):
     out = capsys.readouterr().out
     assert out.startswith("COLORING 4 ")
     assert out.endswith("\n")
+
+
+def test_color_dot_without_out_keeps_stdout_a_coloring(workdir, capsys):
+    # `moprc color G.mop --dot G.dot > G.colors` must write a file that
+    # verify accepts; the DOT notice goes to stderr.
+    assert main(["gen", "lad", "5"]) == 0
+    capsys.readouterr()
+    assert main(["color", "lad_5.mop", "--dot", "l.dot"]) == 0
+    captured = capsys.readouterr()
+    assert "wrote l.dot" in captured.err
+    n, _ = parse_coloring(captured.out)
+    assert n == 10
+    Path("s.colors").write_text(captured.out, encoding="ascii")
+    assert main(["verify", "lad_5.mop", "s.colors"]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    assert Path("l.dot").read_text(encoding="ascii").startswith("graph")
 
 
 def test_verify_reports_failing_pair(workdir, capsys):

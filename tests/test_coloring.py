@@ -235,6 +235,23 @@ def test_frozen_fallback_digests(n_seed):
     assert digest == FROZEN_FALLBACK_DIGESTS[n_seed]
 
 
+# One sha256 over every (sorted colors, colors_used, staged_valid) of
+# the even-t half of the acceptance corpus (seeds 1000 * n + t), so a
+# refactor that changes any coloring, count or verdict shows here. The
+# half holds staged, failed-check and no-long-path cases (60192).
+FROZEN_CORPUS_DIGEST = "22def5d4a92849055a568e4c4e4a5885904d6882fcc051044c1202194598682d"
+
+
+def test_frozen_acceptance_half_corpus():
+    h = hashlib.sha256()
+    for n in (10, 20, 40, 60):
+        for t in range(0, 200, 2):
+            col, stats = rainbow_coloring(random_mop_graph(n, 1000 * n + t))
+            key = (sorted(col.colors.items()), stats.colors_used, stats.staged_valid)
+            h.update(repr(key).encode())
+    assert h.hexdigest() == FROZEN_CORPUS_DIGEST
+
+
 # Graph -> the verdict of its staged coloring's one check, or None
 # when some long path does not fit the reserve and no check is made.
 ONE_CHECK_GRAPHS = {
