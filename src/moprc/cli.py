@@ -144,10 +144,16 @@ def _cmd_verify(args) -> int:
     result = check(g, coloring, max_n=args.max_n, max_colors=args.max_colors)
     if result.ok:
         print("OK")
-        return EXIT_OK
-    u, v = result.counterexample
-    print(f"FAIL {u} {v}")
-    return EXIT_FAIL
+    else:
+        u, v = result.counterexample
+        print(f"FAIL {u} {v}")
+    # stdout stays the bare verdict for scripts; the split goes to stderr.
+    print(
+        f"pairs: {result.pairs_checked} checked, "
+        f"{result.pairs_certified} certified by the hub",
+        file=sys.stderr,
+    )
+    return EXIT_OK if result.ok else EXIT_FAIL
 
 
 def _cmd_rc(args) -> int:

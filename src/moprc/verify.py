@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import time
-from array import array
 from dataclasses import dataclass, field
 
 from .core import EdgeColoring, Graph, breadth_first, edge
@@ -35,10 +34,14 @@ _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
 # Masks the hub search keeps per vertex. A full antichain can grow
 # exponentially with the palette; a truncated one only leaves more
-# pairs to the exhaustive search, so the verdict stays exact. One
-# array item: 8, 16, 32 or 64 bits, because each vertex gets a lane of
-# this many bits.
+# pairs to the exhaustive search, so the verdict stays exact. Each
+# vertex gets a lane of this many bits. The lanes are built 8 slots at a
+# time, so the cap is a multiple of 8, and `_open_pairs` folds a lane
+# by halves, so it is also a power of two: 8, 16, 32, 64, ...
 _HUB_MASK_CAP = 32
+# (shift, mask) of the three delta swaps that transpose the 8x8 bit
+# matrix in each 8-byte block (Hacker's Delight, transpose8).
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 @dataclass(frozen=True)
@@ -220,10 +223,17 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
     u proves v when some mask of u is disjoint from some mask of v.
     All pairs of a row are tested at once on bitsets: slot i of vertex
     v is bit v * W + i, with W = _HUB_MASK_CAP. clash[b] marks the
-    slots whose mask holds color bit b, and every unused slot. For a
-    mask a of u, the OR of clash[b] over the bits b of a marks the slots
-    that do not prove a pair with a; v stays open exactly when, ANDed
-    over all masks of u, its lane is still full.
+    slots whose mask holds color bit b, and pad every unused slot. For
+    a mask a of u, pad ORed with clash[b] over the bits b of a marks the
+    slots that do not prove a pair with a; v stays open exactly when,
+    ANDed over all masks of u, its lane is still full.
+
+    The clash lanes come from one bit-matrix transpose. For each chunk
+    of 8 colors, byte v * W + i of a buffer holds that chunk's bits of
+    slot i of v. Each 8-byte block (8 slots of one vertex) is an 8x8
+    bit matrix, transposed in place by the three delta swaps of Hacker's
+    Delight's transpose8; afterwards every 8th byte of the chunk, from
+    byte j, is the clash lane of the chunk's color j.
 
     Row u starts from the lanes of v > u only, and stops ANDing once no
     lane is full, tested after masks 1, 2, 4, 8, ...: a pair proven by
@@ -232,22 +242,27 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
     """
     w = _HUB_MASK_CAP
     full = (1 << w) - 1
-    code = {array(c).itemsize * 8: c for c in "BHILQ"}[w]
-    lanes: dict[int, list[int]] = {1 << j: [0] * (n + 1) for j in range(k)}
-    unused = [full] * (n + 1)
-    for v in range(1, n + 1):
-        unused[v] = full >> len(masks[v]) << len(masks[v])
-        for i, b in enumerate(masks[v]):
-            while b:
-                low = b & -b
-                lanes[low][v] |= 1 << i
-                b ^= low
-
-    def pack(lane: list[int]) -> int:
-        return int.from_bytes(array(code, lane).tobytes(), sys.byteorder)
-
-    pad = pack(unused)
-    clash = {bit: pack(lane) | pad for bit, lane in lanes.items()}
+    size = w * (n + 1)  # slots, and bytes per chunk
+    width = (k + 7) // 8  # chunks, and bytes per mask
+    slots = b"".join(
+        b"".join(m.to_bytes(width, "little") for m in ms) + bytes(width * (w - len(ms)))
+        for ms in masks
+    )
+    # Chunk by chunk, one byte per slot: byte c of every slot.
+    grid = int.from_bytes(b"".join(slots[c::width] for c in range(width)), "little")
+    block_bit = ((1 << 8 * width * size) - 1) // ((1 << 64) - 1)  # bit 0 of every block
+    for shift, swap in _TRANSPOSE8:
+        t = (grid ^ grid >> shift) & swap * block_bit
+        grid ^= t ^ t << shift
+    lanes = grid.to_bytes(width * size, "little")
+    pad = int.from_bytes(
+        b"".join((full >> len(ms) << len(ms)).to_bytes(w // 8, "little") for ms in masks),
+        "little",
+    )
+    clash = {
+        1 << b: int.from_bytes(lanes[b // 8 * size + b % 8 : (b // 8 + 1) * size : 8], "little")
+        for b in range(k)
+    }
     every = (1 << (w * (n + 1))) - 1
     lane_bit = every // full  # bit 0 of every lane
 

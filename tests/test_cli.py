@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from moprc import exact_rc, from_canonical, parse_coloring, parse_mop
+from moprc import exact_rc, from_canonical, is_rainbow_connected, parse_coloring, parse_mop
 from moprc.cli import main
 
 MMOP4_TEXT = "MOP 4\n3 1 2\n4 2 3\n"
@@ -90,6 +90,32 @@ def test_verify_reports_failing_pair(workdir, capsys):
     Path("m.colors").write_text(ALL_ONE_TEXT, encoding="ascii")
     assert main(["verify", "m.mop", "m.colors"]) == 1
     assert capsys.readouterr().out.strip() == "FAIL 1 4"
+
+
+def test_verify_prints_the_hub_split_on_stderr(workdir, capsys):
+    # stdout stays the bare verdict; stderr gets the pairs checked and
+    # how many of them the hub certificate proved.
+    assert main(["gen", "lad", "5"]) == 0
+    Path("m.mop").write_text(MMOP4_TEXT, encoding="ascii")
+    Path("m.colors").write_text(ALL_ONE_TEXT, encoding="ascii")
+    capsys.readouterr()
+    certified = []
+    for mop, colors, code, verdict in [
+        ("lad_5.mop", "lad_5.colors", 0, "OK\n"),
+        ("m.mop", "m.colors", 1, "FAIL 1 4\n"),
+    ]:
+        g = from_canonical(parse_mop(Path(mop).read_text(encoding="ascii")))
+        _, coloring = parse_coloring(Path(colors).read_text(encoding="ascii"))
+        res = is_rainbow_connected(g, coloring)
+        assert main(["verify", mop, colors]) == code
+        out, err = capsys.readouterr()
+        assert out == verdict
+        assert err == (
+            f"pairs: {res.pairs_checked} checked, "
+            f"{res.pairs_certified} certified by the hub\n"
+        )
+        certified.append(res.pairs_certified)
+    assert certified[0] > 0  # the hub proves some pairs of lad(5)
 
 
 def test_exact_search_writes_certificate(workdir, capsys):

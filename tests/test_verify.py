@@ -230,8 +230,10 @@ def test_open_pairs_match_brute_force_rows(monkeypatch, cap):
     monkeypatch.setattr(verify, "_HUB_MASK_CAP", cap)
     rng = SplitMix64(cap)
     for n in (1, 2, 3, 5, 9, 17):
-        for trial in range(12):
-            k = 1 + rng.below(64)
+        # Both sides of every 8-color chunk boundary the lanes are built
+        # on, then palettes of up to 100 colors.
+        ks = [1, 7, 8, 9, 63, 64, 65] + [1 + rng.below(100) for _ in range(5)]
+        for trial, k in enumerate(ks):
             density = 1 + rng.below(8)
             masks: list[list[int]] = [[]]
             for _ in range(n):
@@ -248,6 +250,33 @@ def test_open_pairs_match_brute_force_rows(monkeypatch, cap):
                 for u in range(1, n)
             ]
             assert list(verify._open_pairs(masks, n, k)) == expected, (n, trial)
+
+
+def test_hub_certificate_beyond_64_colors():
+    # max_colors raised past 64, so masks and lanes span up to ten chunks
+    # of 8 colors. On lad(20) with every edge its own color every path is
+    # rainbow, so all 780 pairs must pass, and the hub proves them all;
+    # per_source_check would follow every path of lad(20) and does not
+    # finish. On a 70-cycle it is cheap: each vertex has two arcs to
+    # every other one.
+    g = lad(20).graph
+    distinct = {e: i for i, e in enumerate(sorted(g.edges), 1)}
+    res = is_rainbow_connected(g, EdgeColoring(distinct), max_colors=77)
+    assert (res.ok, res.counterexample, res.pairs_checked) == (True, None, 780)
+    assert res.pairs_certified == 780
+
+    cycle = Graph(70, [(i, i % 70 + 1) for i in range(1, 71)])
+    distinct = {e: i for i, e in enumerate(sorted(cycle.edges), 1)}
+    # Both arcs between 40 and 42 repeat a color: 40-41-42 uses X twice,
+    # 42-43-...-39-40 uses Y twice. 68 colors remain.
+    x, y = distinct[(40, 41)], distinct[(39, 40)]
+    broken = {**distinct, (41, 42): x, (42, 43): y}
+    verdicts = []
+    for colors in (distinct, broken):
+        res = is_rainbow_connected(cycle, EdgeColoring(colors), max_colors=70)
+        assert (res.ok, res.counterexample, res.pairs_checked) == per_source_check(cycle, colors)
+        verdicts.append((res.ok, res.counterexample))
+    assert verdicts == [(True, None), (False, (40, 42))]
 
 
 def test_hub_split_of_pairs_on_returned_colorings():
