@@ -10,7 +10,7 @@ off a single incident edge, doing O(1) work per (edge, side) state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Graph, MopGraph, breadth_first, edge, triangles
 from .errors import DomainError, NotMop
@@ -44,12 +44,18 @@ def bfs(g: Graph, source: int) -> DistanceTable:
 
 @dataclass(frozen=True)
 class EccentricitySummary:
-    """Eccentricity of every vertex plus the derived global quantities."""
+    """Eccentricity of every vertex plus the derived global quantities.
+
+    balls[d] holds every vertex's distance-d ball (see `_balls`) for
+    d = 0 .. diameter; the last entry is the whole graph for every
+    vertex. The cut spine routes its long paths through them.
+    """
 
     ecc: dict[int, int]
     diameter: int
     radius: int
     center: tuple[int, ...]
+    balls: tuple[list[int], ...] = field(default=(), repr=False, compare=False)
 
 
 def _balls(g: Graph):
@@ -76,7 +82,9 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     ecc[v] counts the rounds in which v's ball misses some vertex.
     """
     ecc = dict.fromkeys(g.vertices(), 0)
+    balls = []
     for ball in _balls(g):
+        balls.append(ball)
         for v in ecc:
             ecc[v] += ball[v].bit_count() < g.n
     if ball[1].bit_count() < g.n:
@@ -84,7 +92,7 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     diameter = max(ecc.values())
     radius = min(ecc.values())
     center = tuple(v for v in g.vertices() if ecc[v] == radius)
-    return EccentricitySummary(ecc, diameter, radius, center)
+    return EccentricitySummary(ecc, diameter, radius, center, tuple(balls))
 
 
 def central_vertex(g: Graph, center: tuple[int, ...] | None = None) -> int:

@@ -4,12 +4,14 @@ A cut spine hangs off a central root vertex and records, layer by
 layer, where the graph can be pinched apart: green nodes are 2-vertex
 cuts (adjacent pairs), red nodes are single cut-ish vertices, and the
 root is the chosen center. The spine drives the staged rainbow
-coloring: every leaf gets a short realization path from the root (a
+coloring: every node gets a short realization path from the root (a
 BFS tree path) and, when one fits the coloring's reserve of colors, an
 edge-disjoint long one (threaded through the other endpoint of each
-green ancestor). The routing data those paths share (the short paths
-themselves and the fixed-color tagged edges) is built once with the
-spine, as its `routes`.
+green ancestor). The routing data those paths share is built once with
+the spine, as its `routes`: the short paths themselves, the
+fixed-color tagged edges, and the distance balls grown for the
+eccentricities. Each long path is a depth-first corridor search inside
+those balls, not a breadth-first search of its own.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -104,11 +106,15 @@ class SpineRoutes:
     path from the root to its primary vertex. tagged holds the green
     pair edges and the layer-1 edges, which share one fixed color: it
     is exactly the set of edges the staged coloring paints 6. No long
-    path crosses two of them.
+    path crosses two of them. balls[d][v] is vertex v's distance-d ball
+    as a bitset, for d up to the diameter: the balls `build_ccs` grew
+    for the eccentricities, kept so that every long path searches the
+    corridor they bound (see `_corridor`) without growing them again.
     """
 
     shorts: dict[SpineNode, tuple[int, ...]]
     tagged: frozenset[tuple[int, int]]
+    balls: tuple[list[int], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
     if rad <= 1:
-        return CutSpine(root, (root,), {}, lay, rad, _routes(g, (root,), lay))
+        return CutSpine(root, (root,), {}, lay, rad, _routes(g, (root,), lay, summary.balls))
 
     greens: list[SpineNode] = []
     green_seen: set[tuple[int, tuple[int, int]]] = set()
@@ -283,7 +289,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
             chosen = next((p for p in cands if touches_any(p, node)), root)
         parent[node] = chosen
     nodes = tuple(nodes)
-    return CutSpine(root, nodes, parent, lay, rad, _routes(g, nodes, lay))
+    return CutSpine(root, nodes, parent, lay, rad, _routes(g, nodes, lay, summary.balls))
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
@@ -300,51 +306,75 @@ def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
     return (v, v)
 
 
-def _route(
+def _corridor(
     g: Graph,
+    balls: tuple[list[int], ...],
     src: int,
     dst: int,
     banned: set[tuple[int, int]],
     tagged: frozenset[tuple[int, int]],
+    longest: int,
 ) -> tuple[int, ...] | None:
-    """The lexicographically first shortest simple path src..dst.
+    """The lexicographically first shortest simple path src..dst, when
+    it has at most `longest` edges; else None.
 
     Edges in `banned` are never used, and no path crosses two `tagged`
     edges (they hold one fixed color, so a second would put that color
-    on the path twice). A breadth-first search over (vertex, crossed)
-    states that expands neighbors in ascending label order first
-    reaches each state along its lexicographically first shortest walk,
-    and stops at the first dst state. That walk is a simple path: a
-    walk that repeats a vertex can be cut short. Returns None when dst
-    is unreachable under the constraints.
+    on the path twice). balls[d][v] is v's distance-d ball, as grown by
+    `ecc_diam_rad_center`. For each length D from dist(src, dst) up to
+    `longest`, a depth-first search walks from src over (vertex,
+    crossed) states in ascending label order, and steps to u only when
+    u lies in dst's ball of radius r, the steps left after it: the
+    corridor in which a walk of exactly D steps can still end at dst.
+    A state (u, crossed, r) from which no walk of r steps reaches dst
+    fails for every D, so it is remembered and never searched again.
+    Every shorter D was searched in full, and the corridor only drops
+    steps that no walk of D steps can take, so the first walk found is
+    the lexicographically first of the shortest walks, the one a
+    breadth-first search over the same states returns. It is a simple
+    path, since a walk that repeats a vertex can be cut short.
     """
     if src == dst:
         return (src,)
-    start = (src, False)
-    parent: dict[tuple[int, bool], tuple[int, bool] | None] = {start: None}
-    queue = [start]
-    for state in queue:
-        v, crossed = state
-        for u in g.neighbors(v):
-            e = edge(u, v)
-            if e in banned or (crossed and e in tagged):
-                continue
-            step = (u, crossed or e in tagged)
-            if step in parent:
-                continue
-            parent[step] = state
-            if u == dst:
-                path = [u]
-                while state is not None:
-                    path.append(state[0])
-                    state = parent[state]
-                return tuple(reversed(path))
-            queue.append(step)
+    near = [ball[dst] for ball in balls]
+    shortest = next(d for d, ball in enumerate(near) if ball >> src & 1)
+    near += near[-1:] * (longest - len(near))
+    failed: set[tuple[int, bool, int]] = set()
+    for length in range(shortest, longest + 1):
+        walk, crossed, options = [src], [False], [iter(g.neighbors(src))]
+        while options:
+            v = walk[-1]
+            left = length - len(walk)
+            for u in options[-1]:
+                if not near[left] >> u & 1:
+                    continue
+                e = (u, v) if u < v else (v, u)
+                if e in banned:
+                    continue
+                c = crossed[-1]
+                if e in tagged:
+                    if c:
+                        continue
+                    c = True
+                if (u, c, left) in failed:
+                    continue
+                if not left:
+                    return (*walk, u)
+                walk.append(u)
+                crossed.append(c)
+                options.append(iter(g.neighbors(u)))
+                break
+            else:
+                options.pop()
+                failed.add((walk.pop(), crossed.pop(), left + 1))
     return None
 
 
 def _routes(
-    g: MopGraph, nodes: tuple[SpineNode, ...], lay: tuple[tuple[int, ...], ...]
+    g: MopGraph,
+    nodes: tuple[SpineNode, ...],
+    lay: tuple[tuple[int, ...], ...],
+    balls: tuple[list[int], ...],
 ) -> SpineRoutes:
     """The routing data of a spine with these nodes and layers.
 
@@ -354,7 +384,8 @@ def _routes(
     smallest label; this keeps short paths on the primary rail whenever
     the graph allows it. Green pair edges and layer-1 edges all share
     one color, so they are tagged: a route crossing two of them would
-    carry a repeated color, so the path router prunes such routes.
+    carry a repeated color, so the path router prunes such routes. The
+    distance balls are the ones the eccentricities were read from.
     """
     primaries: set[int] = set()
     secondaries: set[int] = set()
@@ -387,7 +418,7 @@ def _routes(
     tagged = {edge(*nd.realization) for nd in nodes if nd.kind == "green"}
     n1 = set(lay[1] if len(lay) > 1 else ())
     tagged |= {edge(u, v) for v in n1 for u in g.neighbors(v) if u in n1}
-    return SpineRoutes(shorts, frozenset(tagged))
+    return SpineRoutes(shorts, frozenset(tagged), balls)
 
 
 def realize_paths(
@@ -401,11 +432,14 @@ def realize_paths(
     primary vertex, the long one at its secondary (the same vertex for
     red nodes), and they share no edge. The short path is the node's
     rail-tree path, so it has fewer than radius edges. The long path is
-    the lexicographically first shortest route from the root (see
-    `_route`) that stays off the short path and the node's own pair
-    edge, kept when it fits the reserve band. When it does not fit, the
-    long path is None and the staged coloring gives way to the layered
-    one.
+    the lexicographically first shortest route from the root that stays
+    off the short path and the node's own pair edge and crosses at most
+    one tagged edge, kept when it fits the reserve band. It is found by
+    a corridor search over the spine's distance balls (see `_corridor`)
+    that gives up past 2 * radius - 2 edges: a longer route still
+    needs at least 2 * radius - 3 reserve colors. When no route fits,
+    the long path is None and the staged coloring gives way to the
+    layered one.
     """
     v_r = spine.root_vertex
     if node.kind == "root":
@@ -427,7 +461,7 @@ def realize_paths(
         )
         return need <= 2 * spine.radius - 4
 
-    seg = _route(g, v_r, secondary, own, routes.tagged)
+    seg = _corridor(g, routes.balls, v_r, secondary, own, routes.tagged, 2 * spine.radius - 2)
     if seg is not None and fits_reserve(seg):
         return short, seg
     return short, None

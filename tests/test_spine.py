@@ -21,7 +21,9 @@ from moprc import (
     realize_paths,
     triangles,
 )
-from moprc.spine import _route, primary_secondary
+import moprc.metrics
+from moprc.metrics import ecc_diam_rad_center
+from moprc.spine import _corridor, primary_secondary
 
 from conftest import all_simple_paths, is_vertex_pair_cut
 
@@ -248,4 +250,102 @@ def test_route_is_first_shortest_path_within_constraints(n, seed, data):
 
     ranked = [(len(p), p) for p in all_simple_paths(g, src, dst) if allowed(p)]
     expected = min(ranked)[1] if ranked else None
-    assert _route(g, src, dst, banned, tagged) == expected
+    balls = ecc_diam_rad_center(g).balls
+    assert _corridor(g, balls, src, dst, banned, tagged, n - 1) == expected
+    # A tighter cap only turns away the paths longer than it.
+    cap = data.draw(st.integers(min_value=0, max_value=n - 1))
+    fits = expected is not None and len(expected) - 1 <= cap
+    assert _corridor(g, balls, src, dst, banned, tagged, cap) == (expected if fits else None)
+
+
+def bfs_route(g, src, dst, banned, tagged):
+    """The lexicographically first shortest simple path src..dst.
+
+    A breadth-first search over (vertex, crossed) states that expands
+    neighbors in ascending label order, never uses a banned edge and
+    never crosses a second tagged one. It first reaches each state along
+    its lexicographically first shortest walk and stops at the first dst
+    state. None when dst is unreachable under the constraints.
+    """
+    if src == dst:
+        return (src,)
+    start = (src, False)
+    parent = {start: None}
+    queue = [start]
+    for state in queue:
+        v, crossed = state
+        for u in g.neighbors(v):
+            e = edge(u, v)
+            if e in banned or (crossed and e in tagged):
+                continue
+            step = (u, crossed or e in tagged)
+            if step in parent:
+                continue
+            parent[step] = state
+            if u == dst:
+                path = [u]
+                while state is not None:
+                    path.append(state[0])
+                    state = parent[state]
+                return tuple(reversed(path))
+            queue.append(step)
+    return None
+
+
+def _bfs_realize(g, spine, node):
+    """realize_paths by one breadth-first search per node: bfs_route
+    from the root to the secondary, off the short path and the node's
+    own pair edge, kept when it fits the reserve of 2 * radius - 4."""
+    v_r = spine.root_vertex
+    if node.kind == "root":
+        return ((v_r,), (v_r,))
+    primary, secondary = primary_secondary(g, node)
+    tagged = spine.routes.tagged
+    short = spine.routes.shorts[node]
+    own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
+    if node.kind == "green":
+        own.add(edge(primary, secondary))
+    seg = bfs_route(g, v_r, secondary, own, tagged)
+    if seg is None:
+        return short, None
+    need = sum(edge(seg[i], seg[i + 1]) not in tagged for i in range(1, len(seg) - 1))
+    return short, seg if need <= 2 * spine.radius - 4 else None
+
+
+BFS_ORACLE_GRAPHS = (
+    [
+        pytest.param(lambda f=f, d=d: f(d).graph, id=f"{f.__name__}({d})")
+        for d in range(3, 31)
+        for f in (lad, lad_plus)
+    ]
+    + [
+        pytest.param(lambda n=n, s=s: random_mop_graph(n, s), id=f"random({n}, {s})")
+        for n, s in [(200, 1), (200, 2), (200, 3), (200, 4), (200, 5), (200, 6), (400, 1)]
+    ]
+)
+
+
+@pytest.mark.parametrize("make", BFS_ORACLE_GRAPHS)
+def test_corridor_search_matches_bfs_oracle(make):
+    g = make()
+    spine = build_ccs(g)
+    for node in spine.nodes:
+        assert realize_paths(g, spine, node) == _bfs_realize(g, spine, node), node
+
+
+def test_one_ball_growth_per_spine(monkeypatch):
+    # The eccentricities and every long path read the same balls.
+    started = []
+    grow = moprc.metrics._balls
+
+    def counted(g):
+        started.append(g)
+        return grow(g)
+
+    monkeypatch.setattr(moprc.metrics, "_balls", counted)
+    for g in (lad(12).graph, random_mop_graph(60, 3), fan(6).graph):
+        started.clear()
+        spine = build_ccs(g)
+        for node in spine.nodes:
+            realize_paths(g, spine, node)
+        assert started == [g]

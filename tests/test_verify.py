@@ -15,6 +15,7 @@ from moprc import (
     Graph,
     NotACut,
     ScaleLimit,
+    build_ccs,
     disjoint_cut_property,
     edge,
     enumerate_small_edge_cuts,
@@ -30,6 +31,7 @@ from moprc import (
     random_mop_graph,
 )
 from moprc import verify
+from moprc.coloring import _layered, _staged
 from moprc.metrics import central_vertex
 from moprc._rng import SplitMix64
 
@@ -102,28 +104,31 @@ def levels(g: Graph, u: int) -> dict[int, int]:
 def rainbow_reach(g: Graph, colors: dict[tuple[int, int], int], u: int, shortest: bool = False):
     """Every vertex some rainbow walk from u reaches.
 
-    A breadth-first search over (vertex, colors used) states; a rainbow
-    walk contains a rainbow path. With shortest set, a step must lead one
-    BFS level further from u, so every walk is a shortest path.
+    A breadth-first search over (vertex, colors used) states, the colors
+    as a bitmask; a rainbow walk contains a rainbow path. A state is
+    dropped when another state at its vertex used a subset of its colors:
+    that one can take every step the dropped one could. With shortest
+    set, a step must lead one BFS level further from u, so every walk is
+    a shortest path.
     """
     level = levels(g, u)
-    seen = {(u, frozenset())}
-    frontier = list(seen)
-    reached = {u}
+    minimal = {u: [0]}
+    frontier = [(u, 0)]
     while frontier:
         nxt = []
         for x, used in frontier:
             for y in g.neighbors(x):
-                c = colors[edge(x, y)]
-                if c in used or (shortest and level[y] != level[x] + 1):
+                bit = 1 << colors[edge(x, y)]
+                if used & bit or (shortest and level[y] != level[x] + 1):
                     continue
-                state = (y, used | {c})
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-                    reached.add(y)
+                grown = used | bit
+                kept = minimal.setdefault(y, [])
+                if any(m & grown == m for m in kept):
+                    continue
+                kept.append(grown)
+                nxt.append((y, grown))
         frontier = nxt
-    return reached
+    return set(minimal)
 
 
 def per_source_check(g: Graph, colors: dict[tuple[int, int], int], shortest: bool = False):
@@ -277,6 +282,22 @@ def test_hub_certificate_beyond_64_colors():
         assert (res.ok, res.counterexample, res.pairs_checked) == per_source_check(cycle, colors)
         verdicts.append((res.ok, res.counterexample))
     assert verdicts == [(True, None), (False, (40, 42))]
+
+
+@pytest.mark.parametrize("family", [lad, lad_plus], ids=lambda f: f.__name__)
+def test_verifier_matches_reference_on_strip_colorings(family):
+    # The layered colorings spend 3 * radius colors and leave some pairs
+    # open to the per-source search (up to 21 on lad_plus(12)); the
+    # staged ones spend 2 * radius + 2 and the hub proves every pair.
+    # Beyond d = 12 the reference grows too slow on layered colorings.
+    for d in range(10, 17):
+        g = family(d).graph
+        spine = build_ccs(g)
+        colorings = [_staged(g, spine)]
+        if d <= 12:
+            colorings.append(_layered(g, spine))
+        for coloring in colorings:
+            assert assert_matches_per_source_check(g, coloring.colors), d
 
 
 def test_hub_split_of_pairs_on_returned_colorings():
