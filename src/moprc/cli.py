@@ -149,8 +149,7 @@ def _cmd_verify(args) -> int:
         print(f"FAIL {u} {v}")
     # stdout stays the bare verdict for scripts; the split goes to stderr.
     print(
-        f"pairs: {result.pairs_checked} checked, "
-        f"{result.pairs_certified} certified by the hub",
+        f"pairs: {result.pairs_checked} checked, {result.pairs_certified} certified",
         file=sys.stderr,
     )
     return EXIT_OK if result.ok else EXIT_FAIL

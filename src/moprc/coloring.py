@@ -31,8 +31,9 @@ that fits the reserve; `rainbow_coloring` is the one place that falls
 back. It checks a staged coloring once, by the exact checker, and
 otherwise returns `_layered`'s coloring, which spends three colors per
 BFS layer and is rainbow connected by construction (see its docstring).
-The staged coloring is kept whenever it passes: it often saves colors,
-and on strips the checker proves it far faster than the layered one.
+The staged coloring is kept whenever it passes, because it often saves
+colors; the checker proves a layered coloring at once by its layer
+certificate, and a staged one only by its hub and per-source searches.
 Every strip `lad(d)` and `lad_plus(d)`, d = 3 .. 30, passes at
 2 * radius + 2 colors, where the layered coloring spends 3 * radius.
 Of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60),

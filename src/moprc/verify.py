@@ -14,10 +14,14 @@ rainbow path, and strongly rainbow connected when every pair is joined
 by a rainbow shortest path.
 
 Checking a given coloring is NP-hard in general (Chakraborty, Fischer,
-Matsliah and Yuster, 2011), so `is_rainbow_connected` works in two
-phases. A single search out of one central hub vertex proves most pairs
-at once (the hub certificate); only the pairs it leaves open go to the
-exhaustive per-source search, which alone decides the verdict.
+Matsliah and Yuster, 2011), so `is_rainbow_connected` works in three
+phases. The layer certificate reads the BFS layers from one central hub
+vertex and proves every pair at once when each layer owns its colors
+and gives its vertices exits towards the hub that avoid each other;
+layered colorings pass it in linear time. Otherwise a single search out
+of the hub proves most pairs (the hub certificate); only the pairs it
+leaves open go to the exhaustive per-source search, which alone decides
+the verdict.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ class VerifyResult:
 
     counterexample is the lexicographically first pair with no
     qualifying rainbow path, or None when the property holds.
-    pairs_certified counts the pairs among pairs_checked that the hub
-    certificate proved; the rest were searched exhaustively.
+    pairs_certified counts the pairs among pairs_checked that a
+    certificate proved: all of them when the layer certificate holds,
+    else those the hub certificate proved. The rest were searched
+    exhaustively.
     """
 
     ok: bool
@@ -296,6 +302,64 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
         yield u, left
 
 
+def _layer_certificate(g: Graph, adj, hub: int) -> bool:
+    """Whether the BFS layers from hub prove every pair at once.
+
+    adj[x] lists the (neighbor, color bit) steps out of x. Layer k >= 1
+    owns the colors of its inner edges and of its spokes to layer k - 1.
+    An exit of a vertex of layer k is a spoke, or an inner edge followed
+    by the neighbor's spoke in another color. Three facts prove every
+    pair: no two layers share a color, every vertex below the hub has an
+    exit (its BFS parent gives it a spoke, so the hub must reach it),
+    and any two vertices of one layer have exits with disjoint colors.
+    For a pair u, v with v no deeper than u, u walks down alone, one
+    layer per exit, to v's layer; then both walk down on exits with
+    disjoint colors until the walks meet, at the hub at the latest. Each
+    layer's exits spend its own colors only, so the walks join into a
+    rainbow walk, which contains a rainbow path.
+
+    Each vertex's minimal exit masks form its group key. Two groups of a
+    layer pass when some mask of one is disjoint from some mask of the
+    other, and a group of two or more vertices is also tested against
+    itself. A coloring whose layers hold a few groups each, as
+    `_layered`'s do, costs O(m).
+    """
+    level = _levels(g, hub)
+    depth = max(level[1:])
+    if depth == sys.maxsize:
+        return False
+    owner: dict[int, int] = {}  # color bit -> the layer that owns it
+    down: list[set[int]] = [set() for _ in level]  # spoke colors to the layer above
+    for x in g.vertices():
+        k = level[x]
+        for y, b in adj[x]:
+            if level[y] == k - 1:
+                down[x].add(b)
+            elif level[y] != k:
+                continue
+            if owner.setdefault(b, k) != k:
+                return False
+    groups: list[dict[frozenset[int], int]] = [{} for _ in range(depth + 1)]
+    for x in g.vertices():
+        k = level[x]
+        if not k:
+            continue
+        # A two-step exit that holds one of x's spoke colors is not minimal.
+        exits = set(down[x])
+        for y, b in adj[x]:
+            if level[y] == k and b not in down[x]:
+                exits.update(b | c for c in down[y] if c != b and c not in down[x])
+        key = frozenset(exits)
+        groups[k][key] = groups[k].get(key, 0) + 1
+    for layer in groups:
+        keys = list(layer)
+        for i, a in enumerate(keys):
+            for b in keys[i if layer[a] > 1 else i + 1 :]:
+                if all(x & y for x in a for y in b):
+                    return False
+    return True
+
+
 def is_rainbow_connected(
     g: Graph,
     coloring: EdgeColoring,
@@ -305,11 +369,18 @@ def is_rainbow_connected(
 ) -> VerifyResult:
     """Exactly check that every pair has a rainbow path.
 
-    Phase 1, the hub certificate: one rainbow search from the hub (the
-    vertex of least eccentricity, then degree, then label) keeps, per
-    vertex, minimal color masks of rainbow walks from the hub. A pair
-    (u, v) is proven when some mask of u is disjoint from some mask of
-    v: the walk u -> hub -> v then repeats no color, and every walk
+    Phase 0, the layer certificate: when the BFS layers from the hub
+    (the vertex of least eccentricity, then degree, then label) own
+    disjoint palettes, and any two vertices of a layer have exits
+    towards the hub in disjoint colors (`_layer_certificate`), every
+    pair is proven at once. The coloring's layered fallback
+    (`coloring._layered`) always passes it. When it fails, phases 1 and
+    2 decide as if it had not run.
+
+    Phase 1, the hub certificate: one rainbow search from the hub
+    keeps, per vertex, minimal color masks of rainbow walks from it. A
+    pair (u, v) is proven when some mask of u is disjoint from some mask
+    of v: the walk u -> hub -> v then repeats no color, and every walk
     contains a u..v path on a subset of its edges, which is rainbow.
     Each row u tests its pairs (u, v > u) together, and stops going
     through the masks of u as soon as every one of them is proven.
@@ -322,8 +393,12 @@ def is_rainbow_connected(
     edges, bits, k = _prepare(g, coloring, max_n, max_colors)
     adj = _steps(g, edges, bits)
     n = g.n
+    hub = central_vertex(g)
+    if _layer_certificate(g, adj, hub):
+        pairs = n * (n - 1) // 2
+        return VerifyResult(True, None, pairs, pairs)
     max_len = min(n - 1, k)
-    masks = _masks(adj, central_vertex(g), max_len, cap=_HUB_MASK_CAP)
+    masks = _masks(adj, hub, max_len, cap=_HUB_MASK_CAP)
     pairs = certified = 0
     for u, left in _open_pairs(masks, n, k):
         pairs += n - u

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,49 @@ def assert_matches_per_source_check(g: Graph, colors) -> bool:
     return res.ok
 
 
+def layer_certified(g: Graph, colors) -> bool:
+    """Whether the layer certificate alone proves the coloring."""
+    coloring = EdgeColoring(colors)
+    edges, bits, _ = verify._prepare(g, coloring, g.n, len(coloring.used))
+    return verify._layer_certificate(g, verify._steps(g, edges, bits), central_vertex(g))
+
+
+@contextmanager
+def layer_certificate_off(monkeypatch):
+    """is_rainbow_connected runs its hub and per-source phases only."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_layer_certificate", lambda g, adj, hub: False)
+        yield
+
+
+def checked_both_ways(monkeypatch, g: Graph, colors, **caps):
+    """is_rainbow_connected's results with the layer certificate on, then off."""
+    coloring = EdgeColoring(colors)
+    on = is_rainbow_connected(g, coloring, **caps)
+    with layer_certificate_off(monkeypatch):
+        return on, is_rainbow_connected(g, coloring, **caps)
+
+
+def assert_certificate_sound(monkeypatch, g: Graph, colors) -> bool:
+    """Check the layer certificate against the exhaustive phases.
+
+    Returns whether it accepted the coloring.
+    """
+    certified = layer_certified(g, colors)
+    caps = {"max_n": g.n, "max_colors": len(set(colors.values()))}
+    on, off = checked_both_ways(monkeypatch, g, colors, **caps)
+    assert (on.ok, on.counterexample, on.pairs_checked) == (
+        off.ok,
+        off.counterexample,
+        off.pairs_checked,
+    )
+    if certified:
+        assert off.ok and on.pairs_certified == on.pairs_checked
+    else:
+        assert on == off
+    return certified
+
+
 HUB_GRAPHS = [
     K3,
     P3,
@@ -285,36 +329,125 @@ def test_hub_certificate_beyond_64_colors():
 
 
 @pytest.mark.parametrize("family", [lad, lad_plus], ids=lambda f: f.__name__)
-def test_verifier_matches_reference_on_strip_colorings(family):
-    # The layered colorings spend 3 * radius colors and leave some pairs
-    # open to the per-source search (up to 21 on lad_plus(12)); the
-    # staged ones spend 2 * radius + 2 and the hub proves every pair.
+def test_verifier_matches_reference_on_strip_colorings(family, monkeypatch):
+    # The staged colorings spend 2 * radius + 2 colors and the hub proves
+    # every pair. The layered ones spend 3 * radius; the layer
+    # certificate proves them at once, and with it off they leave some
+    # pairs open to the per-source search (up to 21 on lad_plus(12)).
     # Beyond d = 12 the reference grows too slow on layered colorings.
+    open_pairs = []
     for d in range(10, 17):
         g = family(d).graph
         spine = build_ccs(g)
-        colorings = [_staged(g, spine)]
+        assert assert_matches_per_source_check(g, _staged(g, spine).colors), d
         if d <= 12:
-            colorings.append(_layered(g, spine))
-        for coloring in colorings:
-            assert assert_matches_per_source_check(g, coloring.colors), d
+            colors = _layered(g, spine).colors
+            expected = per_source_check(g, colors)
+            on, off = checked_both_ways(monkeypatch, g, colors)
+            assert expected[0] and on.pairs_certified == on.pairs_checked, d
+            for res in (on, off):
+                assert (res.ok, res.counterexample, res.pairs_checked) == expected, d
+            open_pairs.append(off.pairs_checked - off.pairs_certified)
+    assert max(open_pairs) > 0
 
 
-def test_hub_split_of_pairs_on_returned_colorings():
+def test_hub_split_of_pairs_on_returned_colorings(monkeypatch):
     # sha256 of every check's (ok, counterexample, pairs_checked,
     # pairs_certified) on the colorings rainbow_coloring returns for the
     # bench strips and random-200 graphs, recorded before the hub rows
-    # stopped early.
+    # stopped early. The random-200 colorings are layered, so the hash is
+    # taken with the layer certificate off, which keeps the hub rows
+    # pinned on them.
     graphs = [f(d).graph for d in range(10, 21) for f in (lad, lad_plus)]
     graphs += [random_mop_graph(200, s) for s in range(1, 4)]
     splits = []
-    for g in graphs:
-        coloring, _ = rainbow_coloring(g)
-        res = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=64)
-        splits.append((res.ok, res.counterexample, res.pairs_checked, res.pairs_certified))
+    with layer_certificate_off(monkeypatch):
+        for g in graphs:
+            coloring, _ = rainbow_coloring(g)
+            res = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=64)
+            splits.append((res.ok, res.counterexample, res.pairs_checked, res.pairs_certified))
     assert hashlib.sha256(repr(splits).encode()).hexdigest() == (
         "b52df244da6fbbee61fe3d5ccfeb80452c2aa05b992d1c699ec7ea761b19951e"
     )
+    # With it on, it proves every pair of each random-200 coloring of the
+    # bench corpora 1 to 4 (graphs 1 to 6).
+    for s in range(1, 7):
+        g = random_mop_graph(200, s)
+        res = is_rainbow_connected(g, rainbow_coloring(g)[0], max_n=g.n, max_colors=64)
+        assert (res.ok, res.pairs_checked, res.pairs_certified) == (True, 19900, 19900), s
+
+
+def test_layer_certificate_never_accepts_what_the_search_rejects(monkeypatch):
+    # Drawn colorings of small MOPs and fans: layered, layered with one
+    # to three edges recolored, random, and layered with one edge moved
+    # into another layer's palette, which the certificate must refuse.
+    rng = SplitMix64(21)
+    graphs = [random_mop_graph(n, seed + n) for n in range(6, 31) for seed in (300, 600)]
+    graphs += [f(d).graph for d in range(3, 9) for f in (lad, lad_plus)]
+    accepted: dict[str, list[bool]] = {"layered": [], "recolored": [], "random": []}
+    for g in graphs:
+        spine = build_ccs(g)
+        layered = _layered(g, spine).colors
+        accepted["layered"].append(assert_certificate_sound(monkeypatch, g, layered))
+        top = max(layered.values())
+        edges = sorted(g.edges)
+        for _ in range(12):
+            recolored = dict(layered)
+            for _ in range(1 + rng.below(3)):
+                recolored[edges[rng.below(len(edges))]] = 1 + rng.below(top)
+            accepted["recolored"].append(assert_certificate_sound(monkeypatch, g, recolored))
+        for _ in range(4):
+            k = 1 + rng.below(top)
+            colors = {e: 1 + rng.below(k) for e in edges}
+            accepted["random"].append(assert_certificate_sound(monkeypatch, g, colors))
+        # An edge belongs to the layer of its deeper end.
+        level = verify._levels(g, central_vertex(g))
+        e = edges[rng.below(len(edges))]
+        others = [f for f in edges if max(level[x] for x in f) != max(level[x] for x in e)]
+        if others:  # a fan has one layer
+            shared = dict(layered)
+            shared[e] = layered[others[rng.below(len(others))]]
+            assert not assert_certificate_sound(monkeypatch, g, shared)
+    for n in range(3, 15):
+        g = fan(n).graph
+        for k in (1, 2, 3, 4):
+            colors = {e: 1 + rng.below(k) for e in sorted(g.edges)}
+            accepted["random"].append(assert_certificate_sound(monkeypatch, g, colors))
+    assert all(accepted["layered"])
+    for kind in ("recolored", "random"):
+        assert True in accepted[kind] and False in accepted[kind], kind
+
+
+def test_layer_certificate_on_graphs_that_are_no_mops(monkeypatch):
+    # Cycles, a tree, a disconnected graph and the hub graphs, with every
+    # edge its own color and with random colorings. A disconnected graph
+    # has a vertex no layer holds, so the certificate refuses it.
+    rng = SplitMix64(5)
+    tree = Graph(9, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7), (6, 8), (8, 9)])
+    split = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])
+    graphs = [cycle(n) for n in range(3, 13)] + [tree, split] + HUB_GRAPHS
+    accepted = []
+    for g in graphs:
+        edges = sorted(g.edges)
+        drawn = [{e: i for i, e in enumerate(edges, 1)}]
+        for k in (1, 2, 3, 5, 8):
+            drawn.append({e: 1 + rng.below(k) for e in edges})
+        for colors in drawn:
+            certified = assert_certificate_sound(monkeypatch, g, colors)
+            if g is split:
+                assert not certified
+            accepted.append(certified)
+    assert True in accepted and False in accepted
+
+
+def test_layer_certificate_accepts_every_layered_coloring():
+    # `_layered`'s lemma rests on the three facts the certificate reads,
+    # so it proves every such coloring, including ones far past what the
+    # exhaustive phases can finish (lad(30) spends 45 colors).
+    graphs = [f(d).graph for d in range(3, 31) for f in (lad, lad_plus)]
+    graphs += [random_mop_graph(n, s) for n in (10, 20, 50, 100, 200, 400) for s in range(3)]
+    for g in graphs:
+        assert layer_certified(g, _layered(g, build_ccs(g)).colors), g
 
 
 @given(colored_mops())
