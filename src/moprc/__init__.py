@@ -48,10 +48,8 @@ from .generators import FamilyInstance, fan, fan_coloring, lad, lad_plus, random
 from .metrics import (
     DistanceTable,
     EccentricitySummary,
-    EdgeEccentricity,
     bfs,
     ecc_diam_rad_center,
-    edge_side_eccentricities,
     eta,
     layers,
     linear_eccentricities,
@@ -85,7 +83,6 @@ __all__ = [
     "DomainError",
     "EccentricitySummary",
     "EdgeColoring",
-    "EdgeEccentricity",
     "ExactResult",
     "FamilyInstance",
     "FormatError",
@@ -106,7 +103,6 @@ __all__ = [
     "disjoint_cut_property",
     "ecc_diam_rad_center",
     "edge",
-    "edge_side_eccentricities",
     "enumerate_small_edge_cuts",
     "eta",
     "exact_rc",

@@ -196,7 +196,7 @@ class MopGraph(Graph):
     path of the neighborhood, which several algorithms walk directly.
     """
 
-    __slots__ = ("ham_cycle", "_pos", "_fan", "edge_kind")
+    __slots__ = ("ham_cycle", "_fan", "edge_kind")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], ham_cycle: tuple[int, ...]):
         super().__init__(n, edges)
@@ -209,7 +209,6 @@ class MopGraph(Graph):
             if not self.has_edge(v, ham_cycle[(i + 1) % n]):
                 raise NotMop(f"claimed cycle edge ({v}, {ham_cycle[(i + 1) % n]}) missing")
         self.ham_cycle = tuple(ham_cycle)
-        self._pos = pos
         fan = {}
         for v in self.vertices():
             pv = pos[v]
@@ -224,9 +223,6 @@ class MopGraph(Graph):
         for e in self.edges:
             kind[e] = "outer" if e in outer else "chord"
         self.edge_kind = kind
-
-    def cycle_position(self, v: int) -> int:
-        return self._pos[v]
 
     def fan_neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v ordered by cyclic position after v.

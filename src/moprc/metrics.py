@@ -3,16 +3,17 @@ specific to maximal outerplanar graphs.
 
 The generic routines (bfs, eccentricities by ball growth, layers) work
 on any connected `Graph`. `linear_eccentricities` exploits the tree
-structure of a MOP's inner faces: it propagates signed depth values
-across each edge from each side and reads every vertex eccentricity
-off a single incident edge, doing O(1) work per (edge, side) state.
+structure of a MOP's inner faces: it keeps three numbers for each side
+of each edge, the farthest distance from either end and the farthest
+distance from the nearer end, builds each side's from the two beyond it
+in O(1), and reads every vertex eccentricity off one incident edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, MopGraph, breadth_first, edge, triangles
+from .core import Graph, MopGraph, breadth_first, edge
 from .errors import DomainError, NotMop
 
 
@@ -127,11 +128,10 @@ def layers(g: Graph, sources: tuple[int, ...] | int) -> tuple[tuple[int, ...], .
     dist, _ = breadth_first(g.neighbors, sources)
     if len(dist) != g.n:
         raise DomainError("graph is not connected")
-    depth = max(dist.values())
-    out: list[tuple[int, ...]] = []
-    for k in range(depth + 1):
-        out.append(tuple(sorted(v for v in g.vertices() if dist.get(v) == k)))
-    return tuple(out)
+    out: list[list[int]] = [[] for _ in range(max(dist.values()) + 1)]
+    for v in g.vertices():
+        out[dist[v]].append(v)
+    return tuple(map(tuple, out))
 
 
 def eta(g: Graph) -> int:
@@ -148,140 +148,81 @@ def eta(g: Graph) -> int:
     return 3
 
 
-@dataclass(frozen=True)
-class EdgeEccentricity:
-    """Signed one-sided eccentricity values for an edge p = (lo, hi).
+def _side_map(g: MopGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each edge mapped to the apexes of the inner faces on it (1 or 2).
 
-    `side` identifies which side of p the values describe: the inner
-    face (triangle) on that side, or None for the exterior side. The
-    magnitude of value_at_lo is the farthest distance from lo to any
-    vertex strictly on that side of p (hi excluded); -1 encodes an
-    empty side. The sign tracks whether the farthest such vertex is
-    reached through the side's apex at full depth (negative) or is
-    already dominated closer to the edge (positive); it is what lets a
-    parent state extend the value by one hop without re-scanning.
+    Consecutive fan neighbors a, b of v close the face (v, a, b), and
+    only the face's smallest vertex lists it, so the index costs O(m).
     """
-
-    p: tuple[int, int]
-    side: frozenset[int] | None
-    value_at_lo: int
-    value_at_hi: int
-
-
-def _side_map(g: MopGraph) -> dict[tuple[int, int], tuple[frozenset[int], ...]]:
-    """Each edge mapped to the inner faces containing it (1 or 2)."""
-    sides: dict[tuple[int, int], list[frozenset[int]]] = {e: [] for e in g.edges}
-    for t in triangles(g):
-        a, b, c = sorted(t)
-        for e in ((a, b), (a, c), (b, c)):
-            sides[e].append(t)
-    out = {}
-    for e, ts in sides.items():
+    apexes: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
+    for v in g.vertices():
+        fan = g.fan_neighbors(v)
+        for a, b in zip(fan, fan[1:]):
+            if v < a and v < b:
+                if not g.has_edge(a, b):
+                    raise NotMop(f"fan neighbors {a} and {b} of vertex {v} are not adjacent")
+                apexes[(v, a)].append(b)
+                apexes[(v, b)].append(a)
+                apexes[edge(a, b)].append(v)
+    for e, ws in apexes.items():
         expect = 2 if g.edge_kind[e] == "chord" else 1
-        if len(ts) != expect:
-            raise NotMop(f"edge {e} lies in {len(ts)} inner faces, expected {expect}")
-        out[e] = tuple(ts)
-    return out
-
-
-def edge_side_eccentricities(g: MopGraph) -> dict[tuple[tuple[int, int], frozenset[int] | None], EdgeEccentricity]:
-    """Signed eccentricity values for every (edge, side) state.
-
-    States form the tree of inner faces, so each is computed once from
-    its two child states via an explicit stack (no recursion limits).
-    """
-    sides = _side_map(g)
-
-    def child(e: tuple[int, int], away_from: frozenset[int]):
-        ts = sides[e]
-        if len(ts) == 1:
-            return (e, None)
-        return (e, ts[0] if ts[1] == away_from else ts[1])
-
-    memo: dict[tuple[tuple[int, int], frozenset[int] | None], tuple[int, int]] = {}
-
-    def signed_at(key, v: int) -> int:
-        lo, hi = key[0]
-        vals = memo[key]
-        return vals[0] if v == lo else vals[1]
-
-    def combine(key) -> tuple[int, int] | None:
-        """Compute the state if both children are ready, else None."""
-        p, side = key
-        if side is None:
-            return (-1, -1)
-        s, t = p
-        (w,) = side - {s, t}
-        a = edge(s, w)
-        b = edge(t, w)
-        ka = child(a, side)
-        kb = child(b, side)
-        if ka not in memo or kb not in memo:
-            return None
-
-        def one_endpoint(x, key_near, key_far) -> int:
-            # Eccentricity of x into this side: either the far
-            # endpoint's subtree (shifted one hop through w) dominates,
-            # or x's own near subtree does.
-            near = signed_at(key_near, x)
-            far_end = t if x == s else s
-            far = signed_at(key_far, far_end)
-            shifted = -(1 + far) if far > 0 else abs(far)
-            if abs(near) >= abs(shifted):
-                return abs(near)
-            return shifted
-
-        val_s = one_endpoint(s, ka, kb)
-        val_t = one_endpoint(t, kb, ka)
-        lo, hi = p
-        return (val_s, val_t) if (s, t) == (lo, hi) else (val_t, val_s)
-
-    # Iterative DFS over dependency edges.
-    for e in sorted(g.edges):
-        for side in sides[e] + (None,) * (2 - len(sides[e])):
-            root = (e, side)
-            if root in memo:
-                continue
-            stack = [root]
-            while stack:
-                key = stack[-1]
-                if key in memo:
-                    stack.pop()
-                    continue
-                result = combine(key)
-                if result is not None:
-                    memo[key] = result
-                    stack.pop()
-                    continue
-                p, side_k = key
-                s, t = p
-                (w,) = side_k - {s, t}
-                for dep in (child(edge(s, w), side_k), child(edge(t, w), side_k)):
-                    if dep not in memo:
-                        stack.append(dep)
-
-    out = {}
-    for key, (vlo, vhi) in memo.items():
-        out[key] = EdgeEccentricity(key[0], key[1], vlo, vhi)
-    return out
+        if len(ws) != expect:
+            raise NotMop(f"edge {e} lies in {len(ws)} inner faces, expected {expect}")
+    return {e: tuple(ws) for e, ws in apexes.items()}
 
 
 def linear_eccentricities(g: MopGraph) -> dict[int, int]:
-    """Every vertex eccentricity via the face-tree propagation.
+    """Every vertex eccentricity of a MOP in O(n), with no BFS.
 
-    Equivalent to per-vertex BFS but does O(1) work per (edge, side)
-    state, i.e. O(n) states overall. For each vertex the two side
-    values of any one incident edge cover the whole graph.
+    Edge {s, t} with s < t splits the other vertices into two sides, one
+    per face on it; the exterior side of an outer edge is empty. The
+    side across face (s, t, w) has the state (E(s), E(t), m): the
+    farthest distance from s and from t to a vertex of the side, and
+    m = max over its vertices x of min(d(s, x), d(t, x)). An empty side
+    is (-1, -1, -1). The side is w plus C1, the far side of {s, w}, and
+    C2, the far side of {t, w}. Removing the adjacent pair {s, w} cuts
+    C1 off from the rest, so a shortest path from t into C1 steps to s
+    or w first, and one from s needs no vertex outside C1 and {s, w}.
+    By symmetry in {t, w} and C2:
+
+        E(s) = max(1, E1(s), 1 + m2)
+        E(t) = max(1, E2(t), 1 + m1)
+        m    = max(1, E1(s), E2(t))
+
+    The states are keyed (s, t, w), with w = 0 for an exterior side.
+    Each reads two others in O(1); an explicit stack computes the far
+    sides first, so deep MOPs hit no recursion limit. The two sides of
+    an edge at v hold every vertex but its ends, so v's eccentricity is
+    its larger E over them.
     """
-    if g.n == 3:
-        return {1: 1, 2: 1, 3: 1}
-    # The table holds both side states of every edge, so it alone gives
-    # each edge its two records.
-    states: dict[tuple[int, int], list[EdgeEccentricity]] = {}
-    for (e, _), rec in edge_side_eccentricities(g).items():
-        states.setdefault(e, []).append(rec)
+    apexes = _side_map(g)
+    state = {(*e, 0): (-1, -1, -1) for e, ws in apexes.items() if len(ws) == 1}
+
+    def far_side(a: int, b: int, near: int) -> tuple[int, int, int]:
+        """The side of edge {a, b} whose face does not have apex near."""
+        lo, hi = edge(a, b)
+        return (lo, hi, next((w for w in apexes[(lo, hi)] if w != near), 0))
+
+    stack = [(*e, w) for e, ws in apexes.items() for w in ws]
+    while stack:
+        key = stack[-1]
+        if key in state:
+            stack.pop()
+            continue
+        s, t, w = key
+        k1, k2 = far_side(s, w, t), far_side(t, w, s)
+        todo = [k for k in (k1, k2) if k not in state]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        c1, c2 = state[k1], state[k2]
+        # A state holds E of its edge's lower end first.
+        e1, e2 = c1[s != k1[0]], c2[t != k2[0]]
+        state[key] = (max(1, e1, 1 + c2[2]), max(1, e2, 1 + c1[2]), max(1, e1, e2))
+
     ecc = {}
     for v in g.vertices():
-        e = edge(v, g.neighbors(v)[0])
-        ecc[v] = max(abs(r.value_at_lo if v == e[0] else r.value_at_hi) for r in states[e])
+        lo, hi = edge(v, g.neighbors(v)[0])
+        ecc[v] = max(state[(lo, hi, w)][v != lo] for w in apexes[(lo, hi)])
     return ecc

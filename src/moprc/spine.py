@@ -279,11 +279,14 @@ def build_ccs(g: MopGraph) -> CutSpine:
             g.has_edge(u, v) for u in p.realization for v in child.realization
         )
 
-    # Candidate parents, deepest level first.
-    deepest_first = sorted(nodes, key=lambda p: (-p.level, p.realization))
+    # A node's vertices lie in its own BFS layer and edges span at most
+    # one layer, so only nodes one level up can touch it.
+    by_level: dict[int, list[SpineNode]] = {}
+    for nd in nodes:
+        by_level.setdefault(nd.level, []).append(nd)
     parent: dict[SpineNode, SpineNode] = {}
     for node in nodes[1:]:
-        cands = [p for p in deepest_first if p.level < node.level]
+        cands = by_level.get(node.level - 1, ())
         chosen = next((p for p in cands if touches_all(p, node)), None)
         if chosen is None:
             chosen = next((p for p in cands if touches_any(p, node)), root)

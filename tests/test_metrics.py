@@ -1,5 +1,7 @@
 """Distances, eccentricities, layers, and the linear-time scheme."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from moprc import (
     CanonicalMop,
     DomainError,
     Graph,
+    MopGraph,
     NotMop,
     bfs,
     ecc_diam_rad_center,
@@ -15,9 +18,11 @@ from moprc import (
     fan,
     from_canonical,
     lad,
+    lad_plus,
     layers,
     linear_eccentricities,
     random_mop_graph,
+    validate_mop,
 )
 
 TRIANGLE = from_canonical(CanonicalMop(3))
@@ -76,6 +81,22 @@ def test_layers_partition():
         layers(g, ())
 
 
+@pytest.mark.parametrize("n, seed", [(3, 0), (17, 2), (60, 5), (150, 9)])
+def test_layers_group_bfs_distances(n, seed):
+    g = random_mop_graph(n, seed)
+    for sources in ((1,), (n, 2), tuple(g.vertices())[::4]):
+        dist = {v: min(bfs(g, s).dist[v] for s in sources) for v in g.vertices()}
+        expect = [tuple(v for v in g.vertices() if dist[v] == k) for k in range(max(dist.values()) + 1)]
+        assert layers(g, sources) == tuple(expect)
+
+
+def test_layers_reject_bad_source_and_disconnected():
+    with pytest.raises(DomainError, match="source 0 outside 1..3"):
+        layers(TRIANGLE, (1, 0))
+    with pytest.raises(DomainError, match="not connected"):
+        layers(Graph(4, [(1, 2), (3, 4)]), 1)
+
+
 def test_every_mop_edge_lies_in_a_triangle():
     assert eta(TRIANGLE) == 3
     assert eta(fan(7).graph) == 3
@@ -113,6 +134,50 @@ def test_linear_eccentricities_build_the_side_map_once(monkeypatch):
     g = random_mop_graph(30, 4)
     assert linear_eccentricities(g) == bfs_ecc(g)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fan(k).graph for k in range(2, 61)] + [fam(d).graph for d in range(2, 31) for fam in (lad, lad_plus)],
+    ids=repr,
+)
+def test_linear_eccentricities_on_families(g):
+    assert linear_eccentricities(g) == bfs_ecc(g)
+
+
+def cycle_plus_chords(n: int):
+    """Every MopGraph on the cycle 1..n with n - 3 chords, MOP or not."""
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    chords = [e for e in itertools.combinations(range(1, n + 1), 2) if e[1] - e[0] not in (1, n - 1)]
+    for pick in itertools.combinations(chords, n - 3):
+        yield MopGraph(n, ring + list(pick), tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_linear_eccentricities_reject_exactly_the_non_mops(n):
+    mops = 0
+    for g in cycle_plus_chords(n):
+        if validate_mop(g).ok:
+            mops += 1
+            assert linear_eccentricities(g) == bfs_ecc(g), g.edges
+        else:
+            with pytest.raises(NotMop):
+                linear_eccentricities(g)
+    # The triangulations of an n-gon: a Catalan number.
+    assert mops == {4: 2, 5: 5, 6: 14, 7: 42}[n]
+
+
+def test_linear_eccentricities_index_faces_without_triangles(monkeypatch):
+    # The face index walks fan neighbors; listing triangles would ask
+    # for the common neighbors of every edge.
+    graphs = [random_mop_graph(80, 3), fan(40).graph, lad_plus(9).graph]
+    expect = [bfs_ecc(g) for g in graphs]
+
+    def refuse(self, u, v):
+        raise AssertionError("common_neighbors called")
+
+    monkeypatch.setattr(Graph, "common_neighbors", refuse)
+    assert [linear_eccentricities(g) for g in graphs] == expect
 
 
 def test_linear_eccentricities_match_oracle_large():

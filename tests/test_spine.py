@@ -1,5 +1,7 @@
 """Elimination orderings, maximal fans, and cut-spine construction."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,22 @@ def test_trees_are_identical_across_runs():
     assert s1.nodes == s2.nodes
     assert s1.parent == s2.parent
     assert s1.layers == s2.layers
+
+
+# sha256 over every spine's sorted (level, kind, realization, parent
+# kind, parent realization) rows, for random_mop_graph(n, n) with
+# n = 5, 8, .., 398 and lad(d), lad_plus(d) for d = 2..30.
+FROZEN_PARENT_DIGEST = "372f2c5424eb1610779a1801ba7bcd239550cfca85ca372d4b38458a85d51332"
+
+
+def test_frozen_spine_parents():
+    graphs = [random_mop_graph(n, n) for n in range(5, 401, 3)]
+    graphs += [fam(d).graph for d in range(2, 31) for fam in (lad, lad_plus)]
+    h = hashlib.sha256()
+    for g in graphs:
+        rows = ((nd.level, nd.kind, nd.realization, p.kind, p.realization) for nd, p in build_ccs(g).parent.items())
+        h.update(repr(sorted(rows)).encode())
+    assert h.hexdigest() == FROZEN_PARENT_DIGEST
 
 
 def test_realized_paths_are_edge_disjoint_with_length_contracts():
