@@ -1,13 +1,14 @@
 """Walk the central cut spine of a mid-size random MOP.
 
 The spine is a rooted tree over the graph's distance layers: the root
-is a most-central vertex, green nodes stand for chords whose endpoints
-form a 2-vertex cut, and red nodes mark hub vertices of fan-shaped
-regions in the outermost layer. Each node "realizes" back into the
-graph as two edge-disjoint paths from the root, which is what the
-staged coloring later exploits. A node may have no long path that fits
-the coloring's reserve of colors; the coloring then takes its layered
-form instead.
+is a most-central vertex, and every other node is green, a chord
+inside one distance layer whose endpoints form a 2-vertex cut and both
+reach the next layer out. Each green node hangs off a node one layer
+closer to the root that is adjacent to both its endpoints. Each node
+"realizes" back into the graph as two edge-disjoint paths from the
+root, which is what the staged coloring later exploits. A node may
+have no long path that fits the coloring's reserve of colors; the
+coloring then takes its layered form instead.
 
 Run:  python3 demos/03_spine_tour.py
 """

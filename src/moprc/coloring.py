@@ -215,11 +215,10 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     for node in spine.nodes[1:]:
         primary, secondary = primary_secondary(g, node)
         fans = [primary]
-        if node.kind == "green":
-            private = set(g.neighbors(secondary)) - set(g.neighbors(primary))
-            private.discard(primary)
-            if private:
-                fans.append(secondary)
+        private = set(g.neighbors(secondary)) - set(g.neighbors(primary))
+        private.discard(primary)
+        if private:
+            fans.append(secondary)
         for f in fans:
             phase = f % 2
             for idx, u in enumerate(g.fan_neighbors(f)):

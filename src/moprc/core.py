@@ -85,11 +85,11 @@ class Graph:
         return edge(u, v) in self.edges
 
     def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
-        a, b = self._adj[u], self._adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        bs = set(b)
-        return tuple(w for w in a if w in bs)
+        """Common neighbors in ascending order, in time the smaller degree."""
+        if len(self._adj[u]) > len(self._adj[v]):
+            u, v = v, u
+        edges = self.edges
+        return tuple(w for w in self._adj[u] if w != v and ((w, v) if w < v else (v, w)) in edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -322,19 +322,19 @@ def _induces_path(g: Graph, vs: tuple[int, ...]) -> bool:
         return False
     if k == 1:
         return True
+    # The induced adjacency, each vertex scanning the shorter of its
+    # own neighbor list and vs.
     inside = set(vs)
-    deg = {v: 0 for v in vs}
-    m = 0
-    for v in vs:
-        for u in g.neighbors(v):
-            if u in inside:
-                deg[v] += 1
-                if u > v:
-                    m += 1
-    if m != k - 1 or any(d > 2 for d in deg.values()):
+    nbr = {
+        v: [u for u in g.neighbors(v) if u in inside]
+        if g.degree(v) <= k
+        else [u for u in vs if u != v and edge(u, v) in g.edges]
+        for v in vs
+    }
+    if sum(map(len, nbr.values())) != 2 * (k - 1) or any(len(ns) > 2 for ns in nbr.values()):
         return False
-    start = next(v for v in vs if deg[v] <= 1)
-    reached, _ = breadth_first(lambda v: [u for u in g.neighbors(v) if u in inside], (start,))
+    start = next(v for v in vs if len(nbr[v]) <= 1)
+    reached, _ = breadth_first(nbr.__getitem__, (start,))
     return len(reached) == k
 
 
@@ -354,18 +354,21 @@ def validate_mop(g: Graph) -> ValidationReport:
     for v in g.vertices():
         if not _induces_path(g, g.neighbors(v)):
             violations.append(f"neighborhood of vertex {v} does not induce a path")
-    # 2-degeneracy: repeatedly peel a minimum-degree vertex.
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        if len(adj[v]) > 2:
-            violations.append(
-                f"not 2-degenerate: peeling stuck at vertex {v} with degree {len(adj[v])}"
-            )
-            break
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
+    # 2-degeneracy: peel vertices of degree <= 2 off a worklist. What
+    # is left when it runs dry is the 3-core, whatever the peel order,
+    # and the least (degree, label) vertex of it is reported.
+    deg = {v: g.degree(v) for v in g.vertices()}
+    work = [v for v in g.vertices() if deg[v] <= 2]
+    for v in work:
+        del deg[v]
+        for u in g.neighbors(v):
+            if u in deg:
+                deg[u] -= 1
+                if deg[u] == 2:
+                    work.append(u)
+    if deg:
+        v = min(deg, key=lambda x: (deg[x], x))
+        violations.append(f"not 2-degenerate: peeling stuck at vertex {v} with degree {deg[v]}")
     return ValidationReport(not violations, tuple(violations))
 
 

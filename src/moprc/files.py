@@ -132,13 +132,14 @@ def to_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
 
 
 def spine_to_dot(spine: CutSpine) -> str:
-    """DOT text for a cut spine: red/green nodes, tree edges."""
+    """DOT text for a cut spine: the root and its green nodes, each
+    with an edge from its parent."""
 
     def name(nd) -> str:
         inner = ",".join(str(v) for v in nd.realization)
         return f"{nd.kind}({inner}) L{nd.level}"
 
-    fill = {"root": "lightblue", "green": "palegreen", "red": "salmon"}
+    fill = {"root": "lightblue", "green": "palegreen"}
     lines = ["digraph spine {", "  node [style=filled];"]
     for nd in spine.nodes:
         lines.append(f'  "{name(nd)}" [fillcolor={fill[nd.kind]}];')

@@ -1,17 +1,18 @@
 """Cut spines: a tree of small vertex cuts guiding path construction.
 
 A cut spine hangs off a central root vertex and records, layer by
-layer, where the graph can be pinched apart: green nodes are 2-vertex
-cuts (adjacent pairs), red nodes are single cut-ish vertices, and the
-root is the chosen center. The spine drives the staged rainbow
-coloring: every node gets a short realization path from the root (a
-BFS tree path) and, when one fits the coloring's reserve of colors, an
-edge-disjoint long one (threaded through the other endpoint of each
-green ancestor). The routing data those paths share is built once with
-the spine, as its `routes`: the short paths themselves, the
-fixed-color tagged edges, and the distance balls grown for the
-eccentricities. Each long path is a depth-first corridor search inside
-those balls, not a breadth-first search of its own.
+layer, where the graph can be pinched apart: below the root, every
+node is green, a chord inside a BFS layer (an adjacent 2-vertex cut)
+whose two ends both reach the next layer. Each green node hangs off a
+node one layer up that is adjacent to both its ends. The spine drives
+the staged rainbow coloring: every green node gets a short realization
+path from the root (a BFS tree path) and, when one fits the coloring's
+reserve of colors, an edge-disjoint long one (threaded through the
+other endpoint of each green ancestor). The routing data those paths
+share is built once with the spine, as its `routes`: the short paths
+themselves, the fixed-color tagged edges, and the distance balls grown
+for the eccentricities. Each long path is a depth-first corridor
+search inside those balls, not a breadth-first search of its own.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .core import Graph, MopGraph, breadth_first, edge
 from .errors import NotChordal, NotMop
-from .metrics import central_vertex, ecc_diam_rad_center, layers
+from .metrics import _side_map, central_vertex, ecc_diam_rad_center, layers
 
 
 def mcs(g: Graph) -> tuple[int, ...]:
@@ -91,9 +92,9 @@ def maximal_fans(g: Graph) -> tuple[tuple[int, frozenset[int]], ...]:
 
 @dataclass(frozen=True)
 class SpineNode:
-    """One spine entry: the root, a red vertex, or a green 2-cut."""
+    """One spine entry: the root vertex, or a green chord (a 2-cut)."""
 
-    kind: str  # "root" | "red" | "green"
+    kind: str  # "root" | "green"
     realization: tuple[int, ...]
     level: int
 
@@ -121,9 +122,11 @@ class SpineRoutes:
 class CutSpine:
     """Cut spine of a MOP: nodes plus their tree structure.
 
-    layers[k] lists the vertices at BFS distance k from the root
-    vertex. degenerate_radius marks radius <= 1 graphs, whose spine is
-    just the root. routes is built once, with the spine.
+    nodes is the root, then the green nodes in (level, realization)
+    order; children and leaves keep that order. layers[k] lists the
+    vertices at BFS distance k from the root vertex. degenerate_radius
+    marks radius <= 1 graphs, whose spine is just the root. routes is
+    built once, with the spine.
     """
 
     root: SpineNode
@@ -142,13 +145,11 @@ class CutSpine:
         return self.root.realization[0]
 
     def children(self, node: SpineNode) -> tuple[SpineNode, ...]:
-        out = [c for c, p in self.parent.items() if p == node]
-        return tuple(sorted(out, key=lambda c: (c.level, c.realization)))
+        return tuple(c for c, p in self.parent.items() if p == node)
 
     def leaves(self) -> tuple[SpineNode, ...]:
         withkids = set(self.parent.values())
-        out = [nd for nd in self.nodes if nd not in withkids and nd.kind != "root"]
-        return tuple(sorted(out, key=lambda c: (c.level, c.realization)))
+        return tuple(nd for nd in self.nodes[1:] if nd not in withkids)
 
     def ancestors(self, node: SpineNode) -> tuple[SpineNode, ...]:
         """Chain from the root down to node, inclusive."""
@@ -191,122 +192,74 @@ def _layer_paths(g: Graph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
 def build_ccs(g: MopGraph) -> CutSpine:
     """Construct the central cut spine of a MOP.
 
-    The root is a minimum-degree center vertex (smallest label on
-    ties). Green nodes come from two sources: adjacent same-layer pairs
-    in layers 1..radius-1 whose endpoints both continue outward (chords
-    always; the outer pair too when the layer has exactly two
-    vertices), and merged parent pairs over the final layer when the
-    pair is a chord, which in a MOP is exactly when the adjacent pair
-    is a 2-vertex cut. Red nodes mark
-    single common parents of final-layer groups; a red falling inside a
-    same-level green is dropped as redundant.
+    Raises NotMop when g is not a MOP, by first indexing its inner
+    faces (`metrics._side_map`, O(m)). The root is a minimum-degree
+    center vertex (smallest label on ties). The green nodes at level i,
+    1 <= i < radius, are the chords inside layer i whose two ends both
+    have a neighbor in layer i + 1, in (level, realization) order. A
+    node's parent is the first node one level up that is adjacent to
+    both of its vertices.
+
+    Lemma. Let c in layer i, 1 <= i < radius, have a neighbor x in
+    layer i + 1. Walk c's fan path from x towards a parent of c.
+    Distances change by at most 1 per step, so the first vertex w not
+    in layer i + 1 lies in layer i. It follows a vertex of layer i + 1
+    and comes before at least one more fan neighbor, so (c, w) bounds
+    two inner faces: it is a chord, and both of its ends have
+    neighbors in layer i + 1. Hence:
+
+    (a) every vertex of layer radius - 1 with a neighbor in the last
+        layer lies on a green node of level radius - 1, so the common
+        parent of a run of the last layer needs no node of its own;
+    (b) when a run of the last layer has two common parents joined by
+        a chord, that chord is already a green node;
+    (c) in a layer of two vertices below the radius, a vertex with a
+        neighbor one layer out lies on a chord inside the layer, which
+        can only be the edge between the two: the outer edge of such a
+        layer never needs to be a node;
+    (d) the ends of a green node at level i >= 2 share a parent p (the
+        fact `coloring._layered` relies on); by the lemma p lies on a
+        green node one level up, which is adjacent to both ends. So
+        every node has a parent of the kind picked above.
     """
+    _side_map(g)
     summary = ecc_diam_rad_center(g)
     rad = summary.radius
     v_r = central_vertex(g, summary.center)
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
-    if rad <= 1:
-        return CutSpine(root, (root,), {}, lay, rad, _routes(g, (root,), lay, summary.balls))
-
-    greens: list[SpineNode] = []
-    green_seen: set[tuple[int, tuple[int, int]]] = set()
-
-    def add_green(a: int, b: int, level: int) -> None:
-        r = (a, b) if a < b else (b, a)
-        if (level, r) not in green_seen:
-            green_seen.add((level, r))
-            greens.append(SpineNode("green", r, level))
-
-    for i in range(1, rad):
-        ni = lay[i]
-        ni_set = set(ni)
-        below = set(lay[i + 1])
-        pair_layer = len(ni) == 2
-        for a in ni:
-            for b in g.neighbors(a):
-                if b <= a or b not in ni_set:
-                    continue
-                if g.edge_kind[(a, b)] != "chord" and not pair_layer:
-                    continue
-                if not any(w in below for w in g.neighbors(a)):
-                    continue
-                if not any(w in below for w in g.neighbors(b)):
-                    continue
-                add_green(a, b, i)
-
-    red_candidates: list[tuple[int, int]] = []  # (vertex, level)
-    parent_layer = set(lay[rad - 1])
-    for seg in _layer_paths(g, lay[rad]):
-        idx = 0
-        while idx < len(seg):
-            common = {u for u in g.neighbors(seg[idx]) if u in parent_layer}
-            j = idx + 1
-            while j < len(seg):
-                nxt = common & set(g.neighbors(seg[j]))
-                if not nxt:
-                    break
-                common = nxt
-                j += 1
-            cs = sorted(common)
-            if len(cs) == 1:
-                red_candidates.append((cs[0], rad - 1))
-            elif len(cs) == 2 and g.edge_kind.get((cs[0], cs[1])) == "chord":
-                add_green(cs[0], cs[1], rad - 1)
-            else:
-                c = min(cs, key=lambda v: (-g.degree(v), v))
-                red_candidates.append((c, rad - 1))
-            idx = j
-
-    green_cover = {(lvl, v) for lvl, r in green_seen for v in r}
-    reds: list[SpineNode] = []
-    red_seen: set[tuple[int, int]] = set()
-    for c, lvl in red_candidates:
-        if (lvl, c) in green_cover or (c, lvl) in red_seen:
-            continue
-        red_seen.add((c, lvl))
-        reds.append(SpineNode("red", (c,), lvl))
-
-    nodes = [root] + sorted(greens + reds, key=lambda nd: (nd.level, nd.realization))
 
     def touches_all(p: SpineNode, child: SpineNode) -> bool:
-        return all(
-            any(g.has_edge(u, v) for u in p.realization) for v in child.realization
-        )
+        return all(any(g.has_edge(u, v) for u in p.realization) for v in child.realization)
 
-    def touches_any(p: SpineNode, child: SpineNode) -> bool:
-        return any(
-            g.has_edge(u, v) for u in p.realization for v in child.realization
-        )
-
-    # A node's vertices lie in its own BFS layer and edges span at most
-    # one layer, so only nodes one level up can touch it.
-    by_level: dict[int, list[SpineNode]] = {}
-    for nd in nodes:
-        by_level.setdefault(nd.level, []).append(nd)
+    nodes, above = [root], [root]
     parent: dict[SpineNode, SpineNode] = {}
-    for node in nodes[1:]:
-        cands = by_level.get(node.level - 1, ())
-        chosen = next((p for p in cands if touches_all(p, node)), None)
-        if chosen is None:
-            chosen = next((p for p in cands if touches_any(p, node)), root)
-        parent[node] = chosen
+    for i in range(1, rad):
+        below = set(lay[i + 1])
+        outward = {v for v in lay[i] if not below.isdisjoint(g.neighbors(v))}
+        level = [
+            SpineNode("green", (a, b), i)
+            for a in lay[i]
+            if a in outward
+            for b in g.neighbors(a)
+            if b > a and b in outward and g.edge_kind[(a, b)] == "chord"
+        ]
+        # Edges span at most one layer, so only nodes one level up can
+        # touch a node.
+        for node in level:
+            parent[node] = next(p for p in above if touches_all(p, node))
+        nodes += level
+        above = level
     nodes = tuple(nodes)
     return CutSpine(root, nodes, parent, lay, rad, _routes(g, nodes, lay, summary.balls))
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
-    """Split a spine node's realization into (primary, secondary).
-
-    For green nodes the primary is the higher-degree endpoint (smaller
-    label on ties); root and red nodes repeat their single vertex.
-    """
-    if node.kind == "green":
-        a, b = node.realization
-        p = min((a, b), key=lambda v: (-g.degree(v), v))
-        return (p, b if p == a else a)
-    v = node.realization[0]
-    return (v, v)
+    """Split a green node's pair into (primary, secondary): the primary
+    is the higher-degree end, the smaller label on ties."""
+    a, b = node.realization
+    p = min((a, b), key=lambda v: (-g.degree(v), v))
+    return (p, b if p == a else a)
 
 
 def _corridor(
@@ -395,8 +348,7 @@ def _routes(
     for nd in nodes[1:]:
         p, s = primary_secondary(g, nd)
         primaries.add(p)
-        if s != p:
-            secondaries.add(s)
+        secondaries.add(s)
 
     def rank(u: int) -> tuple[int, int]:
         if u in primaries:
@@ -418,7 +370,7 @@ def _routes(
             chain.append(parent[chain[-1]])
         shorts[nd] = tuple(reversed(chain))
 
-    tagged = {edge(*nd.realization) for nd in nodes if nd.kind == "green"}
+    tagged = {edge(*nd.realization) for nd in nodes[1:]}
     n1 = set(lay[1] if len(lay) > 1 else ())
     tagged |= {edge(u, v) for v in n1 for u in g.neighbors(v) if u in n1}
     return SpineRoutes(shorts, frozenset(tagged), balls)
@@ -431,9 +383,10 @@ def realize_paths(
 ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """The (short, long) realization paths of a spine node.
 
-    Both start at the root vertex; the short path ends at the node's
-    primary vertex, the long one at its secondary (the same vertex for
-    red nodes), and they share no edge. The short path is the node's
+    For the root both are the root vertex alone. For a green node both
+    start at the root vertex; the short path ends at the node's primary
+    vertex, the long one at its secondary, and they share no edge, the
+    pair edge included. The short path is the node's
     rail-tree path, so it has fewer than radius edges. The long path is
     the lexicographically first shortest route from the root that stays
     off the short path and the node's own pair edge and crosses at most
@@ -451,8 +404,7 @@ def realize_paths(
     routes = spine.routes
     short = routes.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
-    if node.kind == "green":
-        own.add(edge(primary, secondary))
+    own.add(edge(primary, secondary))
 
     def fits_reserve(seg: tuple[int, ...]) -> bool:
         # Edges after the first either hold a level-indexed pair color

@@ -1,11 +1,15 @@
 """Construction, validation, and structural queries of MOPs."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moprc import (
     CanonicalMop,
+    ValidationReport,
     DomainError,
     EdgeColoring,
     Graph,
@@ -101,6 +105,90 @@ def test_validate_rejects_known_non_mops():
     assert any("induce a path" in v for v in r.violations)
     disconnected = Graph(4, [(1, 2), (3, 4)])
     assert not validate_mop(disconnected).ok
+
+
+def _small_random_graphs(count: int, max_n: int, seed: int):
+    """Graphs on 1..max_n vertices, each with its own edge density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        yield Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def _wheel(k: int) -> Graph:
+    """Hub k + 1 joined to every vertex of the cycle 1..k."""
+    return Graph(k + 1, [(i, i % k + 1) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)])
+
+
+def _reference_validate(g: Graph) -> ValidationReport:
+    """validate_mop as it was first written: neighborhoods checked on
+    the whole neighbor lists, 2-degeneracy by peeling a least (degree,
+    label) vertex until it has degree above 2."""
+    if g.n < 3:
+        return ValidationReport(False, (f"n={g.n} is below the minimum of 3",))
+    seen, todo = {1}, [1]
+    while todo:
+        for u in g.neighbors(todo.pop()):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    if len(seen) != g.n:
+        return ValidationReport(False, ("graph is not connected",))
+    violations = []
+    for v in g.vertices():
+        vs = set(g.neighbors(v))
+        sub = {u: [w for w in g.neighbors(u) if w in vs] for u in vs}
+        m = sum(map(len, sub.values())) // 2
+        ends = [u for u in vs if len(sub[u]) <= 1]
+        reached = set(ends[:1])
+        todo = list(reached)
+        while todo:
+            for w in sub[todo.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        path = bool(vs) and m == len(vs) - 1 and max(map(len, sub.values())) <= 2 and len(reached) == len(vs)
+        if not path:
+            violations.append(f"neighborhood of vertex {v} does not induce a path")
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        if len(adj[v]) > 2:
+            violations.append(f"not 2-degenerate: peeling stuck at vertex {v} with degree {len(adj[v])}")
+            break
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v]
+    return ValidationReport(not violations, tuple(violations))
+
+
+def test_validate_matches_min_degree_peel():
+    k5 = Graph(5, itertools.combinations(range(1, 6), 2))
+    fixed = [K4, k5, K23] + [_wheel(k) for k in range(3, 9)]
+    # A MOP with a K4 hung off vertex 7: the peel gets stuck there.
+    hung = random_mop_graph(7, 2)
+    fixed.append(Graph(10, list(hung.edges) + [(7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10)]))
+    assert validate_mop(K4).violations[-1] == "not 2-degenerate: peeling stuck at vertex 1 with degree 3"
+    assert validate_mop(k5).violations[-1] == "not 2-degenerate: peeling stuck at vertex 1 with degree 4"
+    assert validate_mop(_wheel(6)).violations == (
+        "neighborhood of vertex 7 does not induce a path",
+        "not 2-degenerate: peeling stuck at vertex 1 with degree 3",
+    )
+    stuck = 0
+    for g in fixed + list(_small_random_graphs(2000, 11, 23)):
+        report = validate_mop(g)
+        assert report == _reference_validate(g), sorted(g.edges)
+        stuck += any("2-degenerate" in v for v in report.violations)
+    assert stuck > 100
+
+
+def test_common_neighbors_equal_the_set_intersection():
+    for g in _small_random_graphs(300, 9, 7):
+        for u in g.vertices():
+            for v in g.vertices():
+                want = tuple(sorted(set(g.neighbors(u)) & set(g.neighbors(v))))
+                assert g.common_neighbors(u, v) == want, (sorted(g.edges), u, v)
 
 
 def test_cycle_derivation_matches_brute_force():

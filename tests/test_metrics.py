@@ -13,6 +13,7 @@ from moprc import (
     MopGraph,
     NotMop,
     bfs,
+    build_ccs,
     ecc_diam_rad_center,
     eta,
     fan,
@@ -155,14 +156,18 @@ def cycle_plus_chords(n: int):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_linear_eccentricities_reject_exactly_the_non_mops(n):
+    # build_ccs indexes the faces first, so it rejects the same graphs.
     mops = 0
     for g in cycle_plus_chords(n):
         if validate_mop(g).ok:
             mops += 1
             assert linear_eccentricities(g) == bfs_ecc(g), g.edges
+            assert build_ccs(g).nodes[0].kind == "root"
         else:
             with pytest.raises(NotMop):
                 linear_eccentricities(g)
+            with pytest.raises(NotMop):
+                build_ccs(g)
     # The triangulations of an n-gon: a Catalan number.
     assert mops == {4: 2, 5: 5, 6: 14, 7: 42}[n]
 

@@ -136,6 +136,47 @@ def test_chords_are_exactly_the_adjacent_two_cuts():
             assert (g.edge_kind[(a, b)] == "chord") == is_vertex_pair_cut(g, a, b), (g, a, b)
 
 
+def construction_orders(n: int):
+    """Every construction order on n vertices: vertex i in turn goes on
+    each exterior edge of the graph built so far."""
+
+    def grow(i, low, high, succ):
+        if i > n:
+            yield CanonicalMop(n, dict(low), dict(high))
+            return
+        for a, b in list(succ.items()):
+            low[i], high[i] = min(a, b), max(a, b)
+            yield from grow(i + 1, low, high, {**succ, a: i, i: b})
+
+    yield from grow(4, {3: 1}, {3: 2}, {1: 2, 2: 3, 3: 1})
+
+
+def test_green_nodes_cover_every_inner_vertex_with_children():
+    # The lemma of build_ccs: every vertex of layers 1..radius-1 with a
+    # neighbor one layer out lies on a green node of its own level, and
+    # every node hangs off a node one level up adjacent to all of its
+    # vertices.
+    graphs = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
+    assert len(graphs) == 2956
+    graphs += [random_mop_graph(n, 7 * n + 1) for n in range(9, 300, 2)]
+    graphs += [fam(d).graph for d in range(2, 16) for fam in (lad, lad_plus)]
+    for g in graphs:
+        s = build_ccs(g)
+        assert {nd.kind for nd in s.nodes[1:]} <= {"green"}
+        on_green = {(nd.level, v) for nd in s.nodes[1:] for v in nd.realization}
+        for i in range(1, s.radius):
+            out = set(s.layers[i + 1])
+            for v in s.layers[i]:
+                has_child = any(w in out for w in g.neighbors(v))
+                assert ((i, v) in on_green) == has_child, (g, i, v)
+        for nd in s.nodes[1:]:
+            a, b = nd.realization
+            assert g.edge_kind[(a, b)] == "chord"
+            p = s.parent[nd]
+            assert p.level == nd.level - 1
+            assert all(any(g.has_edge(u, v) for u in p.realization) for v in nd.realization), (g, nd, p)
+
+
 def test_trees_are_identical_across_runs():
     g = random_mop_graph(35, 14)
     s1, s2 = build_ccs(g), build_ccs(g)
