@@ -21,6 +21,7 @@ maximal closed-neighborhood fans, both used by structural checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import Graph, MopGraph, breadth_first, edge
 from .errors import NotChordal, NotMop
@@ -144,8 +145,16 @@ class CutSpine:
     def root_vertex(self) -> int:
         return self.root.realization[0]
 
+    @cached_property
+    def _children(self) -> dict[SpineNode, tuple[SpineNode, ...]]:
+        """Per node with children, its children, in one pass over parent."""
+        kids: dict[SpineNode, list[SpineNode]] = {}
+        for c, p in self.parent.items():
+            kids.setdefault(p, []).append(c)
+        return {p: tuple(cs) for p, cs in kids.items()}
+
     def children(self, node: SpineNode) -> tuple[SpineNode, ...]:
-        return tuple(c for c, p in self.parent.items() if p == node)
+        return self._children.get(node, ())
 
     def leaves(self) -> tuple[SpineNode, ...]:
         withkids = set(self.parent.values())

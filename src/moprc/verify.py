@@ -214,6 +214,17 @@ def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int, far) -> list[int] | Non
     return None
 
 
+def _search_unless_failed(failed: set[int], key: int, adj_idx, bits, u, v, k, far):
+    """`_rainbow_walk`, or None without a search when key is in failed.
+
+    key packs the colors of the edges the search can read, and failed
+    holds the keys of the pair's earlier searches that found nothing.
+    """
+    if key in failed:
+        return None
+    return _rainbow_walk(adj_idx, bits, u, v, k, far)
+
+
 def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
     """The vertices of a walk from u, given its edge indices from the far end."""
     path = [u]
@@ -503,6 +514,18 @@ def _search_k(
     pair is checked first, and at a leaf every pair holds a rainbow
     path. Clearing an edge on backtrack only turns it back into a
     wildcard, which breaks no stored walk, so nothing is undone.
+
+    Failed searches are remembered per pair. `_rainbow_walk` drops a
+    step to w when far[w] exceeds the edges left, before it reads that
+    edge's bit, so a search for (u, v) reads only the edges (a, b) of
+    its region, those with d(u, a) + d(b, v) < k either way round, and
+    its outcome is a function of their colors. state packs the partial
+    coloring, edge i's color (0 for a wildcard) in field i; when a
+    search fails, state masked to the region is stored, and a later
+    state with the same masked value fails without a search. A pair's
+    region is built at its first failure. The memo answers only
+    searches that would fail, so every node is pruned as before, at
+    the same pair, and every found walk is the same.
     Returns the coloring (or None) and the number of DFS nodes.
     """
     _check_deadline(deadline)
@@ -526,7 +549,23 @@ def _search_k(
     for p, walk in enumerate(walks):
         for ei in walk:
             users[ei].add(p)
+    width = k.bit_length()
+    state = 0
+    # Per pair, its region's fields (0 until its first failure) and the
+    # region keys of its failed searches.
+    regions = [0] * len(pairs)
+    failed: list[set[int]] = [set() for _ in pairs]
     ticks = 0
+
+    def region(u: int, v: int) -> int:
+        """The fields of state that a search for (u, v) can read."""
+        du, dv = far[u], far[v]
+        full = (1 << width) - 1
+        fields = 0
+        for i, (a, b) in enumerate(edges_sorted):
+            if min(du[a] + dv[b], du[b] + dv[a]) < k:
+                fields |= full << i * width
+        return fields
 
     def rainbow(walk: list[int]) -> bool:
         """Whether the walk's assigned colors are pairwise distinct."""
@@ -546,8 +585,14 @@ def _search_k(
             found = spares[p]
             if found is None or not rainbow(found):
                 u, v = pairs[p]
-                found = _rainbow_walk(steps[u], bits, u, v, k, far[v])
+                fails = failed[p]
+                found = _search_unless_failed(
+                    fails, state & regions[p], steps[u], bits, u, v, k, far[v]
+                )
                 if found is None:
+                    if not fails:
+                        regions[p] = region(u, v)
+                    fails.add(state & regions[p])
                     return False
             for ei in walk:
                 users[ei].discard(p)
@@ -558,17 +603,20 @@ def _search_k(
         return True
 
     def dfs(idx: int, max_used: int) -> bool:
-        nonlocal ticks
+        nonlocal ticks, state
         ticks += 1
         if ticks % 256 == 0:
             _check_deadline(deadline)
         if idx == m:
             return True
+        shift = idx * width
         for c in range(1, min(max_used + 1, k) + 1):
             bits[idx] = 1 << c
+            state ^= c << shift
             if consistent(idx) and dfs(idx + 1, max(max_used, c)):
                 return True
             bits[idx] = 0
+            state ^= c << shift
         return False
 
     if dfs(0, 0):

@@ -25,7 +25,7 @@ from moprc import (
 )
 import moprc.metrics
 from moprc.metrics import ecc_diam_rad_center
-from moprc.spine import _corridor, primary_secondary
+from moprc.spine import SpineNode, _corridor, primary_secondary
 
 from conftest import all_simple_paths, is_vertex_pair_cut
 
@@ -175,6 +175,25 @@ def test_green_nodes_cover_every_inner_vertex_with_children():
             p = s.parent[nd]
             assert p.level == nd.level - 1
             assert all(any(g.has_edge(u, v) for u in p.realization) for v in nd.realization), (g, nd, p)
+
+
+def test_children_match_the_parent_scan():
+    # The child lists are built once; each equals the scan over every
+    # parent entry, in node order, and together they hold every non-root
+    # node once.
+    graphs = [random_mop_graph(n, n) for n in range(4, 400, 7)]
+    graphs += [fam(d).graph for d in range(2, 31) for fam in (lad, lad_plus)]
+    for g in graphs:
+        s = build_ccs(g)
+        rank = {nd: i for i, nd in enumerate(s.nodes)}
+        seen = []
+        for nd in s.nodes:
+            kids = s.children(nd)
+            assert kids == tuple(c for c, p in s.parent.items() if p == nd)
+            assert [rank[c] for c in kids] == sorted(rank[c] for c in kids)
+            seen += kids
+        assert sorted(seen, key=rank.__getitem__) == list(s.nodes[1:])
+    assert s.children(SpineNode("green", (0, 0), 0)) == ()
 
 
 def test_trees_are_identical_across_runs():

@@ -754,7 +754,9 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
     # Every walk search the exact search makes returns what the unpruned
     # kernel returns; the distance pruning tries fewer than half of its
     # steps. Re-searching each broken walk from scratch made 14,847
-    # searches; trying the pair's spare walk first leaves 9,940.
+    # searches; trying the pair's spare walk first left 9,940, and
+    # remembering each pair's failed searches leaves 3,857: the 91
+    # initial walks and 3,766 in the search.
     kernel = verify._rainbow_walk
     calls = pruned_reads = plain_reads = 0
 
@@ -771,8 +773,39 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
     monkeypatch.setattr(verify, "_rainbow_walk", counted)
     res = exact_rc(random_mop_graph(14, 1))
     assert res.nodes == (2147,)
-    assert calls == 9940 < 14847
-    assert (pruned_reads, plain_reads) == (262872, 639175)
+    assert calls == 3857 < 9940
+    assert (pruned_reads, plain_reads) == (103760, 234071)
+
+
+@pytest.mark.parametrize(
+    "solver, g",
+    [
+        (exact_rc, random_mop_graph(12, 1)),
+        (exact_rc, random_mop_graph(14, 1)),
+        (exact_src, fan(8).graph),
+    ],
+    ids=["rc-random12_1", "rc-random14_1", "src-fan8"],
+)
+def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
+    # Every failure the memo answers is one a fresh search would find,
+    # and the search with the memo bypassed gives the same result.
+    helper = verify._search_unless_failed
+    hits = 0
+
+    def checked(failed, key, adj_idx, bits, u, v, k, far):
+        nonlocal hits
+        if key in failed:
+            hits += 1
+            assert verify._rainbow_walk(adj_idx, bits, u, v, k, far) is None
+        return helper(failed, key, adj_idx, bits, u, v, k, far)
+
+    monkeypatch.setattr(verify, "_search_unless_failed", checked)
+    res = solver(g)
+    assert hits > 0
+    monkeypatch.setattr(
+        verify, "_search_unless_failed", lambda failed, key, *args: helper(set(), key, *args)
+    )
+    assert solver(g) == res  # value, ruled_out, certificate and nodes
 
 
 @pytest.mark.parametrize("strong", [False, True])
