@@ -52,7 +52,6 @@ from itertools import groupby
 from operator import attrgetter
 
 from .core import EdgeColoring, MopGraph, edge
-from .errors import NotMop
 from .generators import fan_coloring
 from .spine import CutSpine, _layer_paths, build_ccs, primary_secondary, realize_paths
 from .verify import is_rainbow_connected
@@ -134,8 +133,8 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
     root share no color, so together they form a rainbow walk, which
     contains a rainbow path. At most 3 * radius colors are used.
 
-    The three facts are checked while coloring; NotMop is raised when
-    one fails.
+    The three facts hold in every MOP, and the MopGraph constructor
+    rejects every graph that is not one, so they are not checked here.
     """
     rad = spine.radius
     depth = {v: k for k, layer in enumerate(spine.layers) for v in layer}
@@ -147,13 +146,7 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
             before: list[int] = []  # the previous vertex's parents
             for i, v in enumerate(path):
                 parents = sorted(u for u in g.neighbors(v) if depth[u] == k - 1)
-                if not 1 <= len(parents) <= 2:
-                    raise NotMop(f"vertex {v} has {len(parents)} parents")
-                if len(parents) == 1 and len(path) == 1:
-                    raise NotMop(f"vertex {v} has one parent and no neighbor in its layer")
                 if i:
-                    if not set(parents) & set(before):
-                        raise NotMop(f"layer neighbors {path[i - 1]} and {v} share no parent")
                     colors[edge(path[i - 1], v)] = alpha + 2
                     parents.sort(key=lambda u: u not in before)
                 spokes += [edge(v, u) for u in parents]

@@ -188,26 +188,29 @@ def _normalize_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class MopGraph(Graph):
-    """A validated MOP, carrying its unique Hamiltonian cycle.
+    """A MOP, carrying its unique Hamiltonian cycle.
 
-    Beyond `Graph`, every vertex gets a fan-ordered neighbor list:
-    neighbors sorted by their cyclic position after the vertex on the
-    Hamiltonian cycle. In a MOP that ordering is exactly the induced
-    path of the neighborhood, which several algorithms walk directly.
+    The constructor is the one MOP check: it raises NotMop unless the
+    edges are the given Hamiltonian cycle plus n - 3 chords that
+    triangulate it, so every MopGraph is a MOP. Beyond `Graph`, every
+    vertex gets a fan-ordered neighbor list: neighbors sorted by their
+    cyclic position after the vertex on the Hamiltonian cycle. In a MOP
+    that ordering is exactly the induced path of the neighborhood,
+    which several algorithms walk directly.
     """
 
-    __slots__ = ("ham_cycle", "_fan", "edge_kind")
+    __slots__ = ("ham_cycle", "_fan", "edge_kind", "_apexes")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], ham_cycle: tuple[int, ...]):
         super().__init__(n, edges)
         if self.m != 2 * n - 3:
             raise NotMop(f"a MOP on {n} vertices has {2 * n - 3} edges, got {self.m}")
         pos = {v: i for i, v in enumerate(ham_cycle)}
-        if len(pos) != n or sorted(pos) != list(range(1, n + 1)):
+        if len(ham_cycle) != n or sorted(pos) != list(range(1, n + 1)):
             raise NotMop("Hamiltonian cycle must visit each of 1..n once")
-        for i, v in enumerate(ham_cycle):
-            if not self.has_edge(v, ham_cycle[(i + 1) % n]):
-                raise NotMop(f"claimed cycle edge ({v}, {ham_cycle[(i + 1) % n]}) missing")
+        outer = {edge(v, ham_cycle[i - 1]) for i, v in enumerate(ham_cycle)}
+        if not outer <= self.edges:
+            raise NotMop(f"claimed cycle edge {min(outer - self.edges)} missing")
         self.ham_cycle = tuple(ham_cycle)
         fan = {}
         for v in self.vertices():
@@ -216,13 +219,8 @@ class MopGraph(Graph):
                 sorted(self._adj[v], key=lambda u: (pos[u] - pv) % n)
             )
         self._fan = fan
-        kind = {}
-        outer = set()
-        for i, v in enumerate(ham_cycle):
-            outer.add(edge(v, ham_cycle[(i + 1) % n]))
-        for e in self.edges:
-            kind[e] = "outer" if e in outer else "chord"
-        self.edge_kind = kind
+        self.edge_kind = {e: "outer" if e in outer else "chord" for e in self.edges}
+        self._apexes = _side_map(self)
 
     def fan_neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v ordered by cyclic position after v.
@@ -234,6 +232,32 @@ class MopGraph(Graph):
 
     def __repr__(self) -> str:
         return f"MopGraph(n={self.n}, m={self.m})"
+
+
+def _side_map(g: MopGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each edge mapped to the apexes of the inner faces on it (1 or 2).
+
+    Consecutive fan neighbors a, b of v close the face (v, a, b), and
+    only the face's smallest vertex lists it, so the index costs O(m).
+    Raises NotMop when a listed face is not a triangle, or an edge does
+    not lie in one face (cycle edges) or two (chords): the chords then
+    cross or leave a face of the cycle untriangulated.
+    """
+    apexes: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
+    for v in g.vertices():
+        fan = g.fan_neighbors(v)
+        for a, b in zip(fan, fan[1:]):
+            if v < a and v < b:
+                if not g.has_edge(a, b):
+                    raise NotMop(f"fan neighbors {a} and {b} of vertex {v} are not adjacent")
+                apexes[(v, a)].append(b)
+                apexes[(v, b)].append(a)
+                apexes[edge(a, b)].append(v)
+    for e, ws in apexes.items():
+        expect = 2 if g.edge_kind[e] == "chord" else 1
+        if len(ws) != expect:
+            raise NotMop(f"edge {e} lies in {len(ws)} inner faces, expected {expect}")
+    return {e: tuple(ws) for e, ws in apexes.items()}
 
 
 def hamiltonian_cycle(g: Graph) -> tuple[int, ...]:
@@ -279,16 +303,15 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...]:
 def mop_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> MopGraph:
     """Build a MopGraph from an edge list, deriving the Hamiltonian cycle.
 
-    Raises NotMop when the edge list is not a maximal outerplanar graph.
+    Raises NotMop when the edge list is not a maximal outerplanar graph:
+    `hamiltonian_cycle` rejects edge lists with no spanning exterior
+    cycle, and the MopGraph constructor the rest.
     """
     g = Graph(n, edges)
     if n < 3:
         raise NotMop(f"a MOP needs n >= 3, got n={n}")
     if g.m != 2 * n - 3:
         raise NotMop(f"a MOP on {n} vertices has {2 * n - 3} edges, got {g.m}")
-    report = validate_mop(g)
-    if not report.ok:
-        raise NotMop(report.violations[0])
     return MopGraph(n, g.edges, hamiltonian_cycle(g))
 
 
@@ -388,15 +411,11 @@ def to_canonical(g: MopGraph) -> tuple[CanonicalMop, dict[int, int]]:
     while len(adj) > 3:
         v = max(u for u in adj if len(adj[u]) == 2)
         a, b = sorted(adj[v])
-        if b not in adj[a]:
-            raise NotMop(f"degree-2 vertex {v} has non-adjacent neighbors")
         for u in (a, b):
             adj[u].discard(v)
         del adj[v]
         removed.append((v, a, b))
     base = sorted(adj)
-    if not all(y in adj[x] for x in base for y in base if y != x):
-        raise NotMop("peeling did not terminate in a triangle")
     relabel = {orig: i + 1 for i, orig in enumerate(base)}
     low: dict[int, int] = {}
     high: dict[int, int] = {}
@@ -418,9 +437,12 @@ class EdgeColoring:
     def __post_init__(self):
         clean = {}
         for (u, v), c in self.colors.items():
-            if not (isinstance(c, int) and c >= 1):
+            if isinstance(c, bool) or not (isinstance(c, int) and c >= 1):
                 raise DomainError(f"edge ({u}, {v}): colors are 1-based ints, got {c!r}")
-            clean[edge(u, v)] = c
+            e = edge(u, v)
+            if e in clean:
+                raise DomainError(f"edge {e} is colored twice")
+            clean[e] = c
         object.__setattr__(self, "colors", clean)
 
     @property

@@ -148,29 +148,6 @@ def eta(g: Graph) -> int:
     return 3
 
 
-def _side_map(g: MopGraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each edge mapped to the apexes of the inner faces on it (1 or 2).
-
-    Consecutive fan neighbors a, b of v close the face (v, a, b), and
-    only the face's smallest vertex lists it, so the index costs O(m).
-    """
-    apexes: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
-    for v in g.vertices():
-        fan = g.fan_neighbors(v)
-        for a, b in zip(fan, fan[1:]):
-            if v < a and v < b:
-                if not g.has_edge(a, b):
-                    raise NotMop(f"fan neighbors {a} and {b} of vertex {v} are not adjacent")
-                apexes[(v, a)].append(b)
-                apexes[(v, b)].append(a)
-                apexes[edge(a, b)].append(v)
-    for e, ws in apexes.items():
-        expect = 2 if g.edge_kind[e] == "chord" else 1
-        if len(ws) != expect:
-            raise NotMop(f"edge {e} lies in {len(ws)} inner faces, expected {expect}")
-    return {e: tuple(ws) for e, ws in apexes.items()}
-
-
 def linear_eccentricities(g: MopGraph) -> dict[int, int]:
     """Every vertex eccentricity of a MOP in O(n), with no BFS.
 
@@ -193,9 +170,10 @@ def linear_eccentricities(g: MopGraph) -> dict[int, int]:
     Each reads two others in O(1); an explicit stack computes the far
     sides first, so deep MOPs hit no recursion limit. The two sides of
     an edge at v hold every vertex but its ends, so v's eccentricity is
-    its larger E over them.
+    its larger E over them. The faces on each edge are read off the
+    index the MopGraph constructor built.
     """
-    apexes = _side_map(g)
+    apexes = g._apexes
     state = {(*e, 0): (-1, -1, -1) for e, ws in apexes.items() if len(ws) == 1}
 
     def far_side(a: int, b: int, near: int) -> tuple[int, int, int]:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import Graph, MopGraph, breadth_first, edge
-from .errors import NotChordal, NotMop
-from .metrics import _side_map, central_vertex, ecc_diam_rad_center, layers
+from .errors import NotChordal
+from .metrics import central_vertex, ecc_diam_rad_center, layers
 
 
 def mcs(g: Graph) -> tuple[int, ...]:
@@ -168,31 +168,25 @@ class CutSpine:
         return tuple(reversed(chain))
 
 
-def _layer_paths(g: Graph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _layer_paths(g: MopGraph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of an induced layer, each a path.
 
     Paths are oriented to start at their smaller-labelled endpoint;
     isolated vertices are length-1 paths. BFS layers of a MOP always
-    induce disjoint paths.
+    induce disjoint paths, and g is one, so this is not checked.
     """
     inside = set(layer)
     nbr = {v: [u for u in g.neighbors(v) if u in inside] for v in layer}
-    for v in layer:
-        if len(nbr[v]) > 2:
-            raise NotMop(f"layer vertex {v} has {len(nbr[v])} neighbors in its layer")
     out: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for v in sorted(layer):
         if v in seen:
             continue
-        # Find the component's endpoints (degree <= 1 inside the layer).
+        # The component is a path, which a search from its smaller
+        # end (degree <= 1 inside the layer) visits in order.
         comp, _ = breadth_first(nbr.__getitem__, (v,))
-        ends = sorted(x for x in comp if len(nbr[x]) <= 1)
-        if not ends:
-            raise NotMop("layer component is a cycle, not a path")
-        # With at most two neighbors each and an end, the component is
-        # a path, which a search from that end visits in order.
-        path, _ = breadth_first(nbr.__getitem__, (ends[0],))
+        end = min(x for x in comp if len(nbr[x]) <= 1)
+        path, _ = breadth_first(nbr.__getitem__, (end,))
         seen.update(path)
         out.append(tuple(path))
     return out
@@ -201,13 +195,12 @@ def _layer_paths(g: Graph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
 def build_ccs(g: MopGraph) -> CutSpine:
     """Construct the central cut spine of a MOP.
 
-    Raises NotMop when g is not a MOP, by first indexing its inner
-    faces (`metrics._side_map`, O(m)). The root is a minimum-degree
-    center vertex (smallest label on ties). The green nodes at level i,
-    1 <= i < radius, are the chords inside layer i whose two ends both
-    have a neighbor in layer i + 1, in (level, realization) order. A
-    node's parent is the first node one level up that is adjacent to
-    both of its vertices.
+    g is a MOP, which its constructor checked, so nothing here checks
+    it again. The root is a minimum-degree center vertex (smallest
+    label on ties). The green nodes at level i, 1 <= i < radius, are
+    the chords inside layer i whose two ends both have a neighbor in
+    layer i + 1, in (level, realization) order. A node's parent is the
+    first node one level up that is adjacent to both of its vertices.
 
     Lemma. Let c in layer i, 1 <= i < radius, have a neighbor x in
     layer i + 1. Walk c's fan path from x towards a parent of c.
@@ -231,7 +224,6 @@ def build_ccs(g: MopGraph) -> CutSpine:
         green node one level up, which is adjacent to both ends. So
         every node has a parent of the kind picked above.
     """
-    _side_map(g)
     summary = ecc_diam_rad_center(g)
     rad = summary.radius
     v_r = central_vertex(g, summary.center)

@@ -2,7 +2,6 @@
 
 import hashlib
 import sys
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 import moprc.coloring
 from moprc import (
     EdgeColoring,
-    Graph,
-    NotMop,
     build_ccs,
     ecc_diam_rad_center,
     edge,
@@ -391,29 +388,3 @@ def test_exit_condition_rejects_a_single_color():
     g = lad(4).graph
     assert not exits_ok(g, EdgeColoring({e: 1 for e in g.edges}), build_ccs(g).root_vertex)
 
-
-# Hand-made layerings, each breaking one fact the layered lemma needs:
-# a vertex with three parents, layer neighbors with no common parent,
-# and a vertex with one parent and no neighbor in its layer.
-NOT_MOP_LAYERINGS = {
-    "three parents": (
-        Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]),
-        ((1,), (2, 3, 4), (5,)),
-    ),
-    "no shared parent": (
-        Graph(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]),
-        ((1,), (2, 3), (4, 5)),
-    ),
-    "lone vertex": (
-        Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
-        ((1,), (2, 5), (3, 4)),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(NOT_MOP_LAYERINGS))
-def test_layered_rejects_broken_layerings(name):
-    g, layers = NOT_MOP_LAYERINGS[name]
-    spine = SimpleNamespace(radius=len(layers) - 1, layers=layers)
-    with pytest.raises(NotMop):
-        moprc.coloring._layered(g, spine)

@@ -14,6 +14,7 @@ from moprc import (
     EdgeColoring,
     Graph,
     InvalidAttachment,
+    MopGraph,
     NotMop,
     edge,
     fan,
@@ -256,6 +257,37 @@ def test_mop_from_edges_rejects_bad_input():
         )
 
 
+def test_mop_from_edges_agrees_with_validate_mop():
+    # Every edge set with 2n - 3 edges, n = 3..6: 5,132 in all.
+    count = mops = 0
+    for n in range(3, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for edges in itertools.combinations(pairs, 2 * n - 3):
+            count += 1
+            if validate_mop(Graph(n, edges)).ok:
+                mops += 1
+                assert mop_from_edges(n, edges).edges == frozenset(edges)
+            else:
+                with pytest.raises(NotMop):
+                    mop_from_edges(n, edges)
+    assert count == 5132
+    # Labelled MOPs: (n - 1)! / 2 spanning cycles, Catalan(n - 2)
+    # triangulations of each.
+    assert mops == 1 + 6 + 60 + 840
+
+
+def test_mop_graph_rejects_what_is_not_a_mop():
+    ring = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    with pytest.raises(NotMop, match="not adjacent"):
+        MopGraph(5, ring + [(1, 3), (2, 4)], (1, 2, 3, 4, 5))
+    triangle = [(1, 2), (1, 3), (2, 3)]
+    with pytest.raises(NotMop, match="each of 1..n once"):
+        MopGraph(3, triangle, (1, 2, 3, 1))
+    g = lad(3).graph
+    with pytest.raises(NotMop, match="each of 1..n once"):
+        MopGraph(g.n, g.edges, g.ham_cycle + g.ham_cycle[:1])
+
+
 def test_fan_neighbors_walk_the_neighborhood_path():
     g = random_mop_graph(15, 3)
     for v in g.vertices():
@@ -283,6 +315,11 @@ def test_coloring_accounting():
     assert c.color(3, 1) == 1
     with pytest.raises(DomainError):
         EdgeColoring({(1, 2): 0})
+    # A bool is an int to Python, but it would not survive a file.
+    with pytest.raises(DomainError, match="1-based ints"):
+        EdgeColoring({(1, 2): True, (1, 3): 2})
+    with pytest.raises(DomainError, match="colored twice"):
+        EdgeColoring({(1, 2): 1, (2, 1): 2})
     g = from_canonical(CanonicalMop(3))
     with pytest.raises(DomainError):
         c.check_total(g)  # (2, 3) uncolored

@@ -22,6 +22,7 @@ from moprc import (
     lad_plus,
     layers,
     linear_eccentricities,
+    rainbow_coloring,
     random_mop_graph,
     validate_mop,
 )
@@ -126,15 +127,20 @@ def test_linear_eccentricities_fixed_values():
     assert_summary_matches_bfs(g)
 
 
-def test_linear_eccentricities_build_the_side_map_once(monkeypatch):
-    from moprc import metrics
+def test_the_constructor_alone_builds_the_face_index(monkeypatch):
+    from moprc import core
 
     calls = []
-    real = metrics._side_map
-    monkeypatch.setattr(metrics, "_side_map", lambda g: calls.append(g) or real(g))
-    g = random_mop_graph(30, 4)
-    assert linear_eccentricities(g) == bfs_ecc(g)
-    assert len(calls) == 1
+    real = core._side_map
+    monkeypatch.setattr(core, "_side_map", lambda g: calls.append(g) or real(g))
+    graphs = [random_mop_graph(30, 4), lad(6).graph, fan(9).graph]
+    assert [sum(c is g for c in calls) for g in graphs] == [1, 1, 1]
+    built = len(calls)
+    for g in graphs:
+        assert linear_eccentricities(g) == bfs_ecc(g)
+        build_ccs(g)
+        rainbow_coloring(g)
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize(
@@ -147,27 +153,28 @@ def test_linear_eccentricities_on_families(g):
 
 
 def cycle_plus_chords(n: int):
-    """Every MopGraph on the cycle 1..n with n - 3 chords, MOP or not."""
+    """Every edge list of the cycle 1..n plus n - 3 chords, MOP or not."""
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
     chords = [e for e in itertools.combinations(range(1, n + 1), 2) if e[1] - e[0] not in (1, n - 1)]
     for pick in itertools.combinations(chords, n - 3):
-        yield MopGraph(n, ring + list(pick), tuple(range(1, n + 1)))
+        yield ring + list(pick)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_linear_eccentricities_reject_exactly_the_non_mops(n):
-    # build_ccs indexes the faces first, so it rejects the same graphs.
+    # The MopGraph constructor indexes the faces, so it rejects every
+    # non-MOP before linear_eccentricities or build_ccs can see it.
+    cycle = tuple(range(1, n + 1))
     mops = 0
-    for g in cycle_plus_chords(n):
-        if validate_mop(g).ok:
+    for edges in cycle_plus_chords(n):
+        if validate_mop(Graph(n, edges)).ok:
             mops += 1
+            g = MopGraph(n, edges, cycle)
             assert linear_eccentricities(g) == bfs_ecc(g), g.edges
             assert build_ccs(g).nodes[0].kind == "root"
         else:
             with pytest.raises(NotMop):
-                linear_eccentricities(g)
-            with pytest.raises(NotMop):
-                build_ccs(g)
+                linear_eccentricities(MopGraph(n, edges, cycle))
     # The triangulations of an n-gon: a Catalan number.
     assert mops == {4: 2, 5: 5, 6: 14, 7: 42}[n]
 
