@@ -48,5 +48,5 @@ for n in (10, 20, 40, 80):
         row(f"random({n},{t})", from_canonical(random_mop(n, seed)))
 
 print()
-print("used <= bound always holds; on strips the exact value shows the")
-print("bound is loose there, while random instances sit well under it.")
+print("used <= bound always holds; on strips the construction meets the")
+print("exact value (rc = diam), and random instances sit well under the bound.")

@@ -1,5 +1,14 @@
 """Staged rainbow coloring of a MOP within 3 * radius colors.
 
+A sufficient condition for rc = diam comes first. When some ear (a
+vertex of degree 2) has BFS distance classes of at most two vertices
+each, as the strips `lad(d)` and `lad_plus(d)` have, coloring each edge
+by the larger distance of its ends from that ear spends exactly diam
+colors and is rainbow connected by construction (`_strip_coloring`
+proves both). Such a graph has n <= 4 * radius + 1, so every other MOP
+is turned away by one comparison. The rest of this note is about the
+staged coloring that every other MOP of radius >= 2 gets.
+
 The palette is laid out in fixed bands, writing each edge at most once
 (later passes never recolor):
 
@@ -34,12 +43,14 @@ BFS layer and is rainbow connected by construction (see its docstring).
 The staged coloring is kept whenever it passes, because it often saves
 colors; the checker proves a layered coloring at once by its layer
 certificate, and a staged one only by its hub and per-source searches.
-Every strip `lad(d)` and `lad_plus(d)`, d = 3 .. 30, passes at
-2 * radius + 2 colors, where the layered coloring spends 3 * radius.
+The staged coloring of every strip `lad(d)` and `lad_plus(d)`, d = 3 ..
+30, is rainbow connected at 2 * radius + 2 colors, where the layered
+coloring spends 3 * radius, but the strip coloring spends diam.
 Of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60),
-staged_valid holds on 557, and the returned coloring uses fewer colors
-than `_layered` on 279 and more on 15 (7,214 colors in all, against
-7,531 for `_layered`).
+staged_valid holds on 557 (on random_mop_graph(10, 10078) by the strip
+coloring), and the returned coloring uses fewer colors than `_layered`
+on 279 and more on 15 (7,211 colors in all, against 7,531 for
+`_layered`).
 
 Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
 2, or 3 colors depending on size) directly.
@@ -51,10 +62,10 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from .core import EdgeColoring, MopGraph, edge
+from .core import EdgeColoring, MopGraph, breadth_first, edge
 from .generators import fan_coloring
 from .spine import CutSpine, _layer_paths, build_ccs, primary_secondary, realize_paths
-from .verify import is_rainbow_connected
+from .verify import _rainbow_connected
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,11 @@ class ColoringStats:
 
     bound is the guaranteed 3 * radius. excess is the abstract's c, the
     colors used beyond its 2 * radius + 2 baseline: negative when fewer
-    are used, and never above radius - 2. staged_valid tells whether
-    the staged coloring was returned: it passed its one exact check, or
-    the radius is at most 1 and the fan scheme applies. When it is
-    False, the layered fallback was returned instead, because the staged
+    are used, and never above radius - 2. staged_valid is True when the
+    layered fallback was not needed: the staged coloring passed its one
+    exact check, or a coloring valid by design applies (the fan scheme
+    at radius <= 1, the diam-color strip coloring). When it is False,
+    the layered fallback was returned instead, because the staged
     coloring failed its check or some long path did not fit the reserve.
     """
 
@@ -156,6 +168,54 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
     return EdgeColoring(colors)
 
 
+def _strip_coloring(g: MopGraph, rad: int) -> EdgeColoring | None:
+    """A diam-color coloring, rainbow connected by construction, or None.
+
+    It looks for an ear p (a vertex of degree 2) whose BFS distance
+    classes each hold at most two vertices, trying the ears in label
+    order, and gives each edge the larger distance of its two ends from
+    p. The strips `lad(d)` and `lad_plus(d)` are such graphs. Classes 1
+    to ecc(p) each have a vertex with a spoke to the class below, so
+    the coloring spends ecc(p) colors.
+
+    Lemma: the coloring is rainbow connected exactly when every class
+    is one vertex or two adjacent ones, and in a MOP every class of two
+    from such an ear is an edge.
+    - Sufficient. Take u in class i and v in class j, with i < j. The
+      walk from v down its BFS parents reaches class i over edges
+      colored j, ..., i + 1; at most one edge inside class i, colored
+      i, then reaches u. Two vertices of one class are adjacent.
+    - Necessary. A path between two non-adjacent vertices of one class
+      leaves the class and comes back, on the side below (two edges
+      colored by the class) or above it (two edges colored by the next
+      class), since it cannot cross the class on the way.
+    - Adjacent. Class 1 is the ear's two neighbors, which share a face.
+      A class k with 0 < k < ecc(p) separates p from the last class. A
+      MOP is 2-connected, and a pair of non-adjacent vertices never
+      separates it (the missing diagonal is crossed by a chord), so
+      class k is a chord. The last class lies beyond the chord of the
+      class before it, where at most two vertices and the chord's ends
+      form a triangle or a quadrilateral, whose outer cycle joins them.
+
+    So ecc(p) = diam: a pair in classes i < j is at most j - i + 1
+    apart, and j - i + 1 = ecc(p) + 1 only when i = 0, whose class is p
+    alone. Since rc >= diam, such a MOP has rc = diam, and this
+    coloring meets it. Classes of at most two vertices give n <= 2 *
+    diam + 1 <= 4 * rad + 1, so larger graphs are rejected at once, and
+    class 1 is p's neighborhood, so only ears can pass.
+    """
+    if g.n > 4 * rad + 1:
+        return None
+    for p in g.vertices():
+        if g.degree(p) != 2:
+            continue
+        dist, _ = breadth_first(g.neighbors, (p,))
+        order = list(dist)  # BFS order: distances never fall
+        if all(dist[a] < dist[c] for a, c in zip(order, order[2:])):
+            return EdgeColoring({(u, v): max(dist[u], dist[v]) for u, v in g.edges})
+    return None
+
+
 def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     """The staged coloring at radius >= 2, or None if a long path does not fit."""
     rad = spine.radius
@@ -229,10 +289,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
 
     Uses at most 3 * radius colors (at most 3 when the radius is 1).
     Deterministic: the same graph always yields the same coloring.
-    Above radius 1 the staged coloring is checked once, exactly, and
-    returned when it passes. When it fails, or when `_staged` gives up
-    (then no check is made), the layered coloring, rainbow connected by
-    construction, is returned.
+    Above radius 1, a MOP with an ear whose BFS distance classes are
+    each one vertex or two adjacent vertices has rc = diam, and gets
+    `_strip_coloring`'s diam colors with no check: that condition is
+    sufficient for rc = diam. Otherwise the staged coloring is checked
+    once, exactly, and returned when it passes. When it fails, or when
+    `_staged` gives up (then no check is made), the layered coloring,
+    rainbow connected by construction, is returned.
     """
     spine = build_ccs(g)
     rad = spine.radius
@@ -241,10 +304,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
         return coloring, ColoringStats(rad, len(coloring.used), True)
 
+    coloring = _strip_coloring(g, rad)
+    if coloring is not None:
+        return coloring, ColoringStats(rad, len(coloring.used), True)
     coloring = _staged(g, spine)
     staged_valid = (
         coloring is not None
-        and is_rainbow_connected(g, coloring, max_n=g.n, max_colors=3 * rad).ok
+        and _rainbow_connected(g, coloring, g.n, 3 * rad, spine.root_vertex).ok
     )
     if not staged_valid:
         coloring = _layered(g, spine)

@@ -401,10 +401,24 @@ def is_rainbow_connected(
     pair never fails, so the first counterexample and pairs_checked
     are those of a plain search over all pairs in lexicographic order.
     """
+    return _rainbow_connected(g, coloring, max_n, max_colors)
+
+
+def _rainbow_connected(
+    g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int, hub: int | None = None
+) -> VerifyResult:
+    """`is_rainbow_connected`'s check, from a hub the caller may already have.
+
+    hub: the vertex of least (eccentricity, degree, label), as the cut
+    spine's root vertex is. When it is None, `central_vertex` finds it
+    after the caps are checked, so an input over a cap is refused
+    before any distance ball grows.
+    """
     edges, bits, k = _prepare(g, coloring, max_n, max_colors)
     adj = _steps(g, edges, bits)
     n = g.n
-    hub = central_vertex(g)
+    if hub is None:
+        hub = central_vertex(g)
     if _layer_certificate(g, adj, hub):
         pairs = n * (n - 1) // 2
         return VerifyResult(True, None, pairs, pairs)

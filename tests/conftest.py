@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from moprc import Graph
+from moprc import CanonicalMop, Graph
 
 
 def all_simple_paths(g: Graph, u: int, v: int, max_len: int | None = None):
@@ -145,3 +145,18 @@ def unlabeled_trees(max_edges: int):
             if k not in seen:
                 seen[k] = (nv, edges)
     return list(seen.values())
+
+
+def construction_orders(n: int):
+    """Every construction order on n vertices: vertex i in turn goes on
+    each exterior edge of the graph built so far."""
+
+    def grow(i, low, high, succ):
+        if i > n:
+            yield CanonicalMop(n, dict(low), dict(high))
+            return
+        for a, b in list(succ.items()):
+            low[i], high[i] = min(a, b), max(a, b)
+            yield from grow(i + 1, low, high, {**succ, a: i, i: b})
+
+    yield from grow(4, {3: 1}, {3: 2}, {1: 2, 2: 3, 3: 1})

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moprc.coloring
+import moprc.verify
 from moprc import (
     EdgeColoring,
     build_ccs,
@@ -19,10 +20,14 @@ from moprc import (
     is_rainbow_connected,
     lad,
     lad_plus,
+    layers,
     mop_from_edges,
     rainbow_coloring,
     random_mop_graph,
 )
+from moprc.metrics import central_vertex
+
+from conftest import construction_orders
 
 K3 = mop_from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -90,13 +95,14 @@ FROZEN_DIGESTS = {
         lambda: random_mop_graph(120, 2),
         "fc0158ccc852328e6a3028c6967176ffb57c9a7d7f1b4ee5070575e800f22b32",
     ),
+    # The strips take the diam-color strip coloring.
     "lad(15)": (
         lambda: lad(15).graph,
-        "66c50ae984e9f0a9c05929402a372ddc0c48ceedc99ea60082fbadee3efd96b5",
+        "02e8c3f248e1e3c196a05ac973112b63ef4caeefde9aa69314e9828ce1f5a360",
     ),
     "lad_plus(12)": (
         lambda: lad_plus(12).graph,
-        "964a3b0305d226ea29e321642f6a6df3b66e351a380a569f29848b98d1793c66",
+        "1ba8dac1bbb8a6f1feb1ef530a9d25adfa73bc6ece71bdaa913944fc3a599e27",
     ),
     # Node (28, 47) has no long path that fits the reserve, so the
     # staged coloring gives up before its check and the digest is that
@@ -115,18 +121,20 @@ def test_frozen_digests_beyond_n10(name):
     assert hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest() == digest
 
 
-# (graph, radius): at radius 2 no long path is routed at all.
+# (graph, radius, whether long paths are routed): at radius 2 no long
+# path is routed at all, and a strip takes its diam-color coloring
+# before the staged coloring routes any.
 CALL_COUNT_GRAPHS = {
-    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2),
-    "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4),
-    "lad(12)": (lambda: lad(12).graph, 6),
-    "lad_plus(10)": (lambda: lad_plus(10).graph, 5),
+    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2, False),
+    "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4, True),
+    "lad(12)": (lambda: lad(12).graph, 6, False),
+    "lad_plus(10)": (lambda: lad_plus(10).graph, 5, False),
 }
 
 
 @pytest.mark.parametrize("name", list(CALL_COUNT_GRAPHS))
 def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
-    make, radius = CALL_COUNT_GRAPHS[name]
+    make, radius, routed = CALL_COUNT_GRAPHS[name]
     g = make()
     spine = build_ccs(g)
     assert spine.radius == radius
@@ -148,7 +156,7 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
         if mod_name.startswith("moprc") and getattr(mod, "ecc_diam_rad_center", None) is ecc:
             monkeypatch.setattr(mod, "ecc_diam_rad_center", counting("ecc", ecc))
     rainbow_coloring(g)
-    expected = 0 if radius == 2 else len(spine.nodes) - 1
+    expected = len(spine.nodes) - 1 if routed else 0
     assert calls == {"realize": expected, "ecc": 1}
 
 
@@ -168,12 +176,97 @@ def test_strip_family_spots():
 
 def test_strips_meet_the_paper_palette():
     # The abstract's 2 * rad + 2 + c colors with c = 0: the staged
-    # coloring of every strip passes its check at that count.
+    # coloring of every strip is rainbow connected at that count, though
+    # rainbow_coloring returns the strip's diam-color coloring instead.
     for d in range(3, 31):
         for fam in (lad, lad_plus):
-            _, stats = rainbow_coloring(fam(d).graph)
-            assert stats.staged_valid, (fam.__name__, d)
-            assert stats.colors_used == 2 * stats.radius + 2, (fam.__name__, d)
+            g = fam(d).graph
+            spine = build_ccs(g)
+            col = moprc.coloring._staged(g, spine)
+            assert len(col.used) == 2 * spine.radius + 2, (fam.__name__, d)
+            res = is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * spine.radius)
+            assert res.ok, (fam.__name__, d)
+
+
+def _counting_checks(monkeypatch) -> list:
+    """Record every exact check rainbow_coloring makes, by either name."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        moprc.coloring, "_rainbow_connected", counting(moprc.coloring._rainbow_connected)
+    )
+    monkeypatch.setattr(
+        moprc.verify, "is_rainbow_connected", counting(moprc.verify.is_rainbow_connected)
+    )
+    return calls
+
+
+def test_strips_get_diam_colors_without_a_check(monkeypatch):
+    # rc = diam on the paper's strips, met by construction: no exact
+    # check runs, and the checker accepts each coloring afterwards.
+    colorings = []
+    calls = _counting_checks(monkeypatch)
+    for d in range(2, 31):
+        for fam in (lad, lad_plus):
+            g = fam(d).graph
+            col, stats = rainbow_coloring(g)
+            diam = ecc_diam_rad_center(g).diameter
+            assert stats.colors_used == len(col.used) == diam == d, (fam.__name__, d)
+            assert stats.staged_valid
+            colorings.append((g, col))
+    assert calls == []
+    monkeypatch.undo()
+    for g, col in colorings:
+        assert is_rainbow_connected(g, col, max_n=g.n, max_colors=len(col.used)).ok, g
+
+
+def _pair_class_ears(g) -> list[int]:
+    """The ears whose BFS distance classes are each one vertex or two
+    adjacent ones, read off `layers`."""
+    return [
+        p
+        for p in g.vertices()
+        if g.degree(p) == 2
+        and all(len(c) == 1 or (len(c) == 2 and g.has_edge(*c)) for c in layers(g, p))
+    ]
+
+
+def test_strip_coloring_fires_exactly_on_pair_class_ears(monkeypatch):
+    # Every MOP up to n = 8, by construction order, and seeded random
+    # MOPs up to n = 20. The strip coloring applies exactly when the
+    # radius is at least 2 and some ear's classes are single vertices or
+    # edges; its coloring, read from the first such ear, uses diam
+    # colors, is rainbow connected, and is returned with no check.
+    graphs = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in range(4, 21) for s in range(100)]
+    fired = one_ear = not_first = 0
+    calls = _counting_checks(monkeypatch)
+    for g in graphs:
+        rad = build_ccs(g).radius
+        ears = _pair_class_ears(g) if rad >= 2 else []
+        col = moprc.coloring._strip_coloring(g, rad) if rad >= 2 else None
+        assert (col is not None) == bool(ears), g
+        if col is None:
+            continue
+        fired += 1
+        one_ear += len(ears) == 1
+        not_first += ears[0] != min(v for v in g.vertices() if g.degree(v) == 2)
+        dist = {v: k for k, layer in enumerate(layers(g, ears[0])) for v in layer}
+        assert col.colors == {(u, v): max(dist[u], dist[v]) for u, v in g.edges}
+        del calls[:]
+        assert rainbow_coloring(g)[0] == col
+        assert calls == []
+        summary = ecc_diam_rad_center(g)
+        assert len(col.used) == summary.diameter == summary.ecc[ears[0]]
+        assert is_rainbow_connected(g, col).ok, g
+    assert (fired, one_ear, not_first) == (458, 125, 62)
 
 
 def test_random_spots_within_bound_and_connected():
@@ -236,7 +329,9 @@ def test_frozen_fallback_digests(n_seed):
 # the even-t half of the acceptance corpus (seeds 1000 * n + t), so a
 # refactor that changes any coloring, count or verdict shows here. The
 # half holds staged, failed-check and no-long-path cases (60192).
-FROZEN_CORPUS_DIGEST = "22def5d4a92849055a568e4c4e4a5885904d6882fcc051044c1202194598682d"
+# random_mop_graph(10, 10078) takes the strip coloring (5 colors, where
+# the staged one spent 8).
+FROZEN_CORPUS_DIGEST = "30b7ae0af15c6389a06a7d50831a09977bfc69de569003cb05eb785f7ac79eb9"
 
 
 def test_frozen_acceptance_half_corpus():
@@ -249,19 +344,20 @@ def test_frozen_acceptance_half_corpus():
     assert h.hexdigest() == FROZEN_CORPUS_DIGEST
 
 
-# Graph -> the verdict of its staged coloring's one check, or None
-# when some long path does not fit the reserve and no check is made.
+# Graph -> the verdict of its staged coloring's one check, "strip" when
+# the strip coloring is returned with no check, or None when some long
+# path does not fit the reserve and no check is made.
 ONE_CHECK_GRAPHS = {
     "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), True),
     "random_mop(120,2)": (FROZEN_DIGESTS["random_mop(120,2)"][0], False),
-    "lad(15)": (FROZEN_DIGESTS["lad(15)"][0], True),
-    "lad_plus(12)": (FROZEN_DIGESTS["lad_plus(12)"][0], True),
+    "lad(15)": (FROZEN_DIGESTS["lad(15)"][0], "strip"),
+    "lad_plus(12)": (FROZEN_DIGESTS["lad_plus(12)"][0], "strip"),
     "random_mop(60,60192)": (FROZEN_DIGESTS["random_mop(60,60192)"][0], None),
     "random_mop(50,1)": (lambda: random_mop_graph(50, 1), False),
     "random_mop(80,1)": (lambda: random_mop_graph(80, 1), False),
     "random_mop(100,1)": (lambda: random_mop_graph(100, 1), False),
     "random_mop(22,14)": (lambda: random_mop_graph(22, 14), False),
-    "lad(12)": (lambda: lad(12).graph, True),
+    "lad(12)": (lambda: lad(12).graph, "strip"),
 }
 
 
@@ -269,20 +365,27 @@ ONE_CHECK_GRAPHS = {
 def test_one_check_then_staged_or_layered(name, monkeypatch):
     make, verdict = ONE_CHECK_GRAPHS[name]
     g = make()
-    check = moprc.coloring.is_rainbow_connected
+    spine = build_ccs(g)
+    check = moprc.coloring._rainbow_connected
     verdicts = []
 
-    def recording(*args, **kwargs):
-        res = check(*args, **kwargs)
+    def recording(g_, coloring, max_n, max_colors, hub):
+        # The spine's root is the hub the public checker would pick, and
+        # the verdict is the public checker's.
+        assert hub == spine.root_vertex == central_vertex(g)
+        res = check(g_, coloring, max_n, max_colors, hub)
+        assert res == is_rainbow_connected(g, coloring, max_n=max_n, max_colors=max_colors)
         verdicts.append(res.ok)
         return res
 
-    monkeypatch.setattr(moprc.coloring, "is_rainbow_connected", recording)
+    monkeypatch.setattr(moprc.coloring, "_rainbow_connected", recording)
     col, stats = rainbow_coloring(g)
-    assert verdicts == ([] if verdict is None else [verdict])
+    assert verdicts == ([verdict] if isinstance(verdict, bool) else [])
     assert stats.staged_valid == bool(verdict)
-    if not verdict:
-        assert col == moprc.coloring._layered(g, build_ccs(g))
+    if verdict == "strip":
+        assert col == moprc.coloring._strip_coloring(g, spine.radius)
+    elif not verdict:
+        assert col == moprc.coloring._layered(g, spine)
 
 
 def exits_ok(g, coloring, root) -> bool:

@@ -27,7 +27,7 @@ import moprc.metrics
 from moprc.metrics import ecc_diam_rad_center
 from moprc.spine import SpineNode, _corridor, primary_secondary
 
-from conftest import all_simple_paths, is_vertex_pair_cut
+from conftest import all_simple_paths, construction_orders, is_vertex_pair_cut
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -134,21 +134,6 @@ def test_chords_are_exactly_the_adjacent_two_cuts():
     for g in graphs:
         for a, b in sorted(g.edges):
             assert (g.edge_kind[(a, b)] == "chord") == is_vertex_pair_cut(g, a, b), (g, a, b)
-
-
-def construction_orders(n: int):
-    """Every construction order on n vertices: vertex i in turn goes on
-    each exterior edge of the graph built so far."""
-
-    def grow(i, low, high, succ):
-        if i > n:
-            yield CanonicalMop(n, dict(low), dict(high))
-            return
-        for a, b in list(succ.items()):
-            low[i], high[i] = min(a, b), max(a, b)
-            yield from grow(i + 1, low, high, {**succ, a: i, i: b})
-
-    yield from grow(4, {3: 1}, {3: 2}, {1: 2, 2: 3, 3: 1})
 
 
 def test_green_nodes_cover_every_inner_vertex_with_children():
