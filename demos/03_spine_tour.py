@@ -7,8 +7,8 @@ reach the next layer out. Each green node hangs off a node one layer
 closer to the root that is adjacent to both its endpoints. Each node
 "realizes" back into the graph as two edge-disjoint paths from the
 root, which is what the staged coloring later exploits. A node may
-have no long path that fits the coloring's reserve of colors; the
-coloring then takes its layered form instead.
+have no long path within 2 * radius - 2 edges; the coloring then takes
+its layered form instead.
 
 Run:  python3 demos/03_spine_tour.py
 """

@@ -20,10 +20,12 @@ The palette is laid out in fixed bands, writing each edge at most once
   which path claimed it, and no short path claims an edge inside a
   layer.
 * 4, then radius+5 .. 3*radius: long realization paths. The root spoke
-  is 4; each deeper edge takes the first reserve color not yet on its
-  own path (first fit). `realize_paths` only returns a long path whose
-  edges after the root spoke fit the reserve, so a free color always
-  exists.
+  is 4; each deeper edge takes the first color of this reserve band
+  not yet on its own path (first fit), and `_staged` gives up when none
+  is free. A route with at most 2 * radius - 4 untagged edges after its
+  root spoke, the band's size, always finds one: its root spoke holds
+  4 or 5, short paths hold the low band and tagged edges 6, so only its
+  other untagged edges after the root spoke can hold band colors.
 * 1, 2, 3: fans around the realization vertices of every non-root
   spine node (spokes alternate 1/2), and every leftover edge, fan path
   edges included, takes 3.
@@ -36,10 +38,11 @@ the first hop onto the spine.
 
 That argument is not a proof for every MOP. `_staged` builds the
 staged coloring, or returns None when some spine node has no long path
-that fits the reserve; `rainbow_coloring` is the one place that falls
-back. It checks a staged coloring once, by the exact checker, and
-otherwise returns `_layered`'s coloring, which spends three colors per
-BFS layer and is rainbow connected by construction (see its docstring).
+or its long path finds no free reserve color; `rainbow_coloring` is the
+one place that falls back. It checks a staged coloring once, by the
+exact checker, and otherwise returns `_layered`'s coloring, which
+spends three colors per BFS layer and is rainbow connected by
+construction (see its docstring).
 The staged coloring is kept whenever it passes, because it often saves
 colors; the checker proves a layered coloring at once by its layer
 certificate, and a staged one only by its hub and per-source searches.
@@ -79,7 +82,8 @@ class ColoringStats:
     exact check, or a coloring valid by design applies (the fan scheme
     at radius <= 1, the diam-color strip coloring). When it is False,
     the layered fallback was returned instead, because the staged
-    coloring failed its check or some long path did not fit the reserve.
+    coloring failed its check or some long path had no route or no free
+    reserve color.
     """
 
     radius: int
@@ -108,7 +112,7 @@ def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> No
     flip = {1: 2, 2: 1, 3: 1}
     for v in g.vertices():
         inc = [edge(v, u) for u in g.neighbors(v)]
-        if len(inc) < 2 or len({colors[e] for e in inc}) > 1:
+        if len({colors[e] for e in inc}) > 1:
             continue
 
         def variety(e: tuple[int, int]) -> tuple[int, int]:
@@ -157,7 +161,7 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
             spokes: list[tuple[int, int]] = []
             before: list[int] = []  # the previous vertex's parents
             for i, v in enumerate(path):
-                parents = sorted(u for u in g.neighbors(v) if depth[u] == k - 1)
+                parents = [u for u in g.neighbors(v) if depth[u] == k - 1]
                 if i:
                     colors[edge(path[i - 1], v)] = alpha + 2
                     parents.sort(key=lambda u: u not in before)
@@ -217,7 +221,8 @@ def _strip_coloring(g: MopGraph, rad: int) -> EdgeColoring | None:
 
 
 def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
-    """The staged coloring at radius >= 2, or None if a long path does not fit."""
+    """The staged coloring at radius >= 2, or None when a long path has no
+    route or leaves no free reserve color."""
     rad = spine.radius
     v_r = spine.root_vertex
     # Green pair edges bridge a node's two realization vertices, so a
@@ -250,9 +255,10 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
             for i, e in enumerate(path_edges):
                 if e in colors:
                     continue
-                # First fit: the path fits the reserve, so a free color
-                # is always left.
-                pick = 4 if i == 0 else min(c for c in reserve if c not in on_path)
+                # First fit: the lowest reserve color not yet on the path.
+                pick = 4 if i == 0 else next((c for c in reserve if c not in on_path), None)
+                if pick is None:
+                    return None
                 colors[e] = pick
                 on_path.add(pick)
 
@@ -300,7 +306,7 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     spine = build_ccs(g)
     rad = spine.radius
     if rad <= 1:
-        hub = min(v for v in g.vertices() if g.degree(v) == g.n - 1)
+        hub = spine.root_vertex  # the smallest vertex of degree n - 1
         coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
         return coloring, ColoringStats(rad, len(coloring.used), True)
 

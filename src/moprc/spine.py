@@ -6,8 +6,8 @@ node is green, a chord inside a BFS layer (an adjacent 2-vertex cut)
 whose two ends both reach the next layer. Each green node hangs off a
 node one layer up that is adjacent to both its ends. The spine drives
 the staged rainbow coloring: every green node gets a short realization
-path from the root (a BFS tree path) and, when one fits the coloring's
-reserve of colors, an edge-disjoint long one (threaded through the
+path from the root (a BFS tree path) and, when one has at most
+2 * radius - 2 edges, an edge-disjoint long one (threaded through the
 other endpoint of each green ancestor). The routing data those paths
 share is built once with the spine, as its `routes`: the short paths
 themselves, the fixed-color tagged edges, and the distance balls grown
@@ -74,21 +74,15 @@ def maximal_fans(g: Graph) -> tuple[tuple[int, frozenset[int]], ...]:
     A fan is a vertex together with its closed neighborhood; fans
     strictly contained in another are dropped, and among equal closed
     neighborhoods the smallest center is kept. Returned sorted by
-    center label.
+    center label. A closed neighborhood that holds v's holds v, so
+    only v's neighbors are compared with it.
     """
     closed = {v: frozenset(g.neighbors(v)) | {v} for v in g.vertices()}
-    keep = []
-    for v in g.vertices():
-        dominated = False
-        for u in g.vertices():
-            if u == v:
-                continue
-            if closed[v] < closed[u] or (closed[v] == closed[u] and u < v):
-                dominated = True
-                break
-        if not dominated:
-            keep.append((v, closed[v]))
-    return tuple(keep)
+    return tuple(
+        (v, closed[v])
+        for v in g.vertices()
+        if not any(closed[v] < closed[u] or (closed[v] == closed[u] and u < v) for u in g.neighbors(v))
+    )
 
 
 @dataclass(frozen=True)
@@ -169,26 +163,24 @@ class CutSpine:
 
 
 def _layer_paths(g: MopGraph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components of an induced layer, each a path.
+    """The paths an induced layer splits into, in order of smaller end.
 
-    Paths are oriented to start at their smaller-labelled endpoint;
-    isolated vertices are length-1 paths. BFS layers of a MOP always
-    induce disjoint paths, and g is one, so this is not checked.
+    layer is sorted by label, as `layers` returns it. Each path starts
+    at its smaller-labelled end, the first of its vertices in that
+    order with at most one neighbor inside the layer, and one search
+    from there visits it in order; isolated vertices are length-1
+    paths. BFS layers of a MOP always induce disjoint paths, and g is
+    one, so this is not checked.
     """
     inside = set(layer)
     nbr = {v: [u for u in g.neighbors(v) if u in inside] for v in layer}
     out: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for v in sorted(layer):
-        if v in seen:
-            continue
-        # The component is a path, which a search from its smaller
-        # end (degree <= 1 inside the layer) visits in order.
-        comp, _ = breadth_first(nbr.__getitem__, (v,))
-        end = min(x for x in comp if len(nbr[x]) <= 1)
-        path, _ = breadth_first(nbr.__getitem__, (end,))
-        seen.update(path)
-        out.append(tuple(path))
+    for v in layer:
+        if v not in seen and len(nbr[v]) <= 1:
+            path, _ = breadth_first(nbr.__getitem__, (v,))
+            seen.update(path)
+            out.append(tuple(path))
     return out
 
 
@@ -344,12 +336,9 @@ def _routes(
     carry a repeated color, so the path router prunes such routes. The
     distance balls are the ones the eccentricities were read from.
     """
-    primaries: set[int] = set()
-    secondaries: set[int] = set()
-    for nd in nodes[1:]:
-        p, s = primary_secondary(g, nd)
-        primaries.add(p)
-        secondaries.add(s)
+    ends = {nd: primary_secondary(g, nd) for nd in nodes[1:]}
+    primaries = {p for p, _ in ends.values()}
+    secondaries = {s for _, s in ends.values()}
 
     def rank(u: int) -> tuple[int, int]:
         if u in primaries:
@@ -365,15 +354,16 @@ def _routes(
             cands = [u for u in g.neighbors(v) if u in above]
             parent[v] = min(cands, key=rank)
     shorts: dict[SpineNode, tuple[int, ...]] = {}
-    for nd in nodes[1:]:
-        chain = [primary_secondary(g, nd)[0]]
+    for nd, (primary, _) in ends.items():
+        chain = [primary]
         while parent[chain[-1]] is not None:
             chain.append(parent[chain[-1]])
         shorts[nd] = tuple(reversed(chain))
 
     tagged = {edge(*nd.realization) for nd in nodes[1:]}
-    n1 = set(lay[1] if len(lay) > 1 else ())
-    tagged |= {edge(u, v) for v in n1 for u in g.neighbors(v) if u in n1}
+    # Layer 1 is the root's neighborhood, which induces its fan path.
+    fan = g.fan_neighbors(lay[0][0])
+    tagged |= {edge(u, v) for u, v in zip(fan, fan[1:])}
     return SpineRoutes(shorts, frozenset(tagged), balls)
 
 
@@ -391,12 +381,11 @@ def realize_paths(
     rail-tree path, so it has fewer than radius edges. The long path is
     the lexicographically first shortest route from the root that stays
     off the short path and the node's own pair edge and crosses at most
-    one tagged edge, kept when it fits the reserve band. It is found by
-    a corridor search over the spine's distance balls (see `_corridor`)
-    that gives up past 2 * radius - 2 edges: a longer route still
-    needs at least 2 * radius - 3 reserve colors. When no route fits,
-    the long path is None and the staged coloring gives way to the
-    layered one.
+    one tagged edge. It is found by a corridor search over the spine's
+    distance balls (see `_corridor`) that gives up past 2 * radius - 2
+    edges; then the long path is None and the staged coloring gives way
+    to the layered one. The staged coloring's first fit alone decides
+    whether a route's edges find colors in its reserve band.
     """
     v_r = spine.root_vertex
     if node.kind == "root":
@@ -406,18 +395,4 @@ def realize_paths(
     short = routes.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
     own.add(edge(primary, secondary))
-
-    def fits_reserve(seg: tuple[int, ...]) -> bool:
-        # Edges after the first either hold a level-indexed pair color
-        # or will draw a fresh reserve color; both come out of the same
-        # reserve, which holds 2 * radius - 4 colors. Tagged edges ride
-        # the layer-1 color and cost nothing.
-        need = sum(
-            1 for i in range(1, len(seg) - 1) if edge(seg[i], seg[i + 1]) not in routes.tagged
-        )
-        return need <= 2 * spine.radius - 4
-
-    seg = _corridor(g, routes.balls, v_r, secondary, own, routes.tagged, 2 * spine.radius - 2)
-    if seg is not None and fits_reserve(seg):
-        return short, seg
-    return short, None
+    return short, _corridor(g, routes.balls, v_r, secondary, own, routes.tagged, 2 * spine.radius - 2)

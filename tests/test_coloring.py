@@ -11,6 +11,7 @@ import moprc.coloring
 import moprc.verify
 from moprc import (
     EdgeColoring,
+    Graph,
     build_ccs,
     ecc_diam_rad_center,
     edge,
@@ -26,8 +27,9 @@ from moprc import (
     random_mop_graph,
 )
 from moprc.metrics import central_vertex
+from moprc.spine import primary_secondary
 
-from conftest import construction_orders
+from conftest import all_simple_paths, construction_orders
 
 K3 = mop_from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -104,7 +106,7 @@ FROZEN_DIGESTS = {
         lambda: lad_plus(12).graph,
         "1ba8dac1bbb8a6f1feb1ef530a9d25adfa73bc6ece71bdaa913944fc3a599e27",
     ),
-    # Node (28, 47) has no long path that fits the reserve, so the
+    # Node (28, 47) has no route within 2 * radius - 2 edges, so the
     # staged coloring gives up before its check and the digest is that
     # of the layered fallback.
     "random_mop(60,60192)": (
@@ -345,8 +347,8 @@ def test_frozen_acceptance_half_corpus():
 
 
 # Graph -> the verdict of its staged coloring's one check, "strip" when
-# the strip coloring is returned with no check, or None when some long
-# path does not fit the reserve and no check is made.
+# the strip coloring is returned with no check, or None when some node
+# has no long path and no check is made.
 ONE_CHECK_GRAPHS = {
     "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), True),
     "random_mop(120,2)": (FROZEN_DIGESTS["random_mop(120,2)"][0], False),
@@ -386,6 +388,42 @@ def test_one_check_then_staged_or_layered(name, monkeypatch):
         assert col == moprc.coloring._strip_coloring(g, spine.radius)
     elif not verdict:
         assert col == moprc.coloring._layered(g, spine)
+
+
+def test_a_route_longer_than_the_reserve_falls_back(monkeypatch):
+    # A real route from the root to a node's secondary, off the node's
+    # own edges, with more untagged edges after its root spoke than the
+    # 2 * radius - 4 reserve colors: first fit runs out of colors on it,
+    # so the staged coloring gives up and the layered one is returned.
+    g = random_mop_graph(14, 1)
+    spine = build_ccs(g)
+    assert spine.radius == 3 and moprc.coloring._strip_coloring(g, 3) is None
+    assert moprc.coloring._staged(g, spine) is not None
+    node = spine.nodes[1]
+    primary, secondary = primary_secondary(g, node)
+    short = spine.routes.shorts[node]
+    own = {edge(a, b) for a, b in zip(short, short[1:])} | {edge(primary, secondary)}
+    tagged = spine.routes.tagged
+
+    def untagged_after_spoke(path):
+        return sum(edge(a, b) not in tagged for a, b in zip(path[1:], path[2:]))
+
+    sub = Graph(g.n, g.edges - own)
+    route = next(
+        p
+        for p in all_simple_paths(sub, spine.root_vertex, secondary)
+        if untagged_after_spoke(p) > 2 * spine.radius - 4
+    )
+    real = moprc.coloring.realize_paths
+
+    def handing_route(g_, spine_, node_):
+        return (short, route) if node_ == node else real(g_, spine_, node_)
+
+    monkeypatch.setattr(moprc.coloring, "realize_paths", handing_route)
+    assert moprc.coloring._staged(g, spine) is None
+    col, stats = rainbow_coloring(g)
+    assert not stats.staged_valid
+    assert col == moprc.coloring._layered(g, spine)
 
 
 def exits_ok(g, coloring, root) -> bool:

@@ -72,6 +72,41 @@ def test_maximal_fans():
     assert covered == set(triangles(g))
 
 
+def _all_pairs_fans(g):
+    """maximal_fans by its definition: every vertex against every other."""
+    closed = {v: frozenset(g.neighbors(v)) | {v} for v in g.vertices()}
+    return tuple(
+        (v, closed[v])
+        for v in g.vertices()
+        if not any(
+            closed[v] < closed[u] or (closed[v] == closed[u] and u < v)
+            for u in g.vertices()
+            if u != v
+        )
+    )
+
+
+@given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_maximal_fans_match_all_pairs_on_mops(n, seed):
+    g = random_mop_graph(n, seed)
+    assert maximal_fans(g) == _all_pairs_fans(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on 1..9 vertices, isolated vertices included."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    return Graph(n, draw(st.sets(pairs)))
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_maximal_fans_match_all_pairs_on_any_graph(g):
+    assert maximal_fans(g) == _all_pairs_fans(g)
+
+
 def test_spine_of_strip_length_three():
     g = lad(3).graph
     s = build_ccs(g)
@@ -140,7 +175,11 @@ def test_green_nodes_cover_every_inner_vertex_with_children():
     # The lemma of build_ccs: every vertex of layers 1..radius-1 with a
     # neighbor one layer out lies on a green node of its own level, and
     # every node hangs off a node one level up adjacent to all of its
-    # vertices.
+    # vertices. Every long path also has at most 2 * radius - 4
+    # untagged edges after its root spoke, as many as the staged
+    # coloring's reserve holds, so its first fit never runs out on
+    # these graphs (at n <= 8 the radius is at most 2; the random
+    # graphs and strips reach radius 8).
     graphs = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
     assert len(graphs) == 2956
     graphs += [random_mop_graph(n, 7 * n + 1) for n in range(9, 300, 2)]
@@ -160,6 +199,10 @@ def test_green_nodes_cover_every_inner_vertex_with_children():
             p = s.parent[nd]
             assert p.level == nd.level - 1
             assert all(any(g.has_edge(u, v) for u in p.realization) for v in nd.realization), (g, nd, p)
+            long_ = realize_paths(g, s, nd)[1]
+            if long_ is not None:
+                untagged = sum(edge(a, b) not in s.routes.tagged for a, b in zip(long_[1:], long_[2:]))
+                assert untagged <= 2 * s.radius - 4, (g, nd, long_)
 
 
 def test_children_match_the_parent_scan():
@@ -227,12 +270,18 @@ def _assert_disjoint_within_bounds(spine, short, long_):
     assert len(long_) - 1 <= 2 * spine.radius - 2
 
 
-def test_a_node_with_no_long_path_that_fits():
+def test_a_node_with_no_route_within_the_cap():
+    # The node's only routes have more than 2 * radius - 2 edges, so the
+    # corridor search gives up and the long path is None.
     g = random_mop_graph(44, 31)
     s = build_ccs(g)
     green = next(nd for nd in s.nodes if nd.realization == (24, 31))
     assert green.kind == "green"
-    assert realize_paths(g, s, green) == ((5, 4, 7, 19, 24), None)
+    short = (5, 4, 7, 19, 24)
+    assert realize_paths(g, s, green) == (short, None)
+    own = {edge(a, b) for a, b in zip(short, short[1:])} | {edge(24, 31)}
+    uncapped = _corridor(g, s.routes.balls, s.root_vertex, 31, own, s.routes.tagged, g.n)
+    assert len(uncapped) - 1 > 2 * s.radius - 2
 
 
 @given(st.integers(min_value=5, max_value=40), st.integers(min_value=0, max_value=2**63))
@@ -247,10 +296,10 @@ def test_realized_paths_edge_disjoint_property(n, seed):
 
 
 def _reference_realize(g, spine, node):
-    """The rule by brute force: the least (length, path) from the root
-    to the secondary that avoids the short path and the node's own pair
-    edge and crosses at most one tagged edge, kept when it fits the
-    reserve; else None."""
+    """The rule by brute force: the least (length, path) of at most
+    2 * radius - 2 edges from the root to the secondary that avoids the
+    short path and the node's own pair edge and crosses at most one
+    tagged edge; else None."""
     v_r = spine.root_vertex
     if node.kind == "root":
         return ((v_r,), (v_r,))
@@ -261,12 +310,7 @@ def _reference_realize(g, spine, node):
     if node.kind == "green":
         own.add(edge(primary, secondary))
 
-    def need(path):
-        return sum(edge(path[i], path[i + 1]) not in tagged for i in range(1, len(path) - 1))
-
     sub = Graph(g.n, [e for e in g.edges if e not in own])
-    # A path that fits crosses at most one tagged edge, so it has at
-    # most 2 * radius - 2 edges; a longer least path cannot fit.
     best = min(
         (
             (len(p), p)
@@ -275,12 +319,11 @@ def _reference_realize(g, spine, node):
         ),
         default=None,
     )
-    if best is not None and need(best[1]) <= 2 * spine.radius - 4:
-        return short, best[1]
-    return short, None
+    return short, best[1] if best else None
 
 
-# (n, seed): node (28, 47) of this graph has no long path that fits.
+# (n, seed): node (28, 47) of this graph has no route within
+# 2 * radius - 2 edges.
 FALLBACK_EXAMPLE = (60, 60192)
 
 
@@ -358,7 +401,7 @@ def bfs_route(g, src, dst, banned, tagged):
 def _bfs_realize(g, spine, node):
     """realize_paths by one breadth-first search per node: bfs_route
     from the root to the secondary, off the short path and the node's
-    own pair edge, kept when it fits the reserve of 2 * radius - 4."""
+    own pair edge, kept when it has at most 2 * radius - 2 edges."""
     v_r = spine.root_vertex
     if node.kind == "root":
         return ((v_r,), (v_r,))
@@ -369,10 +412,9 @@ def _bfs_realize(g, spine, node):
     if node.kind == "green":
         own.add(edge(primary, secondary))
     seg = bfs_route(g, v_r, secondary, own, tagged)
-    if seg is None:
+    if seg is None or len(seg) - 1 > 2 * spine.radius - 2:
         return short, None
-    need = sum(edge(seg[i], seg[i + 1]) not in tagged for i in range(1, len(seg) - 1))
-    return short, seg if need <= 2 * spine.radius - 4 else None
+    return short, seg
 
 
 BFS_ORACLE_GRAPHS = (
