@@ -1,13 +1,17 @@
 """Staged rainbow coloring of a MOP within 3 * radius colors.
 
-A sufficient condition for rc = diam comes first. When some ear (a
-vertex of degree 2) has BFS distance classes of at most two vertices
-each, as the strips `lad(d)` and `lad_plus(d)` have, coloring each edge
-by the larger distance of its ends from that ear spends exactly diam
-colors and is rainbow connected by construction (`_strip_coloring`
-proves both). Such a graph has n <= 4 * radius + 1, so every other MOP
-is turned away by one comparison. The rest of this note is about the
-staged coloring that every other MOP of radius >= 2 gets.
+Two colorings valid by design come first, each decided in linear time
+and before any cut spine is built. A fan (radius 1: some vertex of
+degree n - 1) takes the fan scheme. Then a sufficient condition for
+rc = diam: when some ear (a vertex of degree 2) has BFS distance
+classes of at most two vertices each, as the strips `lad(d)` and
+`lad_plus(d)` have, coloring each edge by the larger distance of its
+ends from that ear spends exactly diam colors and is rainbow connected
+by construction (`_strip_coloring` proves both). Such a MOP has
+exactly two ears, so a MOP with more is turned away after one degree
+scan, and its radius is half its diameter rounded up, so no
+eccentricity is computed. The rest of this note is about the staged
+coloring that every other MOP of radius >= 2 gets.
 
 The palette is laid out in fixed bands, writing each edge at most once
 (later passes never recolor):
@@ -55,8 +59,8 @@ coloring), and the returned coloring uses fewer colors than `_layered`
 on 279 and more on 15 (7,211 colors in all, against 7,531 for
 `_layered`).
 
-Radius <= 1 graphs are fans; they reuse the hand-tuned fan scheme (1,
-2, or 3 colors depending on size) directly.
+Radius 1 graphs are fans; they reuse the hand-tuned fan scheme (1, 2,
+or 3 colors depending on size) directly.
 """
 
 from __future__ import annotations
@@ -172,15 +176,16 @@ def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
     return EdgeColoring(colors)
 
 
-def _strip_coloring(g: MopGraph, rad: int) -> EdgeColoring | None:
+def _strip_coloring(g: MopGraph) -> EdgeColoring | None:
     """A diam-color coloring, rainbow connected by construction, or None.
 
-    It looks for an ear p (a vertex of degree 2) whose BFS distance
-    classes each hold at most two vertices, trying the ears in label
-    order, and gives each edge the larger distance of its two ends from
-    p. The strips `lad(d)` and `lad_plus(d)` are such graphs. Classes 1
-    to ecc(p) each have a vertex with a spoke to the class below, so
-    the coloring spends ecc(p) colors.
+    g has no vertex of degree n - 1 (radius >= 2). The function looks
+    for an ear p (a vertex of degree 2) whose BFS distance classes each
+    hold at most two vertices, trying the ears in label order, and
+    gives each edge the larger distance of its two ends from p. The
+    strips `lad(d)` and `lad_plus(d)` are such graphs. Classes 1 to
+    ecc(p) each have a vertex with a spoke to the class below, so the
+    coloring spends ecc(p) colors.
 
     Lemma: the coloring is rainbow connected exactly when every class
     is one vertex or two adjacent ones, and in a MOP every class of two
@@ -204,15 +209,34 @@ def _strip_coloring(g: MopGraph, rad: int) -> EdgeColoring | None:
     So ecc(p) = diam: a pair in classes i < j is at most j - i + 1
     apart, and j - i + 1 = ecc(p) + 1 only when i = 0, whose class is p
     alone. Since rc >= diam, such a MOP has rc = diam, and this
-    coloring meets it. Classes of at most two vertices give n <= 2 *
-    diam + 1 <= 4 * rad + 1, so larger graphs are rejected at once, and
-    class 1 is p's neighborhood, so only ears can pass.
+    coloring meets it. Class 1 is p's neighborhood, so only ears can
+    pass.
+
+    Two ears. Such a MOP has exactly two ears, so a MOP with more is
+    turned away after one degree scan, and one with two costs at most
+    two BFS runs. A chord's ends have degree >= 3 (each bounds two faces), so
+    no ear lies in a class k with 0 < k < ecc(p). Beyond the chord of
+    class ecc(p) - 1 lies a triangle, whose third vertex is one ear, or
+    a quadrilateral with one diagonal, which leaves one of its two far
+    vertices of degree 2 and the other of degree 3. With p, that makes
+    two.
+
+    Radius. The radius is ceil(D / 2), with D = ecc(p) = diam, so it
+    is read off the color count. A vertex u of class c reaches p in c
+    steps, class j >= 1 below it in at most c - j + 1 <= c, its own
+    class in 1, and class j above it in at most j - c + 1, by the walk
+    down from the far vertex. For odd D, take c = (D + 1) / 2: every
+    class is within (D + 1) / 2. For even D, the chord of class D - 1
+    has an end w adjacent to the whole last class (the triangle's
+    apex, or the quadrilateral's diagonal end). Take u as w's BFS
+    ancestor in class D / 2: u reaches w in D / 2 - 1 steps and the
+    last class in D / 2, and every other class within D / 2 as before.
+    Conversely diam <= 2 * radius.
     """
-    if g.n > 4 * rad + 1:
+    ears = [p for p in g.vertices() if g.degree(p) == 2]
+    if len(ears) != 2:
         return None
-    for p in g.vertices():
-        if g.degree(p) != 2:
-            continue
+    for p in ears:
         dist, _ = breadth_first(g.neighbors, (p,))
         order = list(dist)  # BFS order: distances never fall
         if all(dist[a] < dist[c] for a, c in zip(order, order[2:])):
@@ -295,24 +319,30 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
 
     Uses at most 3 * radius colors (at most 3 when the radius is 1).
     Deterministic: the same graph always yields the same coloring.
-    Above radius 1, a MOP with an ear whose BFS distance classes are
-    each one vertex or two adjacent vertices has rc = diam, and gets
-    `_strip_coloring`'s diam colors with no check: that condition is
-    sufficient for rc = diam. Otherwise the staged coloring is checked
+    The two colorings valid by design are decided first, from degrees
+    and at most two BFS runs, with no cut spine and no eccentricities:
+    - a fan (radius 1, some vertex of degree n - 1) takes the fan
+      scheme around the least such vertex;
+    - a MOP with an ear whose BFS distance classes are each one vertex
+      or two adjacent vertices has rc = diam, and gets
+      `_strip_coloring`'s diam colors with no check; its radius is
+      half the color count, rounded up.
+    Every other MOP gets the cut spine. Its staged coloring is checked
     once, exactly, and returned when it passes. When it fails, or when
     `_staged` gives up (then no check is made), the layered coloring,
     rainbow connected by construction, is returned.
     """
+    hub = next((v for v in g.vertices() if g.degree(v) == g.n - 1), None)
+    if hub is not None:
+        coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
+        return coloring, ColoringStats(1, len(coloring.used), True)
+
+    coloring = _strip_coloring(g)
+    if coloring is not None:
+        diam = len(coloring.used)
+        return coloring, ColoringStats((diam + 1) // 2, diam, True)
     spine = build_ccs(g)
     rad = spine.radius
-    if rad <= 1:
-        hub = spine.root_vertex  # the smallest vertex of degree n - 1
-        coloring = EdgeColoring(fan_coloring(g.fan_neighbors(hub), hub))
-        return coloring, ColoringStats(rad, len(coloring.used), True)
-
-    coloring = _strip_coloring(g, rad)
-    if coloring is not None:
-        return coloring, ColoringStats(rad, len(coloring.used), True)
     coloring = _staged(g, spine)
     staged_valid = (
         coloring is not None

@@ -2,14 +2,19 @@
 
 import hashlib
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moprc.coloring
+import moprc.metrics
+import moprc.spine
 import moprc.verify
 from moprc import (
+    CanonicalMop,
+    ColoringStats,
     EdgeColoring,
     Graph,
     build_ccs,
@@ -123,20 +128,20 @@ def test_frozen_digests_beyond_n10(name):
     assert hashlib.sha256(repr(sorted(col.colors.items())).encode()).hexdigest() == digest
 
 
-# (graph, radius, whether long paths are routed): at radius 2 no long
-# path is routed at all, and a strip takes its diam-color coloring
-# before the staged coloring routes any.
+# (graph, radius, path): at radius 2 no long path is "routed" at all,
+# and a "strip" takes its diam-color coloring before any spine is
+# built, so it makes no eccentricity pass either.
 CALL_COUNT_GRAPHS = {
-    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2, False),
-    "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4, True),
-    "lad(12)": (lambda: lad(12).graph, 6, False),
-    "lad_plus(10)": (lambda: lad_plus(10).graph, 5, False),
+    "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2, "staged"),
+    "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4, "routed"),
+    "lad(12)": (lambda: lad(12).graph, 6, "strip"),
+    "lad_plus(10)": (lambda: lad_plus(10).graph, 5, "strip"),
 }
 
 
 @pytest.mark.parametrize("name", list(CALL_COUNT_GRAPHS))
 def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
-    make, radius, routed = CALL_COUNT_GRAPHS[name]
+    make, radius, path = CALL_COUNT_GRAPHS[name]
     g = make()
     spine = build_ccs(g)
     assert spine.radius == radius
@@ -158,8 +163,8 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
         if mod_name.startswith("moprc") and getattr(mod, "ecc_diam_rad_center", None) is ecc:
             monkeypatch.setattr(mod, "ecc_diam_rad_center", counting("ecc", ecc))
     rainbow_coloring(g)
-    expected = len(spine.nodes) - 1 if routed else 0
-    assert calls == {"realize": expected, "ecc": 1}
+    expected = len(spine.nodes) - 1 if path == "routed" else 0
+    assert calls == {"realize": expected, "ecc": int(path != "strip")}
 
 
 def test_deterministic_across_runs():
@@ -253,7 +258,7 @@ def test_strip_coloring_fires_exactly_on_pair_class_ears(monkeypatch):
     for g in graphs:
         rad = build_ccs(g).radius
         ears = _pair_class_ears(g) if rad >= 2 else []
-        col = moprc.coloring._strip_coloring(g, rad) if rad >= 2 else None
+        col = moprc.coloring._strip_coloring(g) if rad >= 2 else None
         assert (col is not None) == bool(ears), g
         if col is None:
             continue
@@ -269,6 +274,74 @@ def test_strip_coloring_fires_exactly_on_pair_class_ears(monkeypatch):
         assert len(col.used) == summary.diameter == summary.ecc[ears[0]]
         assert is_rainbow_connected(g, col).ok, g
     assert (fired, one_ear, not_first) == (458, 125, 62)
+
+
+# sha256 over the colorings of lad(d) and lad_plus(d), d = 3..60, then
+# fan(k), k = 3..60, as rainbow_coloring gave them while it built the
+# cut spine for every MOP.
+FROZEN_NO_SPINE = "8f10b5cbfe9345476876d11ffa52668343cd90d1174169679979f61d26bad5c9"
+
+
+def test_strips_and_fans_never_build_the_spine(monkeypatch):
+    # Both colorings valid by design are decided from degrees and at
+    # most two BFS runs: no cut spine, no distance balls, and the same
+    # colorings and stats as when the spine came first.
+    graphs = [fam(d).graph for fam in (lad, lad_plus) for d in range(3, 61)]
+    graphs += [fan(k).graph for k in range(3, 61)]
+    radii = [ecc_diam_rad_center(g).radius for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a strip or a fan built the cut spine")
+
+    for mod in (moprc.spine, moprc.coloring):
+        monkeypatch.setattr(mod, "build_ccs", refuse)
+    monkeypatch.setattr(moprc.metrics, "_balls", refuse)
+    digest = hashlib.sha256()
+    for g, rad in zip(graphs, radii):
+        col, stats = rainbow_coloring(g)
+        assert stats == ColoringStats(rad, len(col.used), True), g
+        digest.update(repr(sorted(col.colors.items())).encode())
+    assert digest.hexdigest() == FROZEN_NO_SPINE
+
+
+def _two_ear_mops(n_max: int):
+    """MOPs whose triangles form one strip (the dual tree is a path),
+    n = 4..n_max: vertex i goes on the edge between vertex i - 1 and
+    one end of the edge vertex i - 1 went on. Vertex 4 always takes
+    end 1, since taking end 2 only swaps labels 1 and 2."""
+    for n in range(4, n_max + 1):
+        for turns in product((0, 1), repeat=n - 4):
+            low, high = {3: 1, 4: 1}, {3: 2, 4: 3}
+            for i, turn in zip(range(5, n + 1), turns):
+                low[i], high[i] = (low[i - 1], high[i - 1])[turn], i - 1
+            yield from_canonical(CanonicalMop(n, low, high))
+
+
+def test_a_pair_class_ear_means_two_ears_and_half_diameter_radius():
+    # The two facts rainbow_coloring's strip gate rests on (proved in
+    # _strip_coloring's docstring). A vertex of degree n - 1 exists
+    # exactly at radius 1. Above it, a MOP with an ear whose classes are
+    # single vertices or edges has exactly two ears, and its radius is
+    # ceil(ecc(p) / 2) for each such ear p. Below radius 2 the gate is
+    # never reached: fan(3) and fan(4) have pair-class ears and a hub.
+    graphs = [from_canonical(c) for n in range(3, 10) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in range(4, 41) for s in range(100)]
+    graphs += list(_two_ear_mops(16))
+    fired = 0
+    for g in graphs:
+        summary = ecc_diam_rad_center(g)
+        hub = any(g.degree(v) == g.n - 1 for v in g.vertices())
+        assert hub == (summary.radius <= 1), g
+        if hub:
+            continue
+        ears = _pair_class_ears(g)
+        assert (moprc.coloring._strip_coloring(g) is not None) == bool(ears), g
+        if not ears:
+            continue
+        fired += 1
+        assert sum(g.degree(v) == 2 for v in g.vertices()) == 2, g
+        assert all(summary.radius == (summary.ecc[p] + 1) // 2 for p in ears), g
+    assert fired == 2166
 
 
 def test_random_spots_within_bound_and_connected():
@@ -385,7 +458,7 @@ def test_one_check_then_staged_or_layered(name, monkeypatch):
     assert verdicts == ([verdict] if isinstance(verdict, bool) else [])
     assert stats.staged_valid == bool(verdict)
     if verdict == "strip":
-        assert col == moprc.coloring._strip_coloring(g, spine.radius)
+        assert col == moprc.coloring._strip_coloring(g)
     elif not verdict:
         assert col == moprc.coloring._layered(g, spine)
 
@@ -397,7 +470,7 @@ def test_a_route_longer_than_the_reserve_falls_back(monkeypatch):
     # so the staged coloring gives up and the layered one is returned.
     g = random_mop_graph(14, 1)
     spine = build_ccs(g)
-    assert spine.radius == 3 and moprc.coloring._strip_coloring(g, 3) is None
+    assert spine.radius == 3 and moprc.coloring._strip_coloring(g) is None
     assert moprc.coloring._staged(g, spine) is not None
     node = spine.nodes[1]
     primary, secondary = primary_secondary(g, node)
