@@ -43,13 +43,19 @@ the first hop onto the spine.
 That argument is not a proof for every MOP. `_staged` builds the
 staged coloring, or returns None when some spine node has no long path
 or its long path finds no free reserve color; `rainbow_coloring` is the
-one place that falls back. It checks a staged coloring once, by the
-exact checker, and otherwise returns `_layered`'s coloring, which
-spends three colors per BFS layer and is rainbow connected by
-construction (see its docstring).
+one place that falls back. It checks a staged coloring once, by
+`verify._rainbow_verdict`, and otherwise returns `_layered`'s coloring,
+which spends three colors per BFS layer and is rainbow connected by
+construction (see its docstring). The verdict is exactly
+`is_rainbow_connected`'s: after the layer certificate, one exhaustive
+rainbow search from a vertex of the deepest BFS layer below the root
+rejects the coloring as soon as it leaves some vertex unreached, since
+that pair then has no rainbow path; only a coloring it cannot refute
+goes on to the hub and per-source searches. Every failing staged
+coloring of the random-200 bench graphs is refuted by that one search.
 The staged coloring is kept whenever it passes, because it often saves
 colors; the checker proves a layered coloring at once by its layer
-certificate, and a staged one only by its hub and per-source searches.
+certificate, and a staged one mostly by its hub and per-source searches.
 The staged coloring of every strip `lad(d)` and `lad_plus(d)`, d = 3 ..
 30, is rainbow connected at 2 * radius + 2 colors, where the layered
 coloring spends 3 * radius, but the strip coloring spends diam.
@@ -72,7 +78,7 @@ from operator import attrgetter
 from .core import EdgeColoring, MopGraph, breadth_first, edge
 from .generators import fan_coloring
 from .spine import CutSpine, _layer_paths, build_ccs, primary_secondary, realize_paths
-from .verify import _rainbow_connected
+from .verify import _rainbow_verdict
 
 
 @dataclass(frozen=True)
@@ -328,9 +334,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
       `_strip_coloring`'s diam colors with no check; its radius is
       half the color count, rounded up.
     Every other MOP gets the cut spine. Its staged coloring is checked
-    once, exactly, and returned when it passes. When it fails, or when
-    `_staged` gives up (then no check is made), the layered coloring,
-    rainbow connected by construction, is returned.
+    once, exactly, and returned when it passes. The check
+    (`verify._rainbow_verdict`) first tries to refute it with one
+    rainbow search from the deepest layer below the root; a vertex that
+    search cannot reach has no rainbow path to its start, so the
+    verdict is always `is_rainbow_connected`'s. When the check fails,
+    or when `_staged` gives up (then no check is made), the layered
+    coloring, rainbow connected by construction, is returned.
     """
     hub = next((v for v in g.vertices() if g.degree(v) == g.n - 1), None)
     if hub is not None:
@@ -344,9 +354,8 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     spine = build_ccs(g)
     rad = spine.radius
     coloring = _staged(g, spine)
-    staged_valid = (
-        coloring is not None
-        and _rainbow_connected(g, coloring, g.n, 3 * rad, spine.root_vertex).ok
+    staged_valid = coloring is not None and _rainbow_verdict(
+        g, coloring, 3 * rad, spine.root_vertex
     )
     if not staged_valid:
         coloring = _layered(g, spine)

@@ -10,6 +10,7 @@ graph one exterior triangle at a time.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -403,14 +404,23 @@ def to_canonical(g: MopGraph) -> tuple[CanonicalMop, dict[int, int]]:
     original-label -> canonical-label mapping. Graphs already in
     construction order (vertex i attached to smaller labels) map to
     themselves.
+
+    The degree-2 labels wait in a max-heap, O(n log n) in all. Every
+    graph left by the peel is a MOP, whose degrees are at least 2, so a
+    vertex enters the heap once, when it first has degree 2, and stays
+    degree 2 until it is removed.
     """
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    ears = [-v for v in adj if len(adj[v]) == 2]
+    heapq.heapify(ears)
     removed: list[tuple[int, int, int]] = []  # (vertex, nbr_a, nbr_b)
     while len(adj) > 3:
-        v = max(u for u in adj if len(adj[u]) == 2)
+        v = -heapq.heappop(ears)
         a, b = sorted(adj[v])
         for u in (a, b):
             adj[u].discard(v)
+            if len(adj[u]) == 2:
+                heapq.heappush(ears, -u)
         del adj[v]
         removed.append((v, a, b))
     base = sorted(adj)

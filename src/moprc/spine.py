@@ -221,10 +221,6 @@ def build_ccs(g: MopGraph) -> CutSpine:
     v_r = central_vertex(g, summary.center)
     lay = layers(g, v_r)
     root = SpineNode("root", (v_r,), 0)
-
-    def touches_all(p: SpineNode, child: SpineNode) -> bool:
-        return all(any(g.has_edge(u, v) for u in p.realization) for v in child.realization)
-
     nodes, above = [root], [root]
     parent: dict[SpineNode, SpineNode] = {}
     for i in range(1, rad):
@@ -238,9 +234,15 @@ def build_ccs(g: MopGraph) -> CutSpine:
             if b > a and b in outward and g.edge_kind[(a, b)] == "chord"
         ]
         # Edges span at most one layer, so only nodes one level up can
-        # touch a node.
+        # touch a node; the parent is the first of them that holds a
+        # neighbor of each end.
+        held: dict[int, list[int]] = {}  # vertex -> indices of the nodes holding it
+        for j, p in enumerate(above):
+            for u in p.realization:
+                held.setdefault(u, []).append(j)
         for node in level:
-            parent[node] = next(p for p in above if touches_all(p, node))
+            a, b = ({j for u in g.neighbors(v) for j in held.get(u, ())} for v in node.realization)
+            parent[node] = above[min(a & b)]
         nodes += level
         above = level
     nodes = tuple(nodes)

@@ -207,7 +207,7 @@ def _counting_checks(monkeypatch) -> list:
         return wrapped
 
     monkeypatch.setattr(
-        moprc.coloring, "_rainbow_connected", counting(moprc.coloring._rainbow_connected)
+        moprc.coloring, "_rainbow_verdict", counting(moprc.coloring._rainbow_verdict)
     )
     monkeypatch.setattr(
         moprc.verify, "is_rainbow_connected", counting(moprc.verify.is_rainbow_connected)
@@ -441,19 +441,19 @@ def test_one_check_then_staged_or_layered(name, monkeypatch):
     make, verdict = ONE_CHECK_GRAPHS[name]
     g = make()
     spine = build_ccs(g)
-    check = moprc.coloring._rainbow_connected
+    check = moprc.coloring._rainbow_verdict
     verdicts = []
 
-    def recording(g_, coloring, max_n, max_colors, hub):
+    def recording(g_, coloring, max_colors, hub):
         # The spine's root is the hub the public checker would pick, and
         # the verdict is the public checker's.
         assert hub == spine.root_vertex == central_vertex(g)
-        res = check(g_, coloring, max_n, max_colors, hub)
-        assert res == is_rainbow_connected(g, coloring, max_n=max_n, max_colors=max_colors)
-        verdicts.append(res.ok)
-        return res
+        ok = check(g_, coloring, max_colors, hub)
+        assert ok == is_rainbow_connected(g, coloring, max_n=g.n, max_colors=max_colors).ok
+        verdicts.append(ok)
+        return ok
 
-    monkeypatch.setattr(moprc.coloring, "_rainbow_connected", recording)
+    monkeypatch.setattr(moprc.coloring, "_rainbow_verdict", recording)
     col, stats = rainbow_coloring(g)
     assert verdicts == ([verdict] if isinstance(verdict, bool) else [])
     assert stats.staged_valid == bool(verdict)

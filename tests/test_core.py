@@ -22,6 +22,7 @@ from moprc import (
     hamiltonian_cycle,
     hamiltonian_degree_sequence,
     lad,
+    lad_plus,
     mop_from_edges,
     random_mop,
     random_mop_graph,
@@ -30,7 +31,7 @@ from moprc import (
     validate_mop,
 )
 
-from conftest import brute_hamiltonian_cycles
+from conftest import brute_hamiltonian_cycles, construction_orders
 
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 K23 = Graph(5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
@@ -295,6 +296,51 @@ def test_fan_neighbors_walk_the_neighborhood_path():
         assert sorted(order) == sorted(g.neighbors(v))
         for a, b in zip(order, order[1:]):
             assert g.has_edge(a, b)
+
+
+def _peel_by_rescan(g: MopGraph):
+    """to_canonical's peel as a plain loop that rescans every vertex for
+    the largest degree-2 label before each removal."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    removed = []
+    while len(adj) > 3:
+        v = max(u for u in adj if len(adj[u]) == 2)
+        a, b = sorted(adj[v])
+        for u in (a, b):
+            adj[u].discard(v)
+        del adj[v]
+        removed.append((v, a, b))
+    relabel = {orig: i + 1 for i, orig in enumerate(sorted(adj))}
+    low, high = {}, {}
+    for label, (v, a, b) in enumerate(reversed(removed), 4):
+        relabel[v] = label
+        low[label], high[label] = sorted((relabel[a], relabel[b]))
+    return CanonicalMop(g.n, low, high), relabel
+
+
+def test_canonical_peel_matches_the_rescanning_peel():
+    # Every construction order up to n = 9 maps to itself, so each is
+    # also peeled with its labels reversed; random MOPs up to n = 200
+    # get a seeded relabelling too.
+    graphs = []
+    for n in range(3, 10):
+        for c in construction_orders(n):
+            g = from_canonical(c)
+            flip = [(n + 1 - u, n + 1 - v) for u, v in g.edges]
+            graphs += [g, MopGraph(n, flip, tuple(n + 1 - v for v in g.ham_cycle))]
+    assert len(graphs) == 2 * 23116
+    rng = random.Random(28)
+    for n in range(3, 201, 3):
+        for s in range(2):
+            g = random_mop_graph(n, s)
+            perm = list(g.vertices())
+            rng.shuffle(perm)
+            label = dict(zip(g.vertices(), perm))
+            graphs += [g, mop_from_edges(n, [(label[u], label[v]) for u, v in g.edges])]
+    graphs += [fam(d).graph for d in range(2, 31) for fam in (lad, lad_plus)]
+    graphs += [fan(k).graph for k in range(2, 60)]
+    for g in graphs:
+        assert to_canonical(g) == _peel_by_rescan(g), g
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**63))

@@ -174,8 +174,8 @@ def test_chords_are_exactly_the_adjacent_two_cuts():
 def test_green_nodes_cover_every_inner_vertex_with_children():
     # The lemma of build_ccs: every vertex of layers 1..radius-1 with a
     # neighbor one layer out lies on a green node of its own level, and
-    # every node hangs off a node one level up adjacent to all of its
-    # vertices. Every long path also has at most 2 * radius - 4
+    # every node hangs off the first node one level up adjacent to all
+    # of its vertices. Every long path also has at most 2 * radius - 4
     # untagged edges after its root spoke, as many as the staged
     # coloring's reserve holds, so its first fit never runs out on
     # these graphs (at n <= 8 the radius is at most 2; the random
@@ -198,7 +198,9 @@ def test_green_nodes_cover_every_inner_vertex_with_children():
             assert g.edge_kind[(a, b)] == "chord"
             p = s.parent[nd]
             assert p.level == nd.level - 1
-            assert all(any(g.has_edge(u, v) for u in p.realization) for v in nd.realization), (g, nd, p)
+            above = (q for q in s.nodes if q.level == p.level)
+            touching = (q for q in above if all(any(g.has_edge(u, v) for u in q.realization) for v in nd.realization))
+            assert p == next(touching), (g, nd, p)
             long_ = realize_paths(g, s, nd)[1]
             if long_ is not None:
                 untagged = sum(edge(a, b) not in s.routes.tagged for a, b in zip(long_[1:], long_[2:]))

@@ -23,6 +23,7 @@ from moprc import (
     exact_rc,
     exact_src,
     fan,
+    from_canonical,
     is_rainbow_connected,
     is_strong_rainbow_connected,
     lad,
@@ -36,7 +37,7 @@ from moprc.coloring import _layered, _staged
 from moprc.metrics import central_vertex
 from moprc._rng import SplitMix64
 
-from conftest import independent_rainbow_ok
+from conftest import construction_orders, independent_rainbow_ok
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -172,14 +173,15 @@ def layer_certified(g: Graph, colors) -> bool:
     """Whether the layer certificate alone proves the coloring."""
     coloring = EdgeColoring(colors)
     edges, bits, _ = verify._prepare(g, coloring, g.n, len(coloring.used))
-    return verify._layer_certificate(g, verify._steps(g, edges, bits), central_vertex(g))
+    level = verify._levels(g, central_vertex(g))
+    return verify._layer_certificate(g, verify._steps(g, edges, bits), level)
 
 
 @contextmanager
 def layer_certificate_off(monkeypatch):
     """is_rainbow_connected runs its hub and per-source phases only."""
     with monkeypatch.context() as m:
-        m.setattr(verify, "_layer_certificate", lambda g, adj, hub: False)
+        m.setattr(verify, "_layer_certificate", lambda g, adj, level: False)
         yield
 
 
@@ -448,6 +450,86 @@ def test_layer_certificate_accepts_every_layered_coloring():
     graphs += [random_mop_graph(n, s) for n in (10, 20, 50, 100, 200, 400) for s in range(3)]
     for g in graphs:
         assert layer_certified(g, _layered(g, build_ccs(g)).colors), g
+
+
+def verdict_matches(g: Graph, colors) -> bool:
+    """Assert that the coloring's private verdict is the public checker's."""
+    coloring = EdgeColoring(colors)
+    k = len(coloring.used)
+    ok = verify._rainbow_verdict(g, coloring, k, central_vertex(g))
+    assert ok == is_rainbow_connected(g, coloring, max_n=g.n, max_colors=k).ok, g
+    return ok
+
+
+def test_verdict_matches_the_checker_on_staged_colorings(monkeypatch):
+    # Every construction order up to n = 8 of radius >= 2, the 800
+    # acceptance graphs and the random-200 graphs of the bench corpora
+    # (random_mop_graph(200, 4) has no staged coloring). A failing
+    # verdict that never reached phases 1 and 2 was refuted by the probe.
+    searched = []
+    search = verify._searched
+
+    def counting(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(verify, "_searched", counting)
+    graphs = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, 1000 * n + t) for n in (10, 20, 40, 60) for t in range(200)]
+    graphs += [random_mop_graph(200, s) for s in range(1, 7)]
+    valid = refuted = staged_count = 0
+    for g in graphs:
+        spine = build_ccs(g)
+        staged = _staged(g, spine) if spine.radius >= 2 else None
+        if staged is None:
+            continue
+        staged_count += 1
+        del searched[:]
+        ok = verify._rainbow_verdict(g, staged, len(staged.used), central_vertex(g))
+        refuted += not ok and not searched
+        valid += ok
+        assert ok == is_rainbow_connected(g, staged, max_n=g.n, max_colors=len(staged.used)).ok, g
+    assert (staged_count, valid, refuted) == (3576, 3329, 72)
+
+
+def test_verdict_matches_the_checker_on_recolored_layered_colorings():
+    # Layered colorings pass the layer certificate; one to three
+    # recolored edges send most of them on to the probe and the phases
+    # after it, with both verdicts drawn.
+    rng = SplitMix64(29)
+    verdicts = []
+    for n in range(6, 41):
+        g = random_mop_graph(n, 2900 + n)
+        layered = _layered(g, build_ccs(g)).colors
+        top = max(layered.values())
+        edges = sorted(g.edges)
+        for _ in range(8):
+            recolored = dict(layered)
+            for _ in range(1 + rng.below(3)):
+                recolored[edges[rng.below(len(edges))]] = 1 + rng.below(top)
+            verdicts.append(verdict_matches(g, recolored))
+    assert True in verdicts and False in verdicts
+
+
+@given(colored_mops())
+@settings(max_examples=150, deadline=None)
+def test_verdict_matches_the_checker_on_drawn_colorings(case):
+    verdict_matches(*case)
+
+
+def test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows(monkeypatch):
+    # The staged colorings of the bench's random-200 graphs all fail,
+    # and the probe's one search finds a pair with no rainbow path on
+    # each, so the hub rows are never built.
+    def hub_rows(*args):
+        raise AssertionError("the hub rows were reached")
+
+    monkeypatch.setattr(verify, "_open_pairs", hub_rows)
+    for s in (1, 2, 3, 5, 6):
+        g = random_mop_graph(200, s)
+        coloring, stats = rainbow_coloring(g)
+        assert not stats.staged_valid, s
+        assert coloring == _layered(g, build_ccs(g)), s
 
 
 @given(colored_mops())
