@@ -85,7 +85,7 @@ def _cmd_gen(args) -> int:
 def _cmd_info(args) -> int:
     g = _load_graph(args.mop)
     summary = ecc_diam_rad_center(g)
-    lay = layers(g, central_vertex(g, summary.center))
+    lay = layers(g, central_vertex(g))
     print(f"n: {g.n}")
     print(f"edges: {g.m}")
     print(f"diam: {summary.diameter}")

@@ -16,7 +16,7 @@ coloring that every other MOP of radius >= 2 gets.
 The palette is laid out in fixed bands, writing each edge at most once
 (later passes never recolor):
 
-* 6: the spine's tagged edges (`SpineRoutes.tagged`), every green pair
+* 6: the spine's tagged edges (`CutSpine.tagged`), every green pair
   edge and every edge inside layer 1, painted before anything else.
 * 5, then 7 .. radius+4: short realization paths, indexed by layer (the
   root spoke is 5, the edge entering layer k is k+5). Because short
@@ -77,7 +77,7 @@ from operator import attrgetter
 
 from .core import EdgeColoring, MopGraph, breadth_first, edge
 from .generators import fan_coloring
-from .spine import CutSpine, _layer_paths, build_ccs, primary_secondary, realize_paths
+from .spine import CutSpine, _layer_paths, build_ccs, realize_paths
 from .verify import _rainbow_verdict
 
 
@@ -259,7 +259,7 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     # route can hop from the secondary over to the short path ending
     # at the primary; they share color 6 with the layer-1 edges, and
     # the path router never crosses two edges of that shared class.
-    colors = dict.fromkeys(spine.routes.tagged, 6)
+    colors = dict.fromkeys(spine.tagged, 6)
 
     # Realization paths, level by level: every short path of a level
     # claims its edges before that level's long paths run, so an edge
@@ -273,7 +273,7 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     for _, level in groupby(ordered, key=attrgetter("level")):
         batch = list(level)
         for node in batch:
-            short = spine.routes.shorts[node]
+            short = spine.shorts[node]
             for i in range(len(short) - 1):
                 colors.setdefault(edge(short[i], short[i + 1]), 5 if i == 0 else 6 + i)
         for node in batch:
@@ -301,8 +301,7 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     # that is a spoke of a later fan (the alternation around each
     # center must survive intact for parity switches to work); the fan
     # path edges take 3 with every other leftover edge below.
-    for node in spine.nodes[1:]:
-        primary, secondary = primary_secondary(g, node)
+    for primary, secondary in spine.ends.values():
         fans = [primary]
         private = set(g.neighbors(secondary)) - set(g.neighbors(primary))
         private.discard(primary)

@@ -11,7 +11,7 @@ in O(1), and reads every vertex eccentricity off one incident edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Graph, MopGraph, breadth_first, edge
 from .errors import DomainError, NotMop
@@ -45,18 +45,12 @@ def bfs(g: Graph, source: int) -> DistanceTable:
 
 @dataclass(frozen=True)
 class EccentricitySummary:
-    """Eccentricity of every vertex plus the derived global quantities.
-
-    balls[d] holds every vertex's distance-d ball (see `_balls`) for
-    d = 0 .. diameter; the last entry is the whole graph for every
-    vertex. The cut spine routes its long paths through them.
-    """
+    """Eccentricity of every vertex plus the derived global quantities."""
 
     ecc: dict[int, int]
     diameter: int
     radius: int
     center: tuple[int, ...]
-    balls: tuple[list[int], ...] = field(default=(), repr=False, compare=False)
 
 
 def _balls(g: Graph):
@@ -83,9 +77,7 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     ecc[v] counts the rounds in which v's ball misses some vertex.
     """
     ecc = dict.fromkeys(g.vertices(), 0)
-    balls = []
     for ball in _balls(g):
-        balls.append(ball)
         for v in ecc:
             ecc[v] += ball[v].bit_count() < g.n
     if ball[1].bit_count() < g.n:
@@ -93,22 +85,22 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     diameter = max(ecc.values())
     radius = min(ecc.values())
     center = tuple(v for v in g.vertices() if ecc[v] == radius)
-    return EccentricitySummary(ecc, diameter, radius, center, tuple(balls))
+    return EccentricitySummary(ecc, diameter, radius, center)
 
 
-def central_vertex(g: Graph, center: tuple[int, ...] | None = None) -> int:
+def central_vertex(g: Graph, balls: tuple[list[int], ...] | None = None) -> int:
     """The vertex of least (eccentricity, degree, label).
 
-    center: the centers, when the caller already has them. Otherwise
-    they are the first vertices whose balls hold the whole graph, so
-    ball growth stops at the radius. On a disconnected graph every
-    vertex ties.
+    balls: the distance-d balls `_balls` yields, when the caller already
+    has them; otherwise they are grown here, up to the radius. The
+    centers are the first vertices whose balls hold the whole graph. On
+    a disconnected graph every vertex ties.
     """
-    if center is None:
-        for ball in _balls(g):
-            center = [v for v in g.vertices() if ball[v].bit_count() == g.n]
-            if center:
-                break
+    center = []
+    for ball in _balls(g) if balls is None else balls:
+        center = [v for v in g.vertices() if ball[v].bit_count() == g.n]
+        if center:
+            break
     return min(center or g.vertices(), key=lambda v: (g.degree(v), v))
 
 

@@ -9,10 +9,11 @@ the staged rainbow coloring: every green node gets a short realization
 path from the root (a BFS tree path) and, when one has at most
 2 * radius - 2 edges, an edge-disjoint long one (threaded through the
 other endpoint of each green ancestor). The routing data those paths
-share is built once with the spine, as its `routes`: the short paths
-themselves, the fixed-color tagged edges, and the distance balls grown
-for the eccentricities. Each long path is a depth-first corridor
-search inside those balls, not a breadth-first search of its own.
+share is built once with the spine and held in its own fields: each
+node's two ends, the short paths themselves, the fixed-color tagged
+edges, and the distance balls `build_ccs` grows to find the root. Each
+long path is a depth-first corridor search inside those balls, not a
+breadth-first search of its own.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import metrics
 from .core import Graph, MopGraph, breadth_first, edge
 from .errors import NotChordal
-from .metrics import central_vertex, ecc_diam_rad_center, layers
+from .metrics import central_vertex, layers
 
 
 def mcs(g: Graph) -> tuple[int, ...]:
@@ -95,33 +97,26 @@ class SpineNode:
 
 
 @dataclass(frozen=True)
-class SpineRoutes:
-    """Routing data shared by every realization path of one spine.
-
-    shorts maps each non-root node to its short path, the rail-tree
-    path from the root to its primary vertex. tagged holds the green
-    pair edges and the layer-1 edges, which share one fixed color: it
-    is exactly the set of edges the staged coloring paints 6. No long
-    path crosses two of them. balls[d][v] is vertex v's distance-d ball
-    as a bitset, for d up to the diameter: the balls `build_ccs` grew
-    for the eccentricities, kept so that every long path searches the
-    corridor they bound (see `_corridor`) without growing them again.
-    """
-
-    shorts: dict[SpineNode, tuple[int, ...]]
-    tagged: frozenset[tuple[int, int]]
-    balls: tuple[list[int], ...] = field(repr=False)
-
-
-@dataclass(frozen=True)
 class CutSpine:
-    """Cut spine of a MOP: nodes plus their tree structure.
+    """Cut spine of a MOP: nodes plus their tree structure, and the
+    routing data every realization path of the spine shares.
 
     nodes is the root, then the green nodes in (level, realization)
     order; children and leaves keep that order. layers[k] lists the
     vertices at BFS distance k from the root vertex. degenerate_radius
-    marks radius <= 1 graphs, whose spine is just the root. routes is
-    built once, with the spine.
+    marks radius <= 1 graphs, whose spine is just the root.
+
+    The routing data is built once, with the spine. ends maps each
+    green node to its (primary, secondary) pair (see
+    `primary_secondary`), in node order. shorts maps each green node to
+    its short path, the rail-tree path from the root to its primary.
+    tagged holds the green pair edges and the layer-1 edges, which
+    share one fixed color: it is exactly the set of edges the staged
+    coloring paints 6. No long path crosses two of them. balls[d][v] is
+    vertex v's distance-d ball as a bitset, for d up to the diameter:
+    the balls `build_ccs` grew to find the root, kept so that every long
+    path searches the corridor they bound (see `_corridor`) without
+    growing them again.
     """
 
     root: SpineNode
@@ -129,7 +124,10 @@ class CutSpine:
     parent: dict = field(compare=False)
     layers: tuple[tuple[int, ...], ...]
     radius: int
-    routes: SpineRoutes = field(compare=False)
+    ends: dict[SpineNode, tuple[int, int]] = field(compare=False)
+    shorts: dict[SpineNode, tuple[int, ...]] = field(compare=False)
+    tagged: frozenset[tuple[int, int]] = field(compare=False)
+    balls: tuple[list[int], ...] = field(compare=False, repr=False)
 
     @property
     def degenerate_radius(self) -> bool:
@@ -189,7 +187,9 @@ def build_ccs(g: MopGraph) -> CutSpine:
 
     g is a MOP, which its constructor checked, so nothing here checks
     it again. The root is a minimum-degree center vertex (smallest
-    label on ties). The green nodes at level i, 1 <= i < radius, are
+    label on ties), read off one growth of every vertex's distance
+    balls; the radius is the root's eccentricity, its last BFS layer.
+    The green nodes at level i, 1 <= i < radius, are
     the chords inside layer i whose two ends both have a neighbor in
     layer i + 1, in (level, realization) order. A node's parent is the
     first node one level up that is adjacent to both of its vertices.
@@ -216,10 +216,10 @@ def build_ccs(g: MopGraph) -> CutSpine:
         green node one level up, which is adjacent to both ends. So
         every node has a parent of the kind picked above.
     """
-    summary = ecc_diam_rad_center(g)
-    rad = summary.radius
-    v_r = central_vertex(g, summary.center)
+    balls = tuple(metrics._balls(g))
+    v_r = central_vertex(g, balls)
     lay = layers(g, v_r)
+    rad = len(lay) - 1
     root = SpineNode("root", (v_r,), 0)
     nodes, above = [root], [root]
     parent: dict[SpineNode, SpineNode] = {}
@@ -246,7 +246,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
         nodes += level
         above = level
     nodes = tuple(nodes)
-    return CutSpine(root, nodes, parent, lay, rad, _routes(g, nodes, lay, summary.balls))
+    return CutSpine(root, nodes, parent, lay, rad, *_routes(g, nodes, lay), balls)
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
@@ -271,8 +271,8 @@ def _corridor(
 
     Edges in `banned` are never used, and no path crosses two `tagged`
     edges (they hold one fixed color, so a second would put that color
-    on the path twice). balls[d][v] is v's distance-d ball, as grown by
-    `ecc_diam_rad_center`. For each length D from dist(src, dst) up to
+    on the path twice). balls[d][v] is v's distance-d ball, as
+    `metrics._balls` yields them (a spine's `balls`). For each length D from dist(src, dst) up to
     `longest`, a depth-first search walks from src over (vertex,
     crossed) states in ascending label order, and steps to u only when
     u lies in dst's ball of radius r, the steps left after it: the
@@ -325,9 +325,9 @@ def _routes(
     g: MopGraph,
     nodes: tuple[SpineNode, ...],
     lay: tuple[tuple[int, ...], ...],
-    balls: tuple[list[int], ...],
-) -> SpineRoutes:
-    """The routing data of a spine with these nodes and layers.
+) -> tuple[dict, dict, frozenset[tuple[int, int]]]:
+    """The ends, short paths and tagged edges of a spine with these
+    nodes and layers (see `CutSpine`).
 
     Short paths follow the rail tree, a BFS tree in which each vertex
     picks its parent from the previous layer preferring primaries, then
@@ -335,8 +335,7 @@ def _routes(
     smallest label; this keeps short paths on the primary rail whenever
     the graph allows it. Green pair edges and layer-1 edges all share
     one color, so they are tagged: a route crossing two of them would
-    carry a repeated color, so the path router prunes such routes. The
-    distance balls are the ones the eccentricities were read from.
+    carry a repeated color, so the path router prunes such routes.
     """
     ends = {nd: primary_secondary(g, nd) for nd in nodes[1:]}
     primaries = {p for p, _ in ends.values()}
@@ -366,7 +365,7 @@ def _routes(
     # Layer 1 is the root's neighborhood, which induces its fan path.
     fan = g.fan_neighbors(lay[0][0])
     tagged |= {edge(u, v) for u, v in zip(fan, fan[1:])}
-    return SpineRoutes(shorts, frozenset(tagged), balls)
+    return ends, shorts, frozenset(tagged)
 
 
 def realize_paths(
@@ -392,9 +391,8 @@ def realize_paths(
     v_r = spine.root_vertex
     if node.kind == "root":
         return ((v_r,), (v_r,))
-    primary, secondary = primary_secondary(g, node)
-    routes = spine.routes
-    short = routes.shorts[node]
+    primary, secondary = spine.ends[node]
+    short = spine.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
     own.add(edge(primary, secondary))
-    return short, _corridor(g, routes.balls, v_r, secondary, own, routes.tagged, 2 * spine.radius - 2)
+    return short, _corridor(g, spine.balls, v_r, secondary, own, spine.tagged, 2 * spine.radius - 2)

@@ -129,13 +129,16 @@ def test_frozen_digests_beyond_n10(name):
 
 
 # (graph, radius, path): at radius 2 no long path is "routed" at all,
-# and a "strip" takes its diam-color coloring before any spine is
-# built, so it makes no eccentricity pass either.
+# a "layered" graph routes every node and then fails its check, and a
+# "strip" or a "fan" is colored before any spine is built, so it grows
+# no distance balls either.
 CALL_COUNT_GRAPHS = {
     "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2, "staged"),
     "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4, "routed"),
+    "random_mop(120,2)": (lambda: random_mop_graph(120, 2), 4, "layered"),
     "lad(12)": (lambda: lad(12).graph, 6, "strip"),
     "lad_plus(10)": (lambda: lad_plus(10).graph, 5, "strip"),
+    "fan(8)": (lambda: fan(8).graph, 1, "fan"),
 }
 
 
@@ -145,7 +148,7 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
     g = make()
     spine = build_ccs(g)
     assert spine.radius == radius
-    calls = {"realize": 0, "ecc": 0}
+    calls = {"realize": 0, "ecc": 0, "balls": 0, "ends": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -157,14 +160,25 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
     monkeypatch.setattr(
         moprc.coloring, "realize_paths", counting("realize", moprc.coloring.realize_paths)
     )
-    # Count the eccentricity pass under every name a moprc module binds it to.
+    # Count the eccentricity table under every name a moprc module binds
+    # it to; the spine reads its root and radius off one ball growth.
     ecc = ecc_diam_rad_center
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("moprc") and getattr(mod, "ecc_diam_rad_center", None) is ecc:
             monkeypatch.setattr(mod, "ecc_diam_rad_center", counting("ecc", ecc))
+    monkeypatch.setattr(moprc.metrics, "_balls", counting("balls", moprc.metrics._balls))
+    # Each green node's (primary, secondary) pair is derived once.
+    ends = counting("ends", moprc.spine.primary_secondary)
+    monkeypatch.setattr(moprc.spine, "primary_secondary", ends)
     rainbow_coloring(g)
-    expected = len(spine.nodes) - 1 if path == "routed" else 0
-    assert calls == {"realize": expected, "ecc": int(path != "strip")}
+    expected = len(spine.nodes) - 1 if path in ("routed", "layered") else 0
+    spined = path not in ("strip", "fan")
+    assert calls == {
+        "realize": expected,
+        "ecc": 0,
+        "balls": int(spined),
+        "ends": (len(spine.nodes) - 1) * spined,
+    }
 
 
 def test_deterministic_across_runs():
@@ -474,9 +488,9 @@ def test_a_route_longer_than_the_reserve_falls_back(monkeypatch):
     assert moprc.coloring._staged(g, spine) is not None
     node = spine.nodes[1]
     primary, secondary = primary_secondary(g, node)
-    short = spine.routes.shorts[node]
+    short = spine.shorts[node]
     own = {edge(a, b) for a, b in zip(short, short[1:])} | {edge(primary, secondary)}
-    tagged = spine.routes.tagged
+    tagged = spine.tagged
 
     def untagged_after_spoke(path):
         return sum(edge(a, b) not in tagged for a, b in zip(path[1:], path[2:]))

@@ -26,6 +26,9 @@ from moprc import (
     random_mop_graph,
     validate_mop,
 )
+from moprc.metrics import _balls, central_vertex
+
+from conftest import construction_orders
 
 TRIANGLE = from_canonical(CanonicalMop(3))
 
@@ -226,6 +229,22 @@ def test_ball_growth_rejects_disconnected():
         ecc_diam_rad_center(Graph(4, [(1, 2), (3, 4)]))
     with pytest.raises(DomainError, match="not connected"):
         ecc_diam_rad_center(Graph(3, [(1, 2)]))
+
+
+def test_central_vertex_from_given_balls_matches_the_eccentricity_table():
+    # Handing central_vertex the balls, as build_ccs does, picks the same
+    # vertex as growing them inside it, and both are the least
+    # (eccentricity, degree, label) vertex of the eccentricity table.
+    mops = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
+    mops += [random_mop_graph(n, s) for n in (9, 20, 60, 150) for s in range(5)]
+    for g in mops:
+        s = ecc_diam_rad_center(g)
+        least = min(g.vertices(), key=lambda v: (s.ecc[v], g.degree(v), v))
+        assert central_vertex(g, tuple(_balls(g))) == central_vertex(g) == least, g
+        assert build_ccs(g).radius == s.radius, g
+    # No ball of a disconnected graph fills up, so every vertex ties.
+    g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5)])
+    assert central_vertex(g, tuple(_balls(g))) == central_vertex(g) == 6
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**63))

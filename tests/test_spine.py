@@ -24,7 +24,7 @@ from moprc import (
     triangles,
 )
 import moprc.metrics
-from moprc.metrics import ecc_diam_rad_center
+from moprc.metrics import _balls
 from moprc.spine import SpineNode, _corridor, primary_secondary
 
 from conftest import all_simple_paths, construction_orders, is_vertex_pair_cut
@@ -203,7 +203,7 @@ def test_green_nodes_cover_every_inner_vertex_with_children():
             assert p == next(touching), (g, nd, p)
             long_ = realize_paths(g, s, nd)[1]
             if long_ is not None:
-                untagged = sum(edge(a, b) not in s.routes.tagged for a, b in zip(long_[1:], long_[2:]))
+                untagged = sum(edge(a, b) not in s.tagged for a, b in zip(long_[1:], long_[2:]))
                 assert untagged <= 2 * s.radius - 4, (g, nd, long_)
 
 
@@ -282,7 +282,7 @@ def test_a_node_with_no_route_within_the_cap():
     short = (5, 4, 7, 19, 24)
     assert realize_paths(g, s, green) == (short, None)
     own = {edge(a, b) for a, b in zip(short, short[1:])} | {edge(24, 31)}
-    uncapped = _corridor(g, s.routes.balls, s.root_vertex, 31, own, s.routes.tagged, g.n)
+    uncapped = _corridor(g, s.balls, s.root_vertex, 31, own, s.tagged, g.n)
     assert len(uncapped) - 1 > 2 * s.radius - 2
 
 
@@ -306,8 +306,8 @@ def _reference_realize(g, spine, node):
     if node.kind == "root":
         return ((v_r,), (v_r,))
     primary, secondary = primary_secondary(g, node)
-    tagged = spine.routes.tagged
-    short = spine.routes.shorts[node]
+    tagged = spine.tagged
+    short = spine.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
     if node.kind == "green":
         own.add(edge(primary, secondary))
@@ -358,7 +358,7 @@ def test_route_is_first_shortest_path_within_constraints(n, seed, data):
 
     ranked = [(len(p), p) for p in all_simple_paths(g, src, dst) if allowed(p)]
     expected = min(ranked)[1] if ranked else None
-    balls = ecc_diam_rad_center(g).balls
+    balls = tuple(_balls(g))
     assert _corridor(g, balls, src, dst, banned, tagged, n - 1) == expected
     # A tighter cap only turns away the paths longer than it.
     cap = data.draw(st.integers(min_value=0, max_value=n - 1))
@@ -408,8 +408,8 @@ def _bfs_realize(g, spine, node):
     if node.kind == "root":
         return ((v_r,), (v_r,))
     primary, secondary = primary_secondary(g, node)
-    tagged = spine.routes.tagged
-    short = spine.routes.shorts[node]
+    tagged = spine.tagged
+    short = spine.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
     if node.kind == "green":
         own.add(edge(primary, secondary))
@@ -441,7 +441,7 @@ def test_corridor_search_matches_bfs_oracle(make):
 
 
 def test_one_ball_growth_per_spine(monkeypatch):
-    # The eccentricities and every long path read the same balls.
+    # The root and every long path read the same balls.
     started = []
     grow = moprc.metrics._balls
 
