@@ -44,26 +44,24 @@ That argument is not a proof for every MOP. `_staged` builds the
 staged coloring, or returns None when some spine node has no long path
 or its long path finds no free reserve color; `rainbow_coloring` is the
 one place that falls back. It checks a staged coloring once, by
-`verify._rainbow_verdict`, and otherwise returns `_layered`'s coloring,
-which spends three colors per BFS layer and is rainbow connected by
-construction (see its docstring). The verdict is exactly
+`verify._rainbow_verdict`, and otherwise returns `_layered`'s coloring
+of the root's BFS layers, which spends three colors per layer and is
+rainbow connected by construction from any root (see its docstring);
+the cut spine serves the staged coloring only. The verdict is exactly
 `is_rainbow_connected`'s: after the layer certificate, one exhaustive
 rainbow search from a vertex of the deepest BFS layer below the root
 rejects the coloring as soon as it leaves some vertex unreached, since
 that pair then has no rainbow path; only a coloring it cannot refute
-goes on to the hub and per-source searches. Every failing staged
-coloring of the random-200 bench graphs is refuted by that one search.
+goes on to the hub and per-source searches.
 The staged coloring is kept whenever it passes, because it often saves
 colors; the checker proves a layered coloring at once by its layer
 certificate, and a staged one mostly by its hub and per-source searches.
-The staged coloring of every strip `lad(d)` and `lad_plus(d)`, d = 3 ..
-30, is rainbow connected at 2 * radius + 2 colors, where the layered
-coloring spends 3 * radius, but the strip coloring spends diam.
-Of the 800 acceptance graphs (random MOPs, n = 10, 20, 40, 60),
-staged_valid holds on 557 (on random_mop_graph(10, 10078) by the strip
-coloring), and the returned coloring uses fewer colors than `_layered`
-on 279 and more on 15 (7,211 colors in all, against 7,531 for
-`_layered`).
+Which graphs take which coloring, and at how many colors, is pinned by
+the tests rather than tallied here: the frozen digests and
+`test_frozen_acceptance_half_corpus` in tests/test_coloring.py, which
+also holds `test_strips_meet_the_paper_palette` (the staged coloring of
+every strip at 2 * radius + 2 colors), and the acceptance sheet in
+tests/test_acceptance.py.
 
 Radius 1 graphs are fans; they reuse the hand-tuned fan scheme (1, 2,
 or 3 colors depending on size) directly.
@@ -77,7 +75,7 @@ from operator import attrgetter
 
 from .core import EdgeColoring, MopGraph, breadth_first, edge
 from .generators import fan_coloring
-from .spine import CutSpine, _layer_paths, build_ccs, realize_paths
+from .spine import CutSpine, build_ccs, realize_paths
 from .verify import _rainbow_verdict
 
 
@@ -134,49 +132,60 @@ def _repair_monochromatic(g: MopGraph, colors: dict[tuple[int, int], int]) -> No
         colors[target] = flip.get(colors[target], 3)
 
 
-def _layered(g: MopGraph, spine: CutSpine) -> EdgeColoring:
+def _layered(g: MopGraph, layers: tuple[tuple[int, ...], ...]) -> EdgeColoring:
     """A coloring that is rainbow connected by construction.
 
-    Level k = 1..radius owns three colors: alpha_k, beta_k and gamma_k
-    (3 * (radius - k) + 1, + 2, + 3). Every edge inside layer k takes
+    layers are the BFS layers from one vertex r, as `metrics.layers`
+    returns them, so r's eccentricity is len(layers) - 1. Level
+    k = 1..ecc(r) owns three colors: alpha_k, beta_k and gamma_k
+    (3 * (ecc(r) - k) + 1, + 2, + 3). Every edge inside layer k takes
     gamma_k. Every other edge is a spoke, joining a vertex of layer k to
-    a parent in layer k - 1. Along each path of layer k the spokes are
-    listed vertex by vertex, each vertex first listing the spoke to the
-    parent it shares with the previous vertex, and they alternate
-    alpha_k, beta_k along that list.
+    a parent in layer k - 1. Each layer induces disjoint paths, walked
+    in order of their smaller-labelled end (isolated vertices are paths
+    of one). Along each path the spokes are listed vertex by vertex,
+    each vertex first listing the spoke to the parent it shares with
+    the previous vertex, and they alternate alpha_k, beta_k along that
+    list.
 
-    Lemma: every pair is joined by a rainbow walk. In a MOP every vertex
-    has one or two parents, consecutive vertices of a layer path share
-    a parent, and a vertex with one parent has a neighbor in its layer.
-    So every vertex of layer k has an exit to layer k - 1 in alpha_k
-    and one in beta_k, where an exit is a spoke, or gamma_k followed by
-    a neighbor's spoke: two spokes of one vertex are adjacent in the
-    list, and so are the only spoke of a vertex and a spoke of its
-    neighbor. Two vertices of layer k therefore leave it on disjoint
-    colors: one takes a spoke of its own, in alpha_k say, and the other
-    its exit in beta_k, so only the second may spend gamma_k. By induction
-    on k, from the deeper layer to the root, the two walks down to the
-    root share no color, so together they form a rainbow walk, which
-    contains a rainbow path. At most 3 * radius colors are used.
+    Lemma: for any root r, every pair is joined by a rainbow walk. In a
+    MOP every vertex has one or two parents, consecutive vertices of a
+    layer path share a parent, and a vertex with one parent has a
+    neighbor in its layer. So every vertex of layer k has an exit to
+    layer k - 1 in alpha_k and one in beta_k, where an exit is a spoke,
+    or gamma_k followed by a neighbor's spoke: two spokes of one vertex
+    are adjacent in the list, and so are the only spoke of a vertex and
+    a spoke of its neighbor. Two vertices of layer k therefore leave it
+    on disjoint colors: one takes a spoke of its own, in alpha_k say,
+    and the other its exit in beta_k, so only the second may spend
+    gamma_k. By induction on k, from the deeper layer to r, the two
+    walks down to r share no color, so together they form a rainbow
+    walk, which contains a rainbow path. At most 3 * ecc(r) colors are
+    used, 3 * radius from a center.
 
-    The three facts hold in every MOP, and the MopGraph constructor
+    The layer facts hold in every MOP, and the MopGraph constructor
     rejects every graph that is not one, so they are not checked here.
     """
-    rad = spine.radius
-    depth = {v: k for k, layer in enumerate(spine.layers) for v in layer}
+    ecc = len(layers) - 1
+    depth = {v: k for k, layer in enumerate(layers) for v in layer}
     colors: dict[tuple[int, int], int] = {}
-    for k in range(1, rad + 1):
-        alpha = 3 * (rad - k) + 1
-        for path in _layer_paths(g, spine.layers[k]):
+    for k in range(1, ecc + 1):
+        alpha = 3 * (ecc - k) + 1
+        seen: set[int] = set()
+        for end in layers[k]:
+            if end in seen or sum(depth[u] == k for u in g.neighbors(end)) > 1:
+                continue
             spokes: list[tuple[int, int]] = []
             before: list[int] = []  # the previous vertex's parents
-            for i, v in enumerate(path):
+            prev, v = None, end
+            while v is not None:
+                seen.add(v)
                 parents = [u for u in g.neighbors(v) if depth[u] == k - 1]
-                if i:
-                    colors[edge(path[i - 1], v)] = alpha + 2
+                if prev is not None:
+                    colors[edge(prev, v)] = alpha + 2
                     parents.sort(key=lambda u: u not in before)
                 spokes += [edge(v, u) for u in parents]
                 before = parents
+                prev, v = v, next((u for u in g.neighbors(v) if depth[u] == k and u != prev), None)
             for j, e in enumerate(spokes):
                 colors[e] = alpha + j % 2
     return EdgeColoring(colors)
@@ -300,17 +309,19 @@ def _staged(g: MopGraph, spine: CutSpine) -> EdgeColoring | None:
     # before any fan path edge, so a fan's path never steals an edge
     # that is a spoke of a later fan (the alternation around each
     # center must survive intact for parity switches to work); the fan
-    # path edges take 3 with every other leftover edge below.
+    # path edges take 3 with every other leftover edge below. A node's
+    # secondary is a center too when it has a neighbor off the
+    # primary's closed neighborhood. Each center is painted once, in
+    # first-visit order: its first visit sets every spoke it has.
+    centers: dict[int, None] = {}
     for primary, secondary in spine.ends.values():
-        fans = [primary]
-        private = set(g.neighbors(secondary)) - set(g.neighbors(primary))
-        private.discard(primary)
-        if private:
-            fans.append(secondary)
-        for f in fans:
-            phase = f % 2
-            for idx, u in enumerate(g.fan_neighbors(f)):
-                colors.setdefault(edge(f, u), 1 if idx % 2 == phase else 2)
+        centers[primary] = None
+        if not set(g.neighbors(secondary)) <= {primary, *g.neighbors(primary)}:
+            centers[secondary] = None
+    for f in centers:
+        phase = f % 2
+        for idx, u in enumerate(g.fan_neighbors(f)):
+            colors.setdefault(edge(f, u), 1 if idx % 2 == phase else 2)
 
     for e in g.edges:
         colors.setdefault(e, 3)
@@ -338,8 +349,9 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     rainbow search from the deepest layer below the root; a vertex that
     search cannot reach has no rainbow path to its start, so the
     verdict is always `is_rainbow_connected`'s. When the check fails,
-    or when `_staged` gives up (then no check is made), the layered
-    coloring, rainbow connected by construction, is returned.
+    or when `_staged` gives up (then no check is made), `_layered`'s
+    coloring of the spine root's BFS layers (`spine.layers`), rainbow
+    connected by construction, is returned.
     """
     hub = next((v for v in g.vertices() if g.degree(v) == g.n - 1), None)
     if hub is not None:
@@ -357,5 +369,5 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         g, coloring, 3 * rad, spine.root_vertex
     )
     if not staged_valid:
-        coloring = _layered(g, spine)
+        coloring = _layered(g, spine.layers)
     return coloring, ColoringStats(rad, len(coloring.used), staged_valid)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import metrics
-from .core import Graph, MopGraph, breadth_first, edge
+from .core import Graph, MopGraph, edge
 from .errors import NotChordal
 from .metrics import central_vertex, layers
 
@@ -160,28 +160,6 @@ class CutSpine:
         return tuple(reversed(chain))
 
 
-def _layer_paths(g: MopGraph, layer: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The paths an induced layer splits into, in order of smaller end.
-
-    layer is sorted by label, as `layers` returns it. Each path starts
-    at its smaller-labelled end, the first of its vertices in that
-    order with at most one neighbor inside the layer, and one search
-    from there visits it in order; isolated vertices are length-1
-    paths. BFS layers of a MOP always induce disjoint paths, and g is
-    one, so this is not checked.
-    """
-    inside = set(layer)
-    nbr = {v: [u for u in g.neighbors(v) if u in inside] for v in layer}
-    out: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for v in layer:
-        if v not in seen and len(nbr[v]) <= 1:
-            path, _ = breadth_first(nbr.__getitem__, (v,))
-            seen.update(path)
-            out.append(tuple(path))
-    return out
-
-
 def build_ccs(g: MopGraph) -> CutSpine:
     """Construct the central cut spine of a MOP.
 
@@ -211,10 +189,11 @@ def build_ccs(g: MopGraph) -> CutSpine:
         neighbor one layer out lies on a chord inside the layer, which
         can only be the edge between the two: the outer edge of such a
         layer never needs to be a node;
-    (d) the ends of a green node at level i >= 2 share a parent p (the
-        fact `coloring._layered` relies on); by the lemma p lies on a
-        green node one level up, which is adjacent to both ends. So
-        every node has a parent of the kind picked above.
+    (d) the ends of a green node at level i >= 2 share a parent p (in
+        a MOP two adjacent vertices of one BFS layer always do, from
+        any root, the fact `coloring._layered` relies on); by the lemma
+        p lies on a green node one level up, which is adjacent to both
+        ends. So every node has a parent of the kind picked above.
     """
     balls = tuple(metrics._balls(g))
     v_r = central_vertex(g, balls)

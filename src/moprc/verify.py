@@ -255,10 +255,8 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
     Delight's transpose8; afterwards every 8th byte of the chunk, from
     byte j, is the clash lane of the chunk's color j.
 
-    Row u starts from the lanes of v > u only, and stops ANDing once no
-    lane is full, tested after masks 1, 2, 4, 8, ...: a pair proven by
-    some masks of u stays proven, so the row's open pairs are those of
-    all its masks.
+    Row u starts from the lanes of v > u only and ANDs in every mask of
+    u, then folds each lane once to read off the pairs left open.
     """
     w = _HUB_MASK_CAP
     full = (1 << w) - 1
@@ -286,28 +284,23 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
     every = (1 << (w * (n + 1))) - 1
     lane_bit = every // full  # bit 0 of every lane
 
-    def full_lanes(shut: int) -> int:
-        # Fold each lane onto its bit 0, which then tells whether every
-        # slot of the lane is shut.
-        shift = w // 2
-        while shift:
-            shut &= shut >> shift
-            shift //= 2
-        return shut & lane_bit
-
     for u in range(1, n):
         low_lanes = w * (u + 1)
         shut = every >> low_lanes << low_lanes
-        for count, a in enumerate(masks[u], 1):
+        for a in masks[u]:
             blocked = pad
             while a:
                 low = a & -a
                 blocked |= clash[low]
                 a ^= low
             shut &= blocked
-            if not count & (count - 1) and not full_lanes(shut):
-                break
-        rest = full_lanes(shut) >> low_lanes
+        # Fold each lane onto its bit 0, which then tells whether every
+        # slot of the lane is shut.
+        shift = w // 2
+        while shift:
+            shut &= shut >> shift
+            shift //= 2
+        rest = (shut & lane_bit) >> low_lanes
         left = []
         while rest:
             low = rest & -rest
@@ -396,8 +389,8 @@ def is_rainbow_connected(
     pair (u, v) is proven when some mask of u is disjoint from some mask
     of v: the walk u -> hub -> v then repeats no color, and every walk
     contains a u..v path on a subset of its edges, which is rainbow.
-    Each row u tests its pairs (u, v > u) together, and stops going
-    through the masks of u as soon as every one of them is proven.
+    Each row u tests its pairs (u, v > u) together, against every mask
+    of u.
 
     Phase 2, the fallback: for each u in ascending order, the pairs
     (u, v) left unproven go to the exhaustive search from u. A proven

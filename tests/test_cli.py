@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import moprc.metrics
 from moprc import exact_rc, from_canonical, is_rainbow_connected, parse_coloring, parse_mop
 from moprc.cli import main
+from moprc.metrics import central_vertex, layers
 
 MMOP4_TEXT = "MOP 4\n3 1 2\n4 2 3\n"
 ALL_ONE_TEXT = "COLORING 4 1\n1 2 1\n1 3 1\n2 3 1\n2 4 1\n3 4 1\n"
@@ -49,6 +51,30 @@ def test_info_reports_metrics(workdir, capsys):
     assert "diam: 4" in out
     assert "rad: 2" in out
     assert "center:" in out and "layers:" in out
+
+
+@pytest.mark.parametrize("n", [9, 20, 60])
+def test_info_grows_the_balls_once_and_roots_layers_at_the_central_vertex(
+    n, workdir, capsys, monkeypatch
+):
+    grown = []
+    balls = moprc.metrics._balls
+
+    def counting(g):
+        grown.append(g)
+        return balls(g)
+
+    monkeypatch.setattr(moprc.metrics, "_balls", counting)
+    for seed in range(3):
+        assert main(["gen", "random", str(n), "--seed", str(seed), "--out", "g"]) == 0
+        g = from_canonical(parse_mop(Path("g.mop").read_text()))
+        capsys.readouterr()
+        del grown[:]
+        assert main(["info", "g.mop"]) == 0
+        assert len(grown) == 1, seed
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("layers: "))
+        printed = tuple(tuple(map(int, band.split())) for band in line[8:].split(" | "))
+        assert printed == layers(g, central_vertex(g)), seed
 
 
 def test_color_verify_round_trip(workdir, capsys):

@@ -474,7 +474,7 @@ def test_one_check_then_staged_or_layered(name, monkeypatch):
     if verdict == "strip":
         assert col == moprc.coloring._strip_coloring(g)
     elif not verdict:
-        assert col == moprc.coloring._layered(g, spine)
+        assert col == moprc.coloring._layered(g, spine.layers)
 
 
 def test_a_route_longer_than_the_reserve_falls_back(monkeypatch):
@@ -510,7 +510,7 @@ def test_a_route_longer_than_the_reserve_falls_back(monkeypatch):
     assert moprc.coloring._staged(g, spine) is None
     col, stats = rainbow_coloring(g)
     assert not stats.staged_valid
-    assert col == moprc.coloring._layered(g, spine)
+    assert col == moprc.coloring._layered(g, spine.layers)
 
 
 def exits_ok(g, coloring, root) -> bool:
@@ -571,8 +571,10 @@ def exits_ok(g, coloring, root) -> bool:
 
 
 def _layered_of(g):
-    spine = build_ccs(g)
-    return moprc.coloring._layered(g, spine), spine
+    """The layered coloring from the central vertex, that vertex, and the radius."""
+    root = central_vertex(g)
+    lay = layers(g, root)
+    return moprc.coloring._layered(g, lay), root, len(lay) - 1
 
 
 @given(
@@ -584,11 +586,11 @@ def _layered_of(g):
 )
 @settings(max_examples=60, deadline=None)
 def test_layered_is_rainbow_connected_within_bound(g):
-    col, spine = _layered_of(g)
+    col, root, rad = _layered_of(g)
     col.check_total(g)
-    assert len(col.used) <= 3 * spine.radius
-    assert is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * spine.radius).ok
-    assert exits_ok(g, col, spine.root_vertex)
+    assert len(col.used) <= 3 * rad
+    assert is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * rad).ok
+    assert exits_ok(g, col, root)
 
 
 # Where the exact oracle is too slow, the linear exit check stands in.
@@ -606,10 +608,25 @@ BEYOND_THE_ORACLE = {
 @pytest.mark.parametrize("name", list(BEYOND_THE_ORACLE))
 def test_layered_meets_the_exit_condition_beyond_the_oracle(name):
     g = BEYOND_THE_ORACLE[name]()
-    col, spine = _layered_of(g)
+    col, root, rad = _layered_of(g)
     col.check_total(g)
-    assert len(col.used) <= 3 * spine.radius
-    assert exits_ok(g, col, spine.root_vertex)
+    assert len(col.used) <= 3 * rad
+    assert exits_ok(g, col, root)
+
+
+def test_layered_is_rainbow_connected_from_every_root():
+    # The lemma in `_layered`'s docstring holds for any root r, at
+    # 3 * ecc(r) colors, not only for the central vertex that
+    # `rainbow_coloring` passes.
+    graphs = [from_canonical(c) for n in range(3, 8) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in (20, 40, 60) for s in range(3)]
+    for g in graphs:
+        for v in g.vertices():
+            lay = layers(g, v)
+            col = moprc.coloring._layered(g, lay)
+            ecc = len(lay) - 1
+            assert len(col.used) <= 3 * ecc, (g, v)
+            assert is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * ecc).ok, (g, v)
 
 
 def test_exit_condition_rejects_a_single_color():

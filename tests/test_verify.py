@@ -34,7 +34,7 @@ from moprc import (
 )
 from moprc import verify
 from moprc.coloring import _layered, _staged
-from moprc.metrics import central_vertex
+from moprc.metrics import central_vertex, layers
 from moprc._rng import SplitMix64
 
 from conftest import construction_orders, independent_rainbow_ok
@@ -343,7 +343,7 @@ def test_verifier_matches_reference_on_strip_colorings(family, monkeypatch):
         spine = build_ccs(g)
         assert assert_matches_per_source_check(g, _staged(g, spine).colors), d
         if d <= 12:
-            colors = _layered(g, spine).colors
+            colors = _layered(g, spine.layers).colors
             expected = per_source_check(g, colors)
             on, off = checked_both_ways(monkeypatch, g, colors)
             assert expected[0] and on.pairs_certified == on.pairs_checked, d
@@ -388,8 +388,7 @@ def test_layer_certificate_never_accepts_what_the_search_rejects(monkeypatch):
     graphs += [f(d).graph for d in range(3, 9) for f in (lad, lad_plus)]
     accepted: dict[str, list[bool]] = {"layered": [], "recolored": [], "random": []}
     for g in graphs:
-        spine = build_ccs(g)
-        layered = _layered(g, spine).colors
+        layered = _layered(g, layers(g, central_vertex(g))).colors
         accepted["layered"].append(assert_certificate_sound(monkeypatch, g, layered))
         top = max(layered.values())
         edges = sorted(g.edges)
@@ -449,7 +448,7 @@ def test_layer_certificate_accepts_every_layered_coloring():
     graphs = [f(d).graph for d in range(3, 31) for f in (lad, lad_plus)]
     graphs += [random_mop_graph(n, s) for n in (10, 20, 50, 100, 200, 400) for s in range(3)]
     for g in graphs:
-        assert layer_certified(g, _layered(g, build_ccs(g)).colors), g
+        assert layer_certified(g, _layered(g, layers(g, central_vertex(g))).colors), g
 
 
 def verdict_matches(g: Graph, colors) -> bool:
@@ -500,7 +499,7 @@ def test_verdict_matches_the_checker_on_recolored_layered_colorings():
     verdicts = []
     for n in range(6, 41):
         g = random_mop_graph(n, 2900 + n)
-        layered = _layered(g, build_ccs(g)).colors
+        layered = _layered(g, layers(g, central_vertex(g))).colors
         top = max(layered.values())
         edges = sorted(g.edges)
         for _ in range(8):
@@ -529,7 +528,7 @@ def test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows(monkey
         g = random_mop_graph(200, s)
         coloring, stats = rainbow_coloring(g)
         assert not stats.staged_valid, s
-        assert coloring == _layered(g, build_ccs(g)), s
+        assert coloring == _layered(g, layers(g, central_vertex(g))), s
 
 
 @given(colored_mops())
