@@ -10,7 +10,10 @@ ends from that ear spends exactly diam colors and is rainbow connected
 by construction (`_strip_coloring` proves both). Such a MOP has
 exactly two ears, so a MOP with more is turned away after one degree
 scan, and its radius is half its diameter rounded up, so no
-eccentricity is computed. The rest of this note is about the staged
+eccentricity is computed. A MOP of n >= `N0` vertices then gets
+`_layered`'s coloring at once, with no cut spine: a census found no
+staged coloring at those sizes that both passes its check and spends
+fewer colors (see `N0`). The rest of this note is about the staged
 coloring that every other MOP of radius >= 2 gets.
 
 The palette is laid out in fixed bands, writing each edge at most once
@@ -75,8 +78,29 @@ from operator import attrgetter
 
 from .core import EdgeColoring, MopGraph, breadth_first, edge
 from .generators import fan_coloring
+from .metrics import central_vertex, layers
 from .spine import CutSpine, build_ccs, realize_paths
 from .verify import _rainbow_verdict
+
+
+N0 = 150
+"""The least n at which `rainbow_coloring` skips the staged coloring.
+
+A census of `random_mop_graph(n, b + 1000 * n + s)` for
+b = 7,000,000 and 9,000,000, s = 0..299, at n = 90, 100, .., 200 and
+n = 250, 300, 400 (600 graphs per n; BENCH_staged_gate.json) built
+every staged coloring and checked it. A passing one spent fewer colors
+than `_layered` on 26 graphs at n = 90, 9 at 100, 3 at 110 and 1 at
+140. None of the 5,400 graphs at n = 150 or above had a passing staged
+coloring. N0 is the least grid n such that no grid n from it up shows
+a passing staged coloring cheaper than `_layered`'s. Below it nothing
+changes. From it on, the cut spine, the staged coloring and its check
+took about four fifths of a coloring's time at n = 200, and grew
+quadratic memory at large n, for a coloring never returned there.
+`test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows`
+fails when a staged coloring starts winning there; then N0 must be
+derived again.
+"""
 
 
 @dataclass(frozen=True)
@@ -89,9 +113,10 @@ class ColoringStats:
     layered fallback was not needed: the staged coloring passed its one
     exact check, or a coloring valid by design applies (the fan scheme
     at radius <= 1, the diam-color strip coloring). When it is False,
-    the layered fallback was returned instead, because the staged
-    coloring failed its check or some long path had no route or no free
-    reserve color.
+    the layered coloring was returned instead: because n >= `N0`, so no
+    staged coloring was built (the census cited there found none that
+    passes at those sizes), or because the staged coloring failed its
+    check or some long path had no route or no free reserve color.
     """
 
     radius: int
@@ -343,9 +368,14 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
       or two adjacent vertices has rc = diam, and gets
       `_strip_coloring`'s diam colors with no check; its radius is
       half the color count, rounded up.
-    Every other MOP gets the cut spine. Its staged coloring is checked
-    once, exactly, and returned when it passes. The check
-    (`verify._rainbow_verdict`) first tries to refute it with one
+    A MOP with n >= `N0` vertices gets `_layered`'s coloring of the BFS
+    layers from `central_vertex(g)` at once, with staged_valid False:
+    no cut spine, no ball grown past the radius, no staged coloring and
+    no check, since the census cited at `N0` found no staged coloring
+    there that passes. It is the coloring the staged path falls back to,
+    from the same root. Every other MOP gets the cut spine. Its staged
+    coloring is checked once, exactly, and returned when it passes. The
+    check (`verify._rainbow_verdict`) first tries to refute it with one
     rainbow search from the deepest layer below the root; a vertex that
     search cannot reach has no rainbow path to its start, so the
     verdict is always `is_rainbow_connected`'s. When the check fails,
@@ -362,12 +392,13 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     if coloring is not None:
         diam = len(coloring.used)
         return coloring, ColoringStats((diam + 1) // 2, diam, True)
-    spine = build_ccs(g)
-    rad = spine.radius
-    coloring = _staged(g, spine)
-    staged_valid = coloring is not None and _rainbow_verdict(
-        g, coloring, 3 * rad, spine.root_vertex
-    )
-    if not staged_valid:
-        coloring = _layered(g, spine.layers)
-    return coloring, ColoringStats(rad, len(coloring.used), staged_valid)
+    if g.n >= N0:
+        lay = layers(g, central_vertex(g))
+    else:
+        spine = build_ccs(g)
+        lay = spine.layers
+        coloring = _staged(g, spine)
+        if coloring is not None and _rainbow_verdict(g, coloring, 3 * spine.radius, spine.root_vertex):
+            return coloring, ColoringStats(spine.radius, len(coloring.used), True)
+    coloring = _layered(g, lay)
+    return coloring, ColoringStats(len(lay) - 1, len(coloring.used), False)

@@ -438,10 +438,10 @@ def _rainbow_verdict(g: Graph, coloring: EdgeColoring, max_colors: int, hub: int
     probe, of any length up to min(n - 1, k), so no rainbow path, and
     `is_rainbow_connected` rejects the coloring too. When every vertex
     holds one, phases 1 and 2 decide as they do there. So the verdict
-    is the same either way; a refuted coloring costs one search. It
-    refutes every failing staged coloring of the random-200 bench
-    graphs, and 72 of the 247 on the acceptance graphs and construction
-    orders up to n = 8.
+    is the same either way; a refuted coloring costs one search. How
+    many staged colorings it refutes is pinned, not tallied here:
+    `(3576, 3329, 72)` in `test_verdict_matches_the_checker_on_staged_colorings`
+    (colorings checked, passed, refuted by the probe alone).
     """
     edges, bits, k = _prepare(g, coloring, g.n, max_colors)
     adj = _steps(g, edges, bits)

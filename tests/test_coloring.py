@@ -397,6 +397,34 @@ def test_inputs_beyond_public_verifier_caps(name):
     assert is_rainbow_connected(g, col, max_n=g.n, max_colors=stats.colors_used).ok
 
 
+def test_large_mops_take_the_layered_coloring_with_no_spine(monkeypatch):
+    # From n = N0 on, a MOP that is no fan and no strip gets the layered
+    # coloring of its central vertex's BFS layers, with no cut spine, no
+    # staged coloring and no check: the coloring the staged path fell
+    # back to there, at the same radius. One vertex fewer still takes the
+    # staged path.
+    n0 = moprc.coloring.N0
+    graphs = [random_mop_graph(n, s) for n in (n0, 200, 400) for s in range(3)]
+    graphs += [g for g in (make() for make in BEYOND_PUBLIC_CAPS.values()) if g.n >= n0]
+    expected = [
+        (moprc.coloring._layered(g, layers(g, central_vertex(g))), ecc_diam_rad_center(g).radius)
+        for g in graphs
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the staged path ran")
+
+    for name in ("build_ccs", "realize_paths", "_staged", "_rainbow_verdict"):
+        monkeypatch.setattr(moprc.coloring, name, refuse)
+    monkeypatch.setattr(moprc.spine, "build_ccs", refuse)
+    for g, (layered, rad) in zip(graphs, expected):
+        col, stats = rainbow_coloring(g)
+        assert col == layered, g
+        assert stats == ColoringStats(rad, len(layered.used), False), g
+    with pytest.raises(AssertionError, match="the staged path ran"):
+        rainbow_coloring(random_mop_graph(n0 - 1, 1))
+
+
 # The staged colorings of these graphs fail their check, so
 # rainbow_coloring returns the layered fallback; pinned like
 # FROZEN_DIGESTS.

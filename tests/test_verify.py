@@ -33,7 +33,7 @@ from moprc import (
     random_mop_graph,
 )
 from moprc import verify
-from moprc.coloring import _layered, _staged
+from moprc.coloring import N0, _layered, _staged
 from moprc.metrics import central_vertex, layers
 from moprc._rng import SplitMix64
 
@@ -517,6 +517,29 @@ def test_verdict_matches_the_checker_on_drawn_colorings(case):
 
 
 def test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows(monkeypatch):
+    # From n = N0 on, rainbow_coloring builds no staged coloring, so each
+    # is built and checked here as it was before that gate. This is the
+    # gate's tripwire: on a sample from n = N0, with seeds off the bench
+    # corpora and off the census that set N0, no staged coloring both
+    # passes and spends fewer colors than the layered one. If one does,
+    # N0 must be derived again.
+    def staged_run(g):
+        """(layered colors - staged colors, verdict), or None when
+        `_staged` gives up."""
+        spine = build_ccs(g)
+        staged = _staged(g, spine)
+        if staged is None:
+            return None
+        saved = len(_layered(g, spine.layers).used) - len(staged.used)
+        return saved, verify._rainbow_verdict(g, staged, 3 * spine.radius, spine.root_vertex)
+
+    sample = [(n, 5_000_000 + 1000 * n + s) for n in (N0, 200, 300) for s in range(20)]
+    runs = [r for r in (staged_run(random_mop_graph(*ns)) for ns in sample) if r is not None]
+    assert not [r for r in runs if r[1] and r[0] > 0]
+    # 57 staged colorings, 54 of them cheaper than the layered one: a
+    # fix that made them pass would trip the assertion above.
+    assert (len(runs), sum(saved > 0 for saved, _ in runs)) == (57, 54)
+
     # The staged colorings of the bench's random-200 graphs all fail,
     # and the probe's one search finds a pair with no rainbow path on
     # each, so the hub rows are never built.
@@ -525,10 +548,7 @@ def test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows(monkey
 
     monkeypatch.setattr(verify, "_open_pairs", hub_rows)
     for s in (1, 2, 3, 5, 6):
-        g = random_mop_graph(200, s)
-        coloring, stats = rainbow_coloring(g)
-        assert not stats.staged_valid, s
-        assert coloring == _layered(g, layers(g, central_vertex(g))), s
+        assert staged_run(random_mop_graph(200, s))[1] is False, s
 
 
 @given(colored_mops())
