@@ -191,28 +191,47 @@ def _layered(g: MopGraph, layers: tuple[tuple[int, ...], ...]) -> EdgeColoring:
     rejects every graph that is not one, so they are not checked here.
     """
     ecc = len(layers) - 1
-    depth = {v: k for k, layer in enumerate(layers) for v in layer}
+    depth = [0] * (g.n + 1)
+    for k, layer in enumerate(layers):
+        for v in layer:
+            depth[v] = k
     colors: dict[tuple[int, int], int] = {}
     for k in range(1, ecc + 1):
         alpha = 3 * (ecc - k) + 1
-        seen: set[int] = set()
+        beta, gamma = alpha + 1, alpha + 2
+        # Each vertex's neighbors in its layer and its parents, by label.
+        side: dict[int, list[int]] = {}
+        up: dict[int, list[int]] = {}
+        for v in layers[k]:
+            s, p = [], []
+            for u in g.neighbors(v):
+                if depth[u] == k:
+                    s.append(u)
+                elif depth[u] < k:
+                    p.append(u)
+            side[v], up[v] = s, p
+        done: set[int] = set()  # far ends of the paths already walked
         for end in layers[k]:
-            if end in seen or sum(depth[u] == k for u in g.neighbors(end)) > 1:
+            if end in done or len(side[end]) > 1:
                 continue
-            spokes: list[tuple[int, int]] = []
-            before: list[int] = []  # the previous vertex's parents
-            prev, v = None, end
-            while v is not None:
-                seen.add(v)
-                parents = [u for u in g.neighbors(v) if depth[u] == k - 1]
-                if prev is not None:
-                    colors[edge(prev, v)] = alpha + 2
-                    parents.sort(key=lambda u: u not in before)
-                spokes += [edge(v, u) for u in parents]
+            prev, v, j = 0, end, 0
+            while True:
+                parents = up[v]
+                if prev:
+                    colors[(prev, v) if prev < v else (v, prev)] = gamma
+                    # The parent shared with prev first; there are at most two.
+                    if parents[0] not in before:
+                        parents = parents[::-1]
+                for u in parents:
+                    colors[(u, v) if u < v else (v, u)] = beta if j else alpha
+                    j ^= 1
                 before = parents
-                prev, v = v, next((u for u in g.neighbors(v) if depth[u] == k and u != prev), None)
-            for j, e in enumerate(spokes):
-                colors[e] = alpha + j % 2
+                s = side[v]
+                nxt = s[0] if s and s[0] != prev else (s[1] if len(s) > 1 else 0)
+                if not nxt:
+                    break
+                prev, v = v, nxt
+            done.add(v)
     return EdgeColoring(colors)
 
 

@@ -443,8 +443,16 @@ class EdgeColoring:
     colors: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
+        colors = self.colors
+        # Plain positive ints on canonical tuple edges pass the loop
+        # below unchanged, and such keys cannot name one edge twice.
+        if all(type(c) is int and c >= 1 for c in colors.values()) and all(
+            type(e) is tuple and len(e) == 2 and e[0] < e[1] for e in colors
+        ):
+            object.__setattr__(self, "colors", dict(colors))
+            return
         clean = {}
-        for (u, v), c in self.colors.items():
+        for (u, v), c in colors.items():
             if isinstance(c, bool) or not (isinstance(c, int) and c >= 1):
                 raise DomainError(f"edge ({u}, {v}): colors are 1-based ints, got {c!r}")
             e = edge(u, v)

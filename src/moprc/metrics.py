@@ -62,10 +62,11 @@ def _balls(g: Graph):
     ball = [0] + [1 << v for v in g.vertices()]
     while True:
         yield ball
-        grown = ball[:]
-        for v in g.vertices():
-            for w in nbrs[v]:
-                grown[v] |= ball[w]
+        grown = []
+        for b, ns in zip(ball, nbrs):
+            for w in ns:
+                b |= ball[w]
+            grown.append(b)
         if grown == ball:
             return
         ball = grown
@@ -76,11 +77,12 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
 
     ecc[v] counts the rounds in which v's ball misses some vertex.
     """
+    full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
     ecc = dict.fromkeys(g.vertices(), 0)
     for ball in _balls(g):
         for v in ecc:
-            ecc[v] += ball[v].bit_count() < g.n
-    if ball[1].bit_count() < g.n:
+            ecc[v] += ball[v] != full
+    if ball[1] != full:
         raise DomainError("graph is not connected")
     diameter = max(ecc.values())
     radius = min(ecc.values())
@@ -93,13 +95,15 @@ def central_vertex(g: Graph, balls: tuple[list[int], ...] | None = None) -> int:
 
     balls: the distance-d balls `_balls` yields, when the caller already
     has them; otherwise they are grown here, up to the radius. The
-    centers are the first vertices whose balls hold the whole graph. On
-    a disconnected graph every vertex ties.
+    centers are the first vertices whose balls hold the whole graph: a
+    round is tested with one `in` and scanned only when it fills a ball.
+    On a disconnected graph every vertex ties.
     """
+    full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
     center = []
     for ball in _balls(g) if balls is None else balls:
-        center = [v for v in g.vertices() if ball[v].bit_count() == g.n]
-        if center:
+        if full in ball:
+            center = [v for v in g.vertices() if ball[v] == full]
             break
     return min(center or g.vertices(), key=lambda v: (g.degree(v), v))
 

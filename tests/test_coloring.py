@@ -657,6 +657,26 @@ def test_layered_is_rainbow_connected_from_every_root():
             assert is_rainbow_connected(g, col, max_n=g.n, max_colors=3 * ecc).ok, (g, v)
 
 
+# sha256 over repr(sorted(colors.items())) of `_layered(g, layers(g, r))`
+# for every root r of every graph below, in that order.
+FROZEN_LAYERED_EVERY_ROOT = "d3faecec98845206d8fd9fc6089f6c040a2eeee6a917ed84587590504e72e3a0"
+
+
+def test_frozen_layered_colorings_from_every_root():
+    # Byte identity of the layered coloring itself, from central and
+    # non-central roots alike: swapping alpha and beta on one layer
+    # keeps it rainbow connected but changes the digest.
+    graphs = [from_canonical(c) for n in range(3, 8) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in (20, 60, 200) for s in range(3)]
+    graphs += [f(d).graph for f in (lad, lad_plus) for d in range(3, 13)]
+    h = hashlib.sha256()
+    for g in graphs:
+        for r in g.vertices():
+            col = moprc.coloring._layered(g, layers(g, r))
+            h.update(repr(sorted(col.colors.items())).encode())
+    assert h.hexdigest() == FROZEN_LAYERED_EVERY_ROOT
+
+
 def test_exit_condition_rejects_a_single_color():
     g = lad(4).graph
     assert not exits_ok(g, EdgeColoring({e: 1 for e in g.edges}), build_ccs(g).root_vertex)

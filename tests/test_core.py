@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -373,3 +375,27 @@ def test_coloring_accounting():
     full.check_total(g)
     with pytest.raises(DomainError):
         EdgeColoring({(1, 2): 1, (1, 4): 1, (1, 3): 1, (2, 3): 1}).check_total(g)
+
+
+def test_coloring_validation_edge_cases():
+    # Every case is tried with canonical and with reversed edges, and
+    # with the bad entry first and last, so no shortcut for plain ints
+    # on canonical edges can change a verdict or a message.
+    cases = [((3, 3), 1, "self-loop at vertex 3")]
+    for c in (0, -1, 1.0, True):
+        cases.append(((1, 3), c, f"edge (1, 3): colors are 1-based ints, got {c!r}"))
+    for key in ((1, 2), (2, 1)):
+        for bad_edge, bad_color, message in cases:
+            for colors in ({key: 1, bad_edge: bad_color}, {bad_edge: bad_color, key: 1}):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    EdgeColoring(colors)
+    for colors in ({(1, 2): 1, (2, 1): 2}, {(2, 1): 2, (1, 2): 1}):
+        with pytest.raises(DomainError, match=r"^edge \(1, 2\) is colored twice$"):
+            EdgeColoring(colors)
+    # An int subclass is a color, and it is kept as given.
+    shade = IntEnum("Shade", "DARK LIGHT")
+    for key in ((1, 2), (2, 1)):
+        c = EdgeColoring({key: shade.LIGHT, (1, 3): 1})
+        assert c.colors == {(1, 2): 2, (1, 3): 1}
+        assert c.colors[(1, 2)] is shade.LIGHT
+        assert c.used == frozenset({1, 2})

@@ -235,8 +235,10 @@ def test_central_vertex_from_given_balls_matches_the_eccentricity_table():
     # Handing central_vertex the balls, as build_ccs does, picks the same
     # vertex as growing them inside it, and both are the least
     # (eccentricity, degree, label) vertex of the eccentricity table.
+    # From n = N0 on, that vertex roots every layered coloring returned.
     mops = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
-    mops += [random_mop_graph(n, s) for n in (9, 20, 60, 150) for s in range(5)]
+    mops += [random_mop_graph(n, s) for n in (9, 20, 60, 150, 200, 400) for s in range(5)]
+    mops += [fan(50).graph, lad(30).graph]
     for g in mops:
         s = ecc_diam_rad_center(g)
         least = min(g.vertices(), key=lambda v: (s.ecc[v], g.degree(v), v))
