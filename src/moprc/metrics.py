@@ -90,18 +90,17 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
     return EccentricitySummary(ecc, diameter, radius, center)
 
 
-def central_vertex(g: Graph, balls: tuple[list[int], ...] | None = None) -> int:
+def central_vertex(g: Graph) -> int:
     """The vertex of least (eccentricity, degree, label).
 
-    balls: the distance-d balls `_balls` yields, when the caller already
-    has them; otherwise they are grown here, up to the radius. The
+    The distance balls grow up to the radius and no further. The
     centers are the first vertices whose balls hold the whole graph: a
     round is tested with one `in` and scanned only when it fills a ball.
     On a disconnected graph every vertex ties.
     """
     full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
     center = []
-    for ball in _balls(g) if balls is None else balls:
+    for ball in _balls(g):
         if full in ball:
             center = [v for v in g.vertices() if ball[v] == full]
             break

@@ -10,10 +10,9 @@ path from the root (a BFS tree path) and, when one has at most
 2 * radius - 2 edges, an edge-disjoint long one (threaded through the
 other endpoint of each green ancestor). The routing data those paths
 share is built once with the spine and held in its own fields: each
-node's two ends, the short paths themselves, the fixed-color tagged
-edges, and the distance balls `build_ccs` grows to find the root. Each
-long path is a depth-first corridor search inside those balls, not a
-breadth-first search of its own.
+node's two ends, the short paths themselves and the fixed-color tagged
+edges. Each long path is one breadth-first search over (vertex, tagged
+edge crossed) states.
 
 Also here: maximum-cardinality search (chordality certificates) and
 maximal closed-neighborhood fans, both used by structural checks.
@@ -24,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import metrics
 from .core import Graph, MopGraph, edge
 from .errors import NotChordal
 from .metrics import central_vertex, layers
@@ -112,11 +110,7 @@ class CutSpine:
     its short path, the rail-tree path from the root to its primary.
     tagged holds the green pair edges and the layer-1 edges, which
     share one fixed color: it is exactly the set of edges the staged
-    coloring paints 6. No long path crosses two of them. balls[d][v] is
-    vertex v's distance-d ball as a bitset, for d up to the diameter:
-    the balls `build_ccs` grew to find the root, kept so that every long
-    path searches the corridor they bound (see `_corridor`) without
-    growing them again.
+    coloring paints 6. No long path crosses two of them.
     """
 
     root: SpineNode
@@ -127,7 +121,6 @@ class CutSpine:
     ends: dict[SpineNode, tuple[int, int]] = field(compare=False)
     shorts: dict[SpineNode, tuple[int, ...]] = field(compare=False)
     tagged: frozenset[tuple[int, int]] = field(compare=False)
-    balls: tuple[list[int], ...] = field(compare=False, repr=False)
 
     @property
     def degenerate_radius(self) -> bool:
@@ -165,8 +158,8 @@ def build_ccs(g: MopGraph) -> CutSpine:
 
     g is a MOP, which its constructor checked, so nothing here checks
     it again. The root is a minimum-degree center vertex (smallest
-    label on ties), read off one growth of every vertex's distance
-    balls; the radius is the root's eccentricity, its last BFS layer.
+    label on ties), as `central_vertex` picks it; the radius is the
+    root's eccentricity, its last BFS layer.
     The green nodes at level i, 1 <= i < radius, are
     the chords inside layer i whose two ends both have a neighbor in
     layer i + 1, in (level, realization) order. A node's parent is the
@@ -195,8 +188,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
         p lies on a green node one level up, which is adjacent to both
         ends. So every node has a parent of the kind picked above.
     """
-    balls = tuple(metrics._balls(g))
-    v_r = central_vertex(g, balls)
+    v_r = central_vertex(g)
     lay = layers(g, v_r)
     rad = len(lay) - 1
     root = SpineNode("root", (v_r,), 0)
@@ -225,7 +217,7 @@ def build_ccs(g: MopGraph) -> CutSpine:
         nodes += level
         above = level
     nodes = tuple(nodes)
-    return CutSpine(root, nodes, parent, lay, rad, *_routes(g, nodes, lay), balls)
+    return CutSpine(root, nodes, parent, lay, rad, *_routes(g, nodes, lay))
 
 
 def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
@@ -236,9 +228,8 @@ def primary_secondary(g: Graph, node: SpineNode) -> tuple[int, int]:
     return (p, b if p == a else a)
 
 
-def _corridor(
+def _route(
     g: Graph,
-    balls: tuple[list[int], ...],
     src: int,
     dst: int,
     banned: set[tuple[int, int]],
@@ -250,53 +241,43 @@ def _corridor(
 
     Edges in `banned` are never used, and no path crosses two `tagged`
     edges (they hold one fixed color, so a second would put that color
-    on the path twice). balls[d][v] is v's distance-d ball, as
-    `metrics._balls` yields them (a spine's `balls`). For each length D from dist(src, dst) up to
-    `longest`, a depth-first search walks from src over (vertex,
-    crossed) states in ascending label order, and steps to u only when
-    u lies in dst's ball of radius r, the steps left after it: the
-    corridor in which a walk of exactly D steps can still end at dst.
-    A state (u, crossed, r) from which no walk of r steps reaches dst
-    fails for every D, so it is remembered and never searched again.
-    Every shorter D was searched in full, and the corridor only drops
-    steps that no walk of D steps can take, so the first walk found is
-    the lexicographically first of the shortest walks, the one a
-    breadth-first search over the same states returns. It is a simple
-    path, since a walk that repeats a vertex can be cut short.
+    on the path twice). A breadth-first search over (vertex, crossed)
+    states expands neighbors in ascending label order, so it first
+    reaches each state along its lexicographically first shortest walk.
+    It stops at the first dst state, or after `longest` levels. That
+    walk is a simple path, since a walk that repeats a vertex can be
+    cut short.
     """
     if src == dst:
         return (src,)
-    near = [ball[dst] for ball in balls]
-    shortest = next(d for d, ball in enumerate(near) if ball >> src & 1)
-    near += near[-1:] * (longest - len(near))
-    failed: set[tuple[int, bool, int]] = set()
-    for length in range(shortest, longest + 1):
-        walk, crossed, options = [src], [False], [iter(g.neighbors(src))]
-        while options:
-            v = walk[-1]
-            left = length - len(walk)
-            for u in options[-1]:
-                if not near[left] >> u & 1:
-                    continue
+    start = (src, False)
+    parent = {start: None}
+    level = [start]
+    for _ in range(longest):
+        nxt = []
+        for state in level:
+            v, crossed = state
+            for u in g.neighbors(v):
                 e = (u, v) if u < v else (v, u)
                 if e in banned:
                     continue
-                c = crossed[-1]
+                c = crossed
                 if e in tagged:
                     if c:
                         continue
                     c = True
-                if (u, c, left) in failed:
+                step = (u, c)
+                if step in parent:
                     continue
-                if not left:
-                    return (*walk, u)
-                walk.append(u)
-                crossed.append(c)
-                options.append(iter(g.neighbors(u)))
-                break
-            else:
-                options.pop()
-                failed.add((walk.pop(), crossed.pop(), left + 1))
+                parent[step] = state
+                if u == dst:
+                    path = [u]
+                    while state is not None:
+                        path.append(state[0])
+                        state = parent[state]
+                    return tuple(reversed(path))
+                nxt.append(step)
+        level = nxt
     return None
 
 
@@ -357,14 +338,13 @@ def realize_paths(
     For the root both are the root vertex alone. For a green node both
     start at the root vertex; the short path ends at the node's primary
     vertex, the long one at its secondary, and they share no edge, the
-    pair edge included. The short path is the node's
-    rail-tree path, so it has fewer than radius edges. The long path is
-    the lexicographically first shortest route from the root that stays
-    off the short path and the node's own pair edge and crosses at most
-    one tagged edge. It is found by a corridor search over the spine's
-    distance balls (see `_corridor`) that gives up past 2 * radius - 2
-    edges; then the long path is None and the staged coloring gives way
-    to the layered one. The staged coloring's first fit alone decides
+    pair edge included. The short path is the node's rail-tree path, so
+    it has fewer than radius edges. The long path is the
+    lexicographically first shortest route from the root that stays off
+    the short path and the node's own pair edge and crosses at most one
+    tagged edge. It is found by one breadth-first search (see `_route`)
+    that gives up past 2 * radius - 2 edges; then the long path is None
+    and the staged coloring gives way to the layered one. The staged coloring's first fit alone decides
     whether a route's edges find colors in its reserve band.
     """
     v_r = spine.root_vertex
@@ -374,4 +354,4 @@ def realize_paths(
     short = spine.shorts[node]
     own = {edge(short[i], short[i + 1]) for i in range(len(short) - 1)}
     own.add(edge(primary, secondary))
-    return short, _corridor(g, spine.balls, v_r, secondary, own, spine.tagged, 2 * spine.radius - 2)
+    return short, _route(g, v_r, secondary, own, spine.tagged, 2 * spine.radius - 2)

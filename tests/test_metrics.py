@@ -26,7 +26,7 @@ from moprc import (
     random_mop_graph,
     validate_mop,
 )
-from moprc.metrics import _balls, central_vertex
+from moprc.metrics import central_vertex
 
 from conftest import construction_orders
 
@@ -231,22 +231,21 @@ def test_ball_growth_rejects_disconnected():
         ecc_diam_rad_center(Graph(3, [(1, 2)]))
 
 
-def test_central_vertex_from_given_balls_matches_the_eccentricity_table():
-    # Handing central_vertex the balls, as build_ccs does, picks the same
-    # vertex as growing them inside it, and both are the least
-    # (eccentricity, degree, label) vertex of the eccentricity table.
-    # From n = N0 on, that vertex roots every layered coloring returned.
+def test_central_vertex_matches_the_eccentricity_table():
+    # central_vertex, the spine's root, is the least (eccentricity,
+    # degree, label) vertex of the eccentricity table. From n = N0 on,
+    # that vertex roots every layered coloring returned.
     mops = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
     mops += [random_mop_graph(n, s) for n in (9, 20, 60, 150, 200, 400) for s in range(5)]
     mops += [fan(50).graph, lad(30).graph]
     for g in mops:
         s = ecc_diam_rad_center(g)
         least = min(g.vertices(), key=lambda v: (s.ecc[v], g.degree(v), v))
-        assert central_vertex(g, tuple(_balls(g))) == central_vertex(g) == least, g
+        assert central_vertex(g) == least, g
         assert build_ccs(g).radius == s.radius, g
     # No ball of a disconnected graph fills up, so every vertex ties.
     g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5)])
-    assert central_vertex(g, tuple(_balls(g))) == central_vertex(g) == 6
+    assert central_vertex(g) == 6
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**63))
