@@ -475,9 +475,10 @@ class EdgeColoring:
 
     def check_total(self, g: Graph) -> None:
         """Require exactly the edges of g to be colored."""
-        missing = g.edges - set(self.colors)
-        extra = set(self.colors) - g.edges
+        colored = self.colors.keys()
+        if colored == g.edges:
+            return
+        missing = g.edges.difference(colored)
         if missing:
             raise DomainError(f"uncolored edges, e.g. {min(missing)}")
-        if extra:
-            raise DomainError(f"colored non-edges, e.g. {min(extra)}")
+        raise DomainError(f"colored non-edges, e.g. {min(colored - g.edges)}")

@@ -15,16 +15,19 @@ rainbow path, and strongly rainbow connected when every pair is joined
 by a rainbow shortest path.
 
 Checking a given coloring is NP-hard in general (Chakraborty, Fischer,
-Matsliah and Yuster, 2011), so `is_rainbow_connected` works in three
-phases. The layer certificate reads the BFS layers from one central hub
-vertex and proves every pair at once when each layer owns its colors
-and gives its vertices exits towards the hub that avoid each other;
-layered colorings pass it in linear time. Otherwise a single search out
-of the hub proves most pairs (the hub certificate); only the pairs it
-leaves open go to the exhaustive per-source search, which alone decides
-the verdict. The coloring's check adds one exhaustive search between
-the layer certificate and the hub: a vertex it cannot reach refutes
-the coloring at once, and the verdict stays the same.
+Matsliah and Yuster, 2011), and NP-complete on maximal outerplanar
+graphs (Lauri), so `is_rainbow_connected` works in three phases. The
+layer certificate reads the BFS layers from one central hub vertex and
+proves every pair at once when each layer owns its colors and gives its
+vertices exits towards the hub that avoid each other; layered colorings
+pass it in linear time, in one pass over the color map on int masks.
+Only when it fails are the sorted edges and the per-vertex step tables
+of the searches built. Then a single search out of the hub proves most
+pairs (the hub certificate); only the pairs it leaves open go to the
+exhaustive per-source search, which alone decides the verdict. The
+coloring's check adds one exhaustive search between the layer
+certificate and the hub: a vertex it cannot reach refutes the coloring
+at once, and the verdict stays the same.
 """
 
 from __future__ import annotations
@@ -86,8 +89,16 @@ def _steps(g: Graph, edges_sorted, labels) -> list[tuple[tuple[int, int], ...]]:
 
 def _levels(g: Graph, s: int) -> list[int]:
     """Per vertex, its graph distance from s; sys.maxsize if s cannot reach it."""
-    dist, _ = breadth_first(g.neighbors, (s,))
-    return [dist.get(x, sys.maxsize) for x in range(g.n + 1)]
+    level = [sys.maxsize] * (g.n + 1)
+    level[s] = 0
+    queue = [s]
+    for v in queue:
+        d = level[v] + 1
+        for u in g.neighbors(v):
+            if level[u] > d:
+                level[u] = d
+                queue.append(u)
+    return level
 
 
 def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]]:
@@ -103,12 +114,8 @@ def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]
     ]
 
 
-def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int):
-    """Check the caps and bit-encode the colors.
-
-    Returns the sorted edges, each edge's color bit and the number of
-    colors.
-    """
+def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int) -> dict[int, int]:
+    """Check totality and the caps, then map each color to its bit."""
     coloring.check_total(g)
     if g.n > max_n:
         raise ScaleLimit(f"n={g.n} exceeds cap {max_n}; raise max_n to override")
@@ -117,9 +124,13 @@ def _prepare(g: Graph, coloring: EdgeColoring, max_n: int, max_colors: int):
         raise ScaleLimit(
             f"{len(distinct)} colors exceed cap {max_colors}; raise max_colors to override"
         )
-    bit = {c: 1 << i for i, c in enumerate(distinct)}
+    return {c: 1 << i for i, c in enumerate(distinct)}
+
+
+def _edge_bits(g: Graph, coloring: EdgeColoring, bit: dict[int, int]):
+    """The sorted edges and each one's color bit, for the searches."""
     edges = sorted(g.edges)
-    return edges, [bit[coloring.colors[e]] for e in edges], len(distinct)
+    return edges, [bit[coloring.colors[e]] for e in edges]
 
 
 def _masks(
@@ -132,11 +143,12 @@ def _masks(
     states (a superset mask reached no sooner is useless). Walks have
     at most max_len edges. The search stops as soon as every vertex of
     targets holds a mask, and keeps at most cap masks per vertex. The
-    cap is tested before the dominance loop: a full antichain takes no
-    mask either way, and the hub search fills it often.
+    cap is tested only when a mask is kept: the dominance test then
+    reads a full vertex's list as [0], which dominates every mask.
     """
     best: list[list[int]] = [[] for _ in adj]
     best[source].append(0)
+    dom = best[:]  # the lists the dominance test reads
     remaining = set(targets)
     remaining.discard(source)
     frontier: list[tuple[int, int]] = [(source, 0)]
@@ -146,16 +158,16 @@ def _masks(
             for w, b in adj[v]:
                 if mask & b:
                     continue
-                bw = best[w]
-                if len(bw) >= cap:
-                    continue
                 nm = mask | b
+                bw = dom[w]
                 for old in bw:
                     if old & nm == old:
                         break
                 else:
                     bw.append(nm)
                     nxt.append((w, nm))
+                    if len(bw) == cap:
+                        dom[w] = [0]
                     if w in remaining:
                         remaining.discard(w)
                         if not remaining:
@@ -309,12 +321,12 @@ def _open_pairs(masks: list[list[int]], n: int, k: int):
         yield u, left
 
 
-def _layer_certificate(g: Graph, adj, level: list[int]) -> bool:
+def _layer_certificate(colors, bit: dict[int, int], level: list[int]) -> bool:
     """Whether the BFS layers from the hub prove every pair at once.
 
-    level is `_levels(g, hub)`, and adj[x] lists the (neighbor, color
-    bit) steps out of x. Layer k >= 1 owns the colors of its inner
-    edges and of its spokes to layer k - 1.
+    colors maps each edge of a connected graph to its color, bit maps
+    each color to its bit, and level is `_levels(g, hub)`. Layer k >= 1
+    owns the colors of its inner edges and of its spokes to layer k - 1.
     An exit of a vertex of layer k is a spoke, or an inner edge followed
     by the neighbor's spoke in another color. Three facts prove every
     pair: no two layers share a color, every vertex below the hub has an
@@ -326,7 +338,10 @@ def _layer_certificate(g: Graph, adj, level: list[int]) -> bool:
     layer's exits spend its own colors only, so the walks join into a
     rainbow walk, which contains a rainbow path.
 
-    Each vertex's minimal exit masks form its group key. Two groups of a
+    One pass over the edges, each once, builds every layer's palette
+    mask, every vertex's spoke mask and its inner steps; a running OR
+    finds a color two layers share. Each vertex's minimal exit masks,
+    read off the masks bit by bit, form its group key. Two groups of a
     layer pass when some mask of one is disjoint from some mask of the
     other, and a group of two or more vertices is also tested against
     itself. A coloring whose layers hold a few groups each, as
@@ -335,29 +350,44 @@ def _layer_certificate(g: Graph, adj, level: list[int]) -> bool:
     depth = max(level[1:])
     if depth == sys.maxsize:
         return False
-    owner: dict[int, int] = {}  # color bit -> the layer that owns it
-    down: list[set[int]] = [set() for _ in level]  # spoke colors to the layer above
-    for x in g.vertices():
+    palette = [0] * (depth + 1)  # per layer, the color bits it owns
+    down = [0] * len(level)  # per vertex, its spoke colors to the layer above
+    inner: list[list[tuple[int, int]]] = [[] for _ in level]  # (neighbor, color bit)
+    for (x, y), c in colors.items():
+        c = bit[c]
         k = level[x]
-        for y, b in adj[x]:
-            if level[y] == k - 1:
-                down[x].add(b)
-            elif level[y] != k:
-                continue
-            if owner.setdefault(b, k) != k:
-                return False
-    groups: list[dict[frozenset[int], int]] = [{} for _ in range(depth + 1)]
-    for x in g.vertices():
-        k = level[x]
-        if not k:
-            continue
+        if level[y] == k:
+            inner[x].append((y, c))
+            inner[y].append((x, c))
+        else:
+            if level[y] > k:
+                x, k = y, level[y]
+            down[x] |= c
+        palette[k] |= c
+    owned = 0
+    for p in palette:
+        if owned & p:
+            return False
+        owned |= p
+    groups: list[dict[frozenset[int], int]] = [{} for _ in palette]
+    for x in range(1, len(level)):
+        spokes = rest = down[x]
+        exits = []
+        while rest:
+            low = rest & -rest
+            exits.append(low)
+            rest ^= low
         # A two-step exit that holds one of x's spoke colors is not minimal.
-        exits = set(down[x])
-        for y, b in adj[x]:
-            if level[y] == k and b not in down[x]:
-                exits.update(b | c for c in down[y] if c != b and c not in down[x])
+        for y, c in inner[x]:
+            if not c & spokes:
+                rest = down[y] & ~(spokes | c)
+                while rest:
+                    low = rest & -rest
+                    exits.append(c | low)
+                    rest ^= low
         key = frozenset(exits)
-        groups[k][key] = groups[k].get(key, 0) + 1
+        layer = groups[level[x]]
+        layer[key] = layer.get(key, 0) + 1
     for layer in groups:
         keys = list(layer)
         for i, a in enumerate(keys):
@@ -376,13 +406,19 @@ def is_rainbow_connected(
 ) -> VerifyResult:
     """Exactly check that every pair has a rainbow path.
 
+    The coloring must color exactly the edges of g (else DomainError),
+    then n and the number of colors must be within max_n and max_colors
+    (else ScaleLimit, the n cap first). Only then is the hub found.
+
     Phase 0, the layer certificate: when the BFS layers from the hub
     (the vertex of least eccentricity, then degree, then label) own
     disjoint palettes, and any two vertices of a layer have exits
     towards the hub in disjoint colors (`_layer_certificate`), every
-    pair is proven at once. The coloring's layered fallback
-    (`coloring._layered`) always passes it. When it fails, phases 1 and
-    2 decide as if it had not run.
+    pair is proven at once. It reads the color map directly, in one
+    pass, with the levels of one list BFS; the coloring's layered
+    fallback (`coloring._layered`) always passes it. When it fails, the
+    step tables are built and phases 1 and 2 decide as if it had not
+    run.
 
     Phase 1, the hub certificate: one rainbow search from the hub
     keeps, per vertex, minimal color masks of rainbow walks from it. A
@@ -397,15 +433,14 @@ def is_rainbow_connected(
     pair never fails, so the first counterexample and pairs_checked
     are those of a plain search over all pairs in lexicographic order.
     """
-    edges, bits, k = _prepare(g, coloring, max_n, max_colors)
-    adj = _steps(g, edges, bits)
+    bit = _prepare(g, coloring, max_n, max_colors)
     # The hub is found after the caps are checked, so an input over a
     # cap is refused before any distance ball grows.
     hub = central_vertex(g)
-    if _layer_certificate(g, adj, _levels(g, hub)):
+    if _layer_certificate(coloring.colors, bit, _levels(g, hub)):
         pairs = g.n * (g.n - 1) // 2
         return VerifyResult(True, None, pairs, pairs)
-    return _searched(g, adj, k, hub)
+    return _searched(g, _steps(g, *_edge_bits(g, coloring, bit)), len(bit), hub)
 
 
 def _searched(g: Graph, adj, k: int, hub: int) -> VerifyResult:
@@ -443,11 +478,11 @@ def _rainbow_verdict(g: Graph, coloring: EdgeColoring, max_colors: int, hub: int
     `(3576, 3329, 72)` in `test_verdict_matches_the_checker_on_staged_colorings`
     (colorings checked, passed, refuted by the probe alone).
     """
-    edges, bits, k = _prepare(g, coloring, g.n, max_colors)
-    adj = _steps(g, edges, bits)
+    bit = _prepare(g, coloring, g.n, max_colors)
     level = _levels(g, hub)
-    if _layer_certificate(g, adj, level):
+    if _layer_certificate(coloring.colors, bit, level):
         return True
+    adj, k = _steps(g, *_edge_bits(g, coloring, bit)), len(bit)
     probe = level.index(max(level[1:]), 1)
     reach = _masks(adj, probe, min(g.n - 1, k), targets=g.vertices())
     if not all(reach[1:]):
@@ -463,8 +498,7 @@ def is_strong_rainbow_connected(
     max_colors: int = _DEFAULT_MAX_COLORS,
 ) -> VerifyResult:
     """Exhaustively check that every pair has a rainbow shortest path."""
-    edges, bits, _ = _prepare(g, coloring, max_n, max_colors)
-    adj = _steps(g, edges, bits)
+    adj = _steps(g, *_edge_bits(g, coloring, _prepare(g, coloring, max_n, max_colors)))
     pairs = 0
     for u in range(1, g.n):
         targets = range(u + 1, g.n + 1)
@@ -489,11 +523,12 @@ def rainbow_witness(
     """An actual rainbow path u..v (shortest when strong), or None."""
     if not (1 <= u <= g.n and 1 <= v <= g.n) or u == v:
         raise DomainError(f"need two distinct vertices in 1..{g.n}")
-    edges, bits, k = _prepare(g, coloring, max_n, max_colors)
+    bit = _prepare(g, coloring, max_n, max_colors)
+    edges, bits = _edge_bits(g, coloring, bit)
     steps = _steps(g, edges, range(len(edges)))
     if strong:
         steps = _shortest_steps(g, steps, u)
-    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, k), _levels(g, v))
+    walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, len(bit)), _levels(g, v))
     return None if walk is None else _walk_path(edges, walk, u)
 
 

@@ -377,6 +377,21 @@ def test_coloring_accounting():
         EdgeColoring({(1, 2): 1, (1, 4): 1, (1, 3): 1, (2, 3): 1}).check_total(g)
 
 
+def test_check_total_names_the_least_offending_edge():
+    # The least uncolored edge is named before any colored non-edge.
+    g = from_canonical(CanonicalMop(3))  # edges (1, 2), (1, 3), (2, 3)
+    cases = [
+        ({(1, 2): 1, (1, 3): 2}, "uncolored edges, e.g. (2, 3)"),
+        ({(1, 2): 1}, "uncolored edges, e.g. (1, 3)"),
+        ({(1, 2): 1, (1, 3): 1, (2, 3): 1, (1, 4): 2, (3, 5): 1}, "colored non-edges, e.g. (1, 4)"),
+        ({(1, 2): 1, (1, 3): 1, (1, 4): 1}, "uncolored edges, e.g. (2, 3)"),
+        ({}, "uncolored edges, e.g. (1, 2)"),
+    ]
+    for colors, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            EdgeColoring(colors).check_total(g)
+
+
 def test_coloring_validation_edge_cases():
     # Every case is tried with canonical and with reversed edges, and
     # with the bad entry first and last, so no shortcut for plain ints

@@ -172,16 +172,15 @@ def assert_matches_per_source_check(g: Graph, colors) -> bool:
 def layer_certified(g: Graph, colors) -> bool:
     """Whether the layer certificate alone proves the coloring."""
     coloring = EdgeColoring(colors)
-    edges, bits, _ = verify._prepare(g, coloring, g.n, len(coloring.used))
-    level = verify._levels(g, central_vertex(g))
-    return verify._layer_certificate(g, verify._steps(g, edges, bits), level)
+    bit = verify._prepare(g, coloring, g.n, len(coloring.used))
+    return verify._layer_certificate(coloring.colors, bit, verify._levels(g, central_vertex(g)))
 
 
 @contextmanager
 def layer_certificate_off(monkeypatch):
     """is_rainbow_connected runs its hub and per-source phases only."""
     with monkeypatch.context() as m:
-        m.setattr(verify, "_layer_certificate", lambda g, adj, level: False)
+        m.setattr(verify, "_layer_certificate", lambda colors, bit, level: False)
         yield
 
 
@@ -414,9 +413,10 @@ def test_layer_certificate_never_accepts_what_the_search_rejects(monkeypatch):
         for k in (1, 2, 3, 4):
             colors = {e: 1 + rng.below(k) for e in sorted(g.edges)}
             accepted["random"].append(assert_certificate_sound(monkeypatch, g, colors))
-    assert all(accepted["layered"])
-    for kind in ("recolored", "random"):
-        assert True in accepted[kind] and False in accepted[kind], kind
+    # How many colorings of each kind the certificate accepts, pinned so
+    # that no rewrite of it gains or loses an acceptance unnoticed.
+    counts = {kind: (sum(verdicts), len(verdicts)) for kind, verdicts in accepted.items()}
+    assert counts == {"layered": (62, 62), "recolored": (150, 744), "random": (9, 296)}
 
 
 def test_layer_certificate_on_graphs_that_are_no_mops(monkeypatch):
@@ -438,7 +438,7 @@ def test_layer_certificate_on_graphs_that_are_no_mops(monkeypatch):
             if g is split:
                 assert not certified
             accepted.append(certified)
-    assert True in accepted and False in accepted
+    assert (sum(accepted), len(accepted)) == (28, 120)
 
 
 def test_layer_certificate_accepts_every_layered_coloring():
@@ -449,6 +449,61 @@ def test_layer_certificate_accepts_every_layered_coloring():
     graphs += [random_mop_graph(n, s) for n in (10, 20, 50, 100, 200, 400) for s in range(3)]
     for g in graphs:
         assert layer_certified(g, _layered(g, layers(g, central_vertex(g))).colors), g
+
+
+def test_certified_path_builds_no_search_tables(monkeypatch):
+    # A layered coloring is proven from its color map and one list BFS:
+    # no sorted edge list, no step table and no BFS dict. A recolored
+    # one fails the certificate and reaches the patched builders.
+    g = random_mop_graph(200, 1)
+    hub = central_vertex(g)
+    layered = _layered(g, layers(g, hub)).colors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search table built")
+
+    def sorted_but_edges(items, **kwargs):
+        if items is g.edges:
+            raise AssertionError("edges sorted")
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(verify, "_steps", refuse)
+    monkeypatch.setattr(verify, "breadth_first", refuse)
+    monkeypatch.setattr(verify, "sorted", sorted_but_edges, raising=False)
+    res = is_rainbow_connected(g, EdgeColoring(layered), max_colors=64)
+    assert (res.ok, res.pairs_checked, res.pairs_certified) == (True, 19900, 19900)
+    assert verify._rainbow_verdict(g, EdgeColoring(layered), 64, hub)
+    # A deepest layer's color on a spoke of the hub: two layers share it.
+    level = verify._levels(g, hub)
+    deep = max(sorted(g.edges), key=lambda e: level[e[0]] + level[e[1]])
+    spoke = min(e for e in g.edges if hub in e)
+    recolored = EdgeColoring({**layered, spoke: layered[deep]})
+    with pytest.raises(AssertionError, match="edges sorted"):
+        is_rainbow_connected(g, recolored, max_colors=64)
+
+
+def test_totality_then_caps_before_the_hub(monkeypatch):
+    # A coloring that is not total is refused before either cap, and the
+    # n cap before the color cap. The hub is found only after all three
+    # pass, so no input over a cap grows a distance ball.
+    def no_hub(g):
+        raise AssertionError("central_vertex ran on a refused input")
+
+    monkeypatch.setattr(verify, "central_vertex", no_hub)
+    g = lad(5).graph
+    distinct = {e: i for i, e in enumerate(sorted(g.edges), 1)}
+    n, k = g.n, len(distinct)
+    partial = dict(list(distinct.items())[1:])
+    extra = {**distinct, (1, n + 1): 1}
+    for colors in (partial, extra):
+        with pytest.raises(DomainError, match="^(uncolored edges|colored non-edges), e.g."):
+            is_rainbow_connected(g, EdgeColoring(colors), max_n=1, max_colors=1)
+    with pytest.raises(ScaleLimit, match=f"^n={n} exceeds cap {n - 1};"):
+        is_rainbow_connected(g, EdgeColoring(distinct), max_n=n - 1, max_colors=1)
+    with pytest.raises(ScaleLimit, match=f"^{k} colors exceed cap {k - 1};"):
+        is_rainbow_connected(g, EdgeColoring(distinct), max_n=n, max_colors=k - 1)
+    with pytest.raises(AssertionError, match="central_vertex ran"):
+        is_rainbow_connected(g, EdgeColoring(distinct), max_n=n, max_colors=k)
 
 
 def verdict_matches(g: Graph, colors) -> bool:
