@@ -296,10 +296,9 @@ def _strip_coloring(g: MopGraph) -> EdgeColoring | None:
     if len(ears) != 2:
         return None
     for p in ears:
-        dist, _ = breadth_first(g.neighbors, (p,))
-        order = list(dist)  # BFS order: distances never fall
-        if all(dist[a] < dist[c] for a, c in zip(order, order[2:])):
-            return EdgeColoring({(u, v): max(dist[u], dist[v]) for u, v in g.edges})
+        level, order = breadth_first(g.neighbors, g.n, (p,))
+        if all(level[a] < level[c] for a, c in zip(order, order[2:])):
+            return EdgeColoring({(u, v): max(level[u], level[v]) for u, v in g.edges})
     return None
 
 

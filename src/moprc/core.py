@@ -11,6 +11,7 @@ graph one exterior triangle at a time.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -25,25 +26,27 @@ def edge(u: int, v: int) -> tuple[int, int]:
 
 
 def breadth_first(
-    neighbors: Callable[[int], Iterable[int]], sources: tuple[int, ...]
-) -> tuple[dict[int, int], dict[int, int | None]]:
-    """Breadth-first distances and parents over what the sources reach.
+    neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first levels and visit order from a source set on 1..n.
 
-    Sources sit at distance 0 with parent None and are expanded in the
-    given order; neighbors(v) lists the vertices one step from v, in
-    the order they are expanded.
+    level[v] is v's distance from the nearest source, sys.maxsize when
+    no source reaches v (and at index 0). The order lists the reached
+    vertices as visited: the sources first, each once, in the given
+    order; then neighbors(v) of each visited v, in the order it lists
+    them. Levels never fall along the order.
     """
-    dist = dict.fromkeys(sources, 0)
-    parent: dict[int, int | None] = dict.fromkeys(sources)
-    queue = list(sources)
-    for v in queue:
-        d = dist[v] + 1
+    level = [sys.maxsize] * (n + 1)
+    order = list(dict.fromkeys(sources))
+    for s in order:
+        level[s] = 0
+    for v in order:
+        d = level[v] + 1
         for u in neighbors(v):
-            if u not in dist:
-                dist[u] = d
-                parent[u] = v
-                queue.append(u)
-    return dist, parent
+            if level[u] > d:
+                level[u] = d
+                order.append(u)
+    return level, order
 
 
 class Graph:
@@ -355,9 +358,12 @@ def _induces_path(g: Graph, vs: tuple[int, ...]) -> bool:
     }
     if sum(map(len, nbr.values())) != 2 * (k - 1) or any(len(ns) > 2 for ns in nbr.values()):
         return False
-    start = next(v for v in vs if len(nbr[v]) <= 1)
-    reached, _ = breadth_first(nbr.__getitem__, (start,))
-    return len(reached) == k
+    # k - 1 edges at degree <= 2: a path exactly when the walk from an
+    # end of degree <= 1 reaches all k vertices.
+    walked, prev, v = 1, 0, next(v for v in vs if len(nbr[v]) <= 1)
+    while step := [u for u in nbr[v] if u != prev]:
+        walked, prev, v = walked + 1, v, step[0]
+    return walked == k
 
 
 def validate_mop(g: Graph) -> ValidationReport:
@@ -370,7 +376,7 @@ def validate_mop(g: Graph) -> ValidationReport:
     if g.n < 3:
         violations.append(f"n={g.n} is below the minimum of 3")
         return ValidationReport(False, tuple(violations))
-    if len(breadth_first(g.neighbors, (1,))[0]) != g.n:
+    if len(breadth_first(g.neighbors, g.n, (1,))[1]) != g.n:
         violations.append("graph is not connected")
         return ValidationReport(False, tuple(violations))
     for v in g.vertices():

@@ -2,11 +2,15 @@
 specific to maximal outerplanar graphs.
 
 The generic routines (bfs, eccentricities by ball growth, layers) work
-on any connected `Graph`. `linear_eccentricities` exploits the tree
-structure of a MOP's inner faces: it keeps three numbers for each side
-of each edge, the farthest distance from either end and the farthest
-distance from the nearer end, builds each side's from the two beyond it
-in O(1), and reads every vertex eccentricity off one incident edge.
+on any connected `Graph`. bfs and layers read the levels and the visit
+order of one run of `core.breadth_first`, the package's one plain
+breadth-first search; bfs takes each vertex's parent to be its neighbor
+one level up that was visited first. `linear_eccentricities` exploits
+the tree structure of a MOP's inner faces: it keeps three numbers for
+each side of each edge, the farthest distance from either end and the
+farthest distance from the nearer end, builds each side's from the two
+beyond it in O(1), and reads every vertex eccentricity off one incident
+edge.
 """
 
 from __future__ import annotations
@@ -37,10 +41,16 @@ def bfs(g: Graph, source: int) -> DistanceTable:
     """Breadth-first distances; neighbors expand in ascending label order."""
     if not 1 <= source <= g.n:
         raise DomainError(f"source {source} outside 1..{g.n}")
-    dist, parent = breadth_first(g.neighbors, (source,))
-    if len(dist) != g.n:
+    level, order = breadth_first(g.neighbors, g.n, (source,))
+    if len(order) != g.n:
         raise DomainError("graph is not connected")
-    return DistanceTable(source, dist, parent)
+    # A BFS parent is the neighbor one level up that was visited first.
+    rank = {v: i for i, v in enumerate(order)}
+    parent = {
+        v: min((u for u in g.neighbors(v) if level[u] < level[v]), key=rank.get, default=None)
+        for v in order
+    }
+    return DistanceTable(source, {v: level[v] for v in order}, parent)
 
 
 @dataclass(frozen=True)
@@ -120,12 +130,12 @@ def layers(g: Graph, sources: tuple[int, ...] | int) -> tuple[tuple[int, ...], .
     for s in sources:
         if not 1 <= s <= g.n:
             raise DomainError(f"source {s} outside 1..{g.n}")
-    dist, _ = breadth_first(g.neighbors, sources)
-    if len(dist) != g.n:
+    level, order = breadth_first(g.neighbors, g.n, sources)
+    if len(order) != g.n:
         raise DomainError("graph is not connected")
-    out: list[list[int]] = [[] for _ in range(max(dist.values()) + 1)]
+    out: list[list[int]] = [[] for _ in range(level[order[-1]] + 1)]
     for v in g.vertices():
-        out[dist[v]].append(v)
+        out[level[v]].append(v)
     return tuple(map(tuple, out))
 
 

@@ -344,8 +344,9 @@ def realize_paths(
     the short path and the node's own pair edge and crosses at most one
     tagged edge. It is found by one breadth-first search (see `_route`)
     that gives up past 2 * radius - 2 edges; then the long path is None
-    and the staged coloring gives way to the layered one. The staged coloring's first fit alone decides
-    whether a route's edges find colors in its reserve band.
+    and the staged coloring gives way to the layered one. The staged
+    coloring's first fit alone decides whether a route's edges find
+    colors in its reserve band.
     """
     v_r = spine.root_vertex
     if node.kind == "root":

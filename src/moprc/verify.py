@@ -17,7 +17,9 @@ by a rainbow shortest path.
 Checking a given coloring is NP-hard in general (Chakraborty, Fischer,
 Matsliah and Yuster, 2011), and NP-complete on maximal outerplanar
 graphs (Lauri), so `is_rainbow_connected` works in three phases. The
-layer certificate reads the BFS layers from one central hub vertex and
+layer certificate reads the BFS layers from one central hub vertex, the
+levels of one run of `core.breadth_first` (the package's one plain
+breadth-first search, which every distance table here comes from), and
 proves every pair at once when each layer owns its colors and gives its
 vertices exits towards the hub that avoid each other; layered colorings
 pass it in linear time, in one pass over the color map on int masks.
@@ -89,16 +91,7 @@ def _steps(g: Graph, edges_sorted, labels) -> list[tuple[tuple[int, int], ...]]:
 
 def _levels(g: Graph, s: int) -> list[int]:
     """Per vertex, its graph distance from s; sys.maxsize if s cannot reach it."""
-    level = [sys.maxsize] * (g.n + 1)
-    level[s] = 0
-    queue = [s]
-    for v in queue:
-        d = level[v] + 1
-        for u in g.neighbors(v):
-            if level[u] > d:
-                level[u] = d
-                queue.append(u)
-    return level
+    return breadth_first(g.neighbors, g.n, (s,))[0]
 
 
 def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]]:
@@ -415,10 +408,10 @@ def is_rainbow_connected(
     disjoint palettes, and any two vertices of a layer have exits
     towards the hub in disjoint colors (`_layer_certificate`), every
     pair is proven at once. It reads the color map directly, in one
-    pass, with the levels of one list BFS; the coloring's layered
-    fallback (`coloring._layered`) always passes it. When it fails, the
-    step tables are built and phases 1 and 2 decide as if it had not
-    run.
+    pass, with the hub's levels from one run of `core.breadth_first`;
+    the coloring's layered fallback (`coloring._layered`) always
+    passes it. When it fails, the step tables are built and phases 1
+    and 2 decide as if it had not run.
 
     Phase 1, the hub certificate: one rainbow search from the hub
     keeps, per vertex, minimal color masks of rainbow walks from it. A
@@ -755,8 +748,7 @@ def _components_without(g: Graph, removed: frozenset[tuple[int, int]]) -> dict[i
         if s in comp:
             continue
         label += 1
-        reached, _ = breadth_first(kept, (s,))
-        comp.update(dict.fromkeys(reached, label))
+        comp.update(dict.fromkeys(breadth_first(kept, g.n, (s,))[1], label))
     return comp
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 from enum import IntEnum
 
 import pytest
@@ -32,6 +33,7 @@ from moprc import (
     triangles,
     validate_mop,
 )
+from moprc import core
 
 from conftest import brute_hamiltonian_cycles, construction_orders
 
@@ -96,6 +98,59 @@ def test_validate_accepts_families_and_random():
     assert validate_mop(fan(7).graph).ok
     for n, seed in [(5, 1), (12, 9), (30, 4)]:
         assert validate_mop(random_mop_graph(n, seed)).ok
+
+
+def dict_bfs(g: Graph, sources) -> dict[int, int]:
+    """Distances in visit order, by the dict-based BFS the kernel replaced."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(sources)
+    for v in queue:
+        for u in g.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def test_kernel_levels_and_order_match_the_dict_bfs():
+    graphs = [from_canonical(c) for n in range(3, 8) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in (20, 60, 200) for s in range(3)]
+    graphs += [f(d).graph for d in range(3, 13) for f in (lad, lad_plus)]
+    for g in graphs:
+        top = tuple(reversed(g.vertices()))
+        for sources in [(v,) for v in g.vertices()] + [top[:2], top[::3], tuple(g.vertices())]:
+            dist = dict_bfs(g, sources)
+            level, order = core.breadth_first(g.neighbors, g.n, sources)
+            assert order == list(dist), (g, sources)
+            assert level == [sys.maxsize] + [dist[v] for v in g.vertices()], (g, sources)
+
+
+def test_kernel_on_repeated_sources_and_unreached_vertices():
+    g = Graph(7, [(1, 2), (2, 3), (3, 1), (4, 5), (6, 2)])
+    level, order = core.breadth_first(g.neighbors, g.n, (3, 6, 3, 6))
+    assert order == [3, 6, 1, 2]
+    far = sys.maxsize
+    assert level == [far, 1, 1, 0, far, far, 0, far]
+    level, order = core.breadth_first(g.neighbors, g.n, (5, 5))
+    assert (level, order) == ([far, far, far, far, 1, 0, far, far], [5, 4])
+    level, order = core.breadth_first(g.neighbors, g.n, ())
+    assert (level, order) == ([far] * 8, [])
+
+
+def test_validate_mop_runs_the_kernel_once(monkeypatch):
+    # Only the connectivity check runs the kernel. A run per
+    # neighborhood would allocate n + 1 levels n times: quadratic.
+    kernel, runs = core.breadth_first, []
+
+    def counted(*args):
+        runs.append(tuple(args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "breadth_first", counted)
+    for g in (fan(2000).graph, random_mop_graph(2000, 1)):
+        runs.clear()
+        assert validate_mop(g).ok
+        assert runs == [(1,)], g
 
 
 def test_validate_rejects_known_non_mops():

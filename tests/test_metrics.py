@@ -1,5 +1,6 @@
 """Distances, eccentricities, layers, and the linear-time scheme."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -24,6 +25,7 @@ from moprc import (
     linear_eccentricities,
     rainbow_coloring,
     random_mop_graph,
+    triangles,
     validate_mop,
 )
 from moprc.metrics import central_vertex
@@ -93,6 +95,29 @@ def test_layers_group_bfs_distances(n, seed):
         dist = {v: min(bfs(g, s).dist[v] for s in sources) for v in g.vertices()}
         expect = [tuple(v for v in g.vertices() if dist[v] == k) for k in range(max(dist.values()) + 1)]
         assert layers(g, sources) == tuple(expect)
+
+
+# sha256 of every `bfs(g, s)` table (distances and parents in visit
+# order) and of `layers(g, S)` from every vertex, edge and face, over
+# the corpus below. Recorded on the dict-based BFS the flat-list kernel
+# replaced.
+FROZEN_BFS_LAYERS = "cd29dc9e3e34a259f3e9a95159feca63d8cc620a9556407c075de454ff86f8d9"
+
+
+def test_frozen_bfs_tables_and_layers():
+    graphs = [from_canonical(c) for n in range(3, 8) for c in construction_orders(n)]
+    graphs += [random_mop_graph(n, s) for n in (20, 60, 200) for s in range(3)]
+    graphs += [f(d).graph for d in range(3, 13) for f in (lad, lad_plus)]
+    h = hashlib.sha256()
+    for g in graphs:
+        for s in g.vertices():
+            t = bfs(g, s)
+            h.update(repr((t.dist, t.parent, layers(g, s))).encode())
+        for e in sorted(g.edges):
+            h.update(repr(layers(g, e)).encode())
+        for f in triangles(g):
+            h.update(repr(layers(g, tuple(sorted(f)))).encode())
+    assert (len(graphs), h.hexdigest()) == (465, FROZEN_BFS_LAYERS)
 
 
 def test_layers_reject_bad_source_and_disconnected():

@@ -452,9 +452,10 @@ def test_layer_certificate_accepts_every_layered_coloring():
 
 
 def test_certified_path_builds_no_search_tables(monkeypatch):
-    # A layered coloring is proven from its color map and one list BFS:
-    # no sorted edge list, no step table and no BFS dict. A recolored
-    # one fails the certificate and reaches the patched builders.
+    # A layered coloring is proven from its color map and one run of the
+    # BFS kernel, for the hub's levels: no sorted edge list and no step
+    # table. A recolored one fails the certificate and reaches the
+    # patched builders.
     g = random_mop_graph(200, 1)
     hub = central_vertex(g)
     layered = _layered(g, layers(g, hub)).colors
@@ -467,12 +468,20 @@ def test_certified_path_builds_no_search_tables(monkeypatch):
             raise AssertionError("edges sorted")
         return sorted(items, **kwargs)
 
+    kernel, runs = verify.breadth_first, []
+
+    def counted(neighbors, n, sources):
+        runs.append(tuple(sources))
+        return kernel(neighbors, n, sources)
+
     monkeypatch.setattr(verify, "_steps", refuse)
-    monkeypatch.setattr(verify, "breadth_first", refuse)
+    monkeypatch.setattr(verify, "breadth_first", counted)
     monkeypatch.setattr(verify, "sorted", sorted_but_edges, raising=False)
     res = is_rainbow_connected(g, EdgeColoring(layered), max_colors=64)
     assert (res.ok, res.pairs_checked, res.pairs_certified) == (True, 19900, 19900)
+    assert runs == [(hub,)]
     assert verify._rainbow_verdict(g, EdgeColoring(layered), 64, hub)
+    assert runs == [(hub,), (hub,)]
     # A deepest layer's color on a spoke of the hub: two layers share it.
     level = verify._levels(g, hub)
     deep = max(sorted(g.edges), key=lambda e: level[e[0]] + level[e[1]])
