@@ -11,10 +11,11 @@ by construction (`_strip_coloring` proves both). Such a MOP has
 exactly two ears, so a MOP with more is turned away after one degree
 scan, and its radius is half its diameter rounded up, so no
 eccentricity is computed. A MOP of n >= `N0` vertices then gets
-`_layered`'s coloring at once, with no cut spine: a census found no
-staged coloring at those sizes that both passes its check and spends
-fewer colors (see `N0`). The rest of this note is about the staged
-coloring that every other MOP of radius >= 2 gets.
+`_layered`'s coloring at once, from the central vertex that one linear
+pass over the MopGraph's dual tree finds, with no cut spine: a census
+found no staged coloring at those sizes that both passes its check and
+spends fewer colors (see `N0`). The rest of this note is about the
+staged coloring that every other MOP of radius >= 2 gets.
 
 The palette is laid out in fixed bands, writing each edge at most once
 (later passes never recolor):
@@ -388,10 +389,10 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
       half the color count, rounded up.
     A MOP with n >= `N0` vertices gets `_layered`'s coloring of the BFS
     layers from `central_vertex(g)` at once, with staged_valid False:
-    no cut spine, no ball grown past the radius, no staged coloring and
-    no check, since the census cited at `N0` found no staged coloring
-    there that passes. It is the coloring the staged path falls back to,
-    from the same root. Every other MOP gets the cut spine. Its staged
+    the root comes from one linear pass over the MopGraph's dual tree,
+    with no cut spine, no staged coloring and no check, since the
+    census cited at `N0` found no staged coloring there that passes. It
+    is the coloring the staged path falls back to, from the same root. Every other MOP gets the cut spine. Its staged
     coloring is checked once, exactly, and returned when it passes. The
     check (`verify._rainbow_verdict`) first tries to refute it with one
     rainbow search from the deepest layer below the root; a vertex that

@@ -200,10 +200,13 @@ class MopGraph(Graph):
     vertex gets a fan-ordered neighbor list: neighbors sorted by their
     cyclic position after the vertex on the Hamiltonian cycle. In a MOP
     that ordering is exactly the induced path of the neighborhood,
-    which several algorithms walk directly.
+    which several algorithms walk directly. The constructor also
+    records the inner faces once, as the dual tree in pre-order over
+    half-edge slots (`_dual_tree`), which `metrics` reads for every
+    eccentricity of a MopGraph.
     """
 
-    __slots__ = ("ham_cycle", "_fan", "edge_kind", "_apexes")
+    __slots__ = ("ham_cycle", "_fan", "edge_kind", "_dual")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], ham_cycle: tuple[int, ...]):
         super().__init__(n, edges)
@@ -224,7 +227,8 @@ class MopGraph(Graph):
             )
         self._fan = fan
         self.edge_kind = {e: "outer" if e in outer else "chord" for e in self.edges}
-        self._apexes = _side_map(self)
+        _side_map(self)
+        self._dual = _dual_tree(self)
 
     def fan_neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v ordered by cyclic position after v.
@@ -238,30 +242,72 @@ class MopGraph(Graph):
         return f"MopGraph(n={self.n}, m={self.m})"
 
 
-def _side_map(g: MopGraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each edge mapped to the apexes of the inner faces on it (1 or 2).
+def _side_map(g: MopGraph) -> None:
+    """Raise NotMop unless the fans triangulate the Hamiltonian cycle.
 
     Consecutive fan neighbors a, b of v close the face (v, a, b), and
-    only the face's smallest vertex lists it, so the index costs O(m).
+    only the face's smallest vertex lists it, so the check costs O(m).
     Raises NotMop when a listed face is not a triangle, or an edge does
     not lie in one face (cycle edges) or two (chords): the chords then
     cross or leave a face of the cycle untriangulated.
     """
-    apexes: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges}
+    faces = dict.fromkeys(g.edges, 0)
     for v in g.vertices():
         fan = g.fan_neighbors(v)
         for a, b in zip(fan, fan[1:]):
             if v < a and v < b:
                 if not g.has_edge(a, b):
                     raise NotMop(f"fan neighbors {a} and {b} of vertex {v} are not adjacent")
-                apexes[(v, a)].append(b)
-                apexes[(v, b)].append(a)
-                apexes[edge(a, b)].append(v)
-    for e, ws in apexes.items():
+                faces[(v, a)] += 1
+                faces[(v, b)] += 1
+                faces[edge(a, b)] += 1
+    for e, k in faces.items():
         expect = 2 if g.edge_kind[e] == "chord" else 1
-        if len(ws) != expect:
-            raise NotMop(f"edge {e} lies in {len(ws)} inner faces, expected {expect}")
-    return {e: tuple(ws) for e, ws in apexes.items()}
+        if k != expect:
+            raise NotMop(f"edge {e} lies in {k} inner faces, expected {expect}")
+
+
+def _dual_tree(g: MopGraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The inner faces of a MOP as its dual tree in pre-order.
+
+    Half-edge slot off[v] + i stands for the arc (v, u), u the i-th fan
+    neighbor of v: the side of edge {v, u} that holds the vertices
+    after v and before u on the Hamiltonian cycle. At i = 0 that side
+    is empty. At i >= 1 it is the face (v, c, u) with apex c, the fan
+    neighbor before u, plus the sides of the arcs (v, c), the slot
+    before, and (c, u), which precedes v in the fan of c. These two are
+    the arc's children. The root is the arc (ham_cycle[0],
+    ham_cycle[-1]), whose side is every vertex but its ends, so the
+    tree's inner arcs are the n - 2 faces.
+
+    Returns off (with off[n + 1] the slot count) and three lists with
+    one entry per face, in pre-order: the arc's slot, the slot of
+    (c, u) and the slot of the reverse arc (u, v). The reverse arcs
+    need no search: (c, v) follows (c, u) in the fan of c, and (u, c)
+    follows (u, v) in the fan of u. Each vertex but the root's ends is
+    the apex of one face, the one nearest the root that holds it, so
+    finding v in the apexes' fans costs O(m) in all.
+    """
+    fan = g._fan
+    off = [0] * (g.n + 2)
+    for v in g.vertices():
+        off[v + 1] = off[v] + len(fan[v])
+    arcs: list[int] = []
+    kids: list[int] = []
+    backs: list[int] = []
+    a, b = g.ham_cycle[0], g.ham_cycle[-1]
+    stack = [(a, len(fan[a]) - 1, off[b])]  # (v, i, slot of the reverse arc)
+    while stack:
+        v, i, back = stack.pop()
+        if i:
+            c = fan[v][i - 1]
+            j = off[c] + fan[c].index(v) - 1
+            arcs.append(off[v] + i)
+            kids.append(j)
+            backs.append(back)
+            stack.append((c, j - off[c], back + 1))
+            stack.append((v, i - 1, j + 1))
+    return off, arcs, kids, backs
 
 
 def hamiltonian_cycle(g: Graph) -> tuple[int, ...]:

@@ -1,23 +1,25 @@
-"""Distance metrics on graphs, plus a linear-time eccentricity scheme
-specific to maximal outerplanar graphs.
+"""Distance metrics on graphs: BFS tables, layers, eccentricities.
 
-The generic routines (bfs, eccentricities by ball growth, layers) work
-on any connected `Graph`. bfs and layers read the levels and the visit
-order of one run of `core.breadth_first`, the package's one plain
-breadth-first search; bfs takes each vertex's parent to be its neighbor
-one level up that was visited first. `linear_eccentricities` exploits
-the tree structure of a MOP's inner faces: it keeps three numbers for
-each side of each edge, the farthest distance from either end and the
-farthest distance from the nearer end, builds each side's from the two
-beyond it in O(1), and reads every vertex eccentricity off one incident
-edge.
+bfs and layers work on any connected `Graph` and read the levels and
+the visit order of one run of `core.breadth_first`, the package's one
+plain breadth-first search; bfs takes each vertex's parent to be its
+neighbor one level up that was visited first.
+
+Eccentricities take one code path per graph type. On a `MopGraph` they
+come from one linear pass over the dual tree of its inner faces
+(`_mop_eccentricities`): it keeps three numbers for each side of each
+edge, the farthest distance from either end and the farthest distance
+from the nearer end, builds each side's from the two beyond it in O(1),
+and reads every vertex eccentricity off its outer edge. On a plain
+`Graph`, which may be no MOP, they come from ball growth (`_balls`),
+which also serves the tests as the oracle for the pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, MopGraph, breadth_first, edge
+from .core import Graph, MopGraph, breadth_first
 from .errors import DomainError, NotMop
 
 
@@ -83,17 +85,22 @@ def _balls(g: Graph):
 
 
 def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
-    """All vertex eccentricities by ball growth, with diam/rad/center.
+    """All vertex eccentricities, with diam/rad/center.
 
-    ecc[v] counts the rounds in which v's ball misses some vertex.
+    A MopGraph reads them off the linear pass over its dual tree. Any
+    other graph grows distance balls: ecc[v] counts the rounds in which
+    v's ball misses some vertex.
     """
-    full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
-    ecc = dict.fromkeys(g.vertices(), 0)
-    for ball in _balls(g):
-        for v in ecc:
-            ecc[v] += ball[v] != full
-    if ball[1] != full:
-        raise DomainError("graph is not connected")
+    if isinstance(g, MopGraph):
+        ecc = linear_eccentricities(g)
+    else:
+        full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
+        ecc = dict.fromkeys(g.vertices(), 0)
+        for ball in _balls(g):
+            for v in ecc:
+                ecc[v] += ball[v] != full
+        if ball[1] != full:
+            raise DomainError("graph is not connected")
     diameter = max(ecc.values())
     radius = min(ecc.values())
     center = tuple(v for v in g.vertices() if ecc[v] == radius)
@@ -103,11 +110,18 @@ def ecc_diam_rad_center(g: Graph) -> EccentricitySummary:
 def central_vertex(g: Graph) -> int:
     """The vertex of least (eccentricity, degree, label).
 
-    The distance balls grow up to the radius and no further. The
-    centers are the first vertices whose balls hold the whole graph: a
-    round is tested with one `in` and scanned only when it fills a ball.
-    On a disconnected graph every vertex ties.
+    A MopGraph reads every eccentricity off the linear pass over its
+    dual tree. Any other graph grows distance balls up to the radius
+    and no further: the centers are the first vertices whose balls hold
+    the whole graph, and a round is tested with one `in` and scanned
+    only when it fills a ball. On a disconnected graph every vertex
+    ties.
     """
+    if isinstance(g, MopGraph):
+        ecc = _mop_eccentricities(g)
+        radius = min(ecc[1:])
+        # Scanned in label order, so min keeps the least label on ties.
+        return min((v for v in g.vertices() if ecc[v] == radius), key=g.degree)
     full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
     center = []
     for ball in _balls(g):
@@ -154,58 +168,58 @@ def eta(g: Graph) -> int:
 
 
 def linear_eccentricities(g: MopGraph) -> dict[int, int]:
-    """Every vertex eccentricity of a MOP in O(n), with no BFS.
+    """Every vertex eccentricity of a MOP in O(n), with no BFS."""
+    return dict(zip(g.vertices(), _mop_eccentricities(g)[1:]))
 
-    Edge {s, t} with s < t splits the other vertices into two sides, one
-    per face on it; the exterior side of an outer edge is empty. The
-    side across face (s, t, w) has the state (E(s), E(t), m): the
-    farthest distance from s and from t to a vertex of the side, and
-    m = max over its vertices x of min(d(s, x), d(t, x)). An empty side
-    is (-1, -1, -1). The side is w plus C1, the far side of {s, w}, and
-    C2, the far side of {t, w}. Removing the adjacent pair {s, w} cuts
-    C1 off from the rest, so a shortest path from t into C1 steps to s
-    or w first, and one from s needs no vertex outside C1 and {s, w}.
-    By symmetry in {t, w} and C2:
+
+def _mop_eccentricities(g: MopGraph) -> list[int]:
+    """ecc[v] for every vertex v of a MOP (index 0 unused), in O(n).
+
+    Edge {s, t} splits the other vertices into two sides, one per face
+    on it; the exterior side of an outer edge is empty. The side across
+    face (s, t, w) has the state (E(s), E(t), m): the farthest distance
+    from s and from t to a vertex of the side, and m = max over its
+    vertices x of min(d(s, x), d(t, x)). The side is w plus C1, the far
+    side of {s, w}, and C2, the far side of {t, w}. Removing the
+    adjacent pair {s, w} cuts C1 off from the rest, so a shortest path
+    from t into C1 steps to s or w first, and one from s needs no
+    vertex outside C1 and {s, w}. By symmetry in {t, w} and C2:
 
         E(s) = max(1, E1(s), 1 + m2)
         E(t) = max(1, E2(t), 1 + m1)
         m    = max(1, E1(s), E2(t))
 
-    The states are keyed (s, t, w), with w = 0 for an exterior side.
-    Each reads two others in O(1); an explicit stack computes the far
-    sides first, so deep MOPs hit no recursion limit. The two sides of
-    an edge at v hold every vertex but its ends, so v's eccentricity is
-    its larger E over them. The faces on each edge are read off the
-    index the MopGraph constructor built.
+    The states are stored as max(1, E) and max(0, m), so an empty side
+    is (1, 1, 0) and the rule loses its floor of 1. Each side is an arc
+    of the MopGraph's dual tree (`core._dual_tree`), one state per
+    half-edge slot, in three flat lists. The tree's own arcs, whose
+    sides lie away from the root, are built bottom-up from their two
+    children. Their reverse arcs are built top-down: for a face
+    (a, c, b) on the arc (a, b), the side of (c, a) is b plus the sides
+    of the child (c, b) and of (b, a), the parent's reverse, and the
+    side of (b, c) is a plus the sides of (b, a) and the child (a, c).
+    The arc (v, u), u the vertex before v on the Hamiltonian cycle, is
+    v's last slot, and its side holds every vertex but v and u, so its
+    E(v) is v's eccentricity.
     """
-    apexes = g._apexes
-    state = {(*e, 0): (-1, -1, -1) for e, ws in apexes.items() if len(ws) == 1}
-
-    def far_side(a: int, b: int, near: int) -> tuple[int, int, int]:
-        """The side of edge {a, b} whose face does not have apex near."""
-        lo, hi = edge(a, b)
-        return (lo, hi, next((w for w in apexes[(lo, hi)] if w != near), 0))
-
-    stack = [(*e, w) for e, ws in apexes.items() for w in ws]
-    while stack:
-        key = stack[-1]
-        if key in state:
-            stack.pop()
-            continue
-        s, t, w = key
-        k1, k2 = far_side(s, w, t), far_side(t, w, s)
-        todo = [k for k in (k1, k2) if k not in state]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        c1, c2 = state[k1], state[k2]
-        # A state holds E of its edge's lower end first.
-        e1, e2 = c1[s != k1[0]], c2[t != k2[0]]
-        state[key] = (max(1, e1, 1 + c2[2]), max(1, e2, 1 + c1[2]), max(1, e1, e2))
-
-    ecc = {}
-    for v in g.vertices():
-        lo, hi = edge(v, g.neighbors(v)[0])
-        ecc[v] = max(state[(lo, hi, w)][v != lo] for w in apexes[(lo, hi)])
-    return ecc
+    off, arcs, kids, backs = g._dual
+    size = off[-1]
+    ea, eb, mm = [1] * size, [1] * size, [0] * size
+    # The arc (a, b) at s has children (a, c) at s - 1 and (c, b) at k.
+    for s, k in zip(reversed(arcs), reversed(kids)):
+        e1, m1, e2, m2 = ea[s - 1], mm[s - 1], eb[k], mm[k]
+        ea[s] = e1 if e1 > m2 else m2 + 1
+        eb[s] = e2 if e2 > m1 else m1 + 1
+        mm[s] = e1 if e1 > e2 else e2
+    # (c, a) at k + 1 has children (c, b) at k and (b, a) at r;
+    # (b, c) at r + 1 has children (b, a) at r and (a, c) at s - 1.
+    for s, k, r in zip(arcs, kids, backs):
+        e1, m1, e2, m2 = ea[k], mm[k], eb[r], mm[r]
+        ea[k + 1] = e1 if e1 > m2 else m2 + 1
+        eb[k + 1] = e2 if e2 > m1 else m1 + 1
+        mm[k + 1] = e1 if e1 > e2 else e2
+        e1, m1, e2, m2 = ea[r], mm[r], eb[s - 1], mm[s - 1]
+        ea[r + 1] = e1 if e1 > m2 else m2 + 1
+        eb[r + 1] = e2 if e2 > m1 else m1 + 1
+        mm[r + 1] = e1 if e1 > e2 else e2
+    return [0] + [ea[o - 1] for o in off[2:]]

@@ -158,8 +158,9 @@ def build_ccs(g: MopGraph) -> CutSpine:
 
     g is a MOP, which its constructor checked, so nothing here checks
     it again. The root is a minimum-degree center vertex (smallest
-    label on ties), as `central_vertex` picks it; the radius is the
-    root's eccentricity, its last BFS layer.
+    label on ties), as `central_vertex` picks it in one linear pass
+    over the MopGraph's dual tree; the radius is the root's
+    eccentricity, its last BFS layer.
     The green nodes at level i, 1 <= i < radius, are
     the chords inside layer i whose two ends both have a neighbor in
     layer i + 1, in (level, realization) order. A node's parent is the

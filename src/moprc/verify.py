@@ -17,7 +17,9 @@ by a rainbow shortest path.
 Checking a given coloring is NP-hard in general (Chakraborty, Fischer,
 Matsliah and Yuster, 2011), and NP-complete on maximal outerplanar
 graphs (Lauri), so `is_rainbow_connected` works in three phases. The
-layer certificate reads the BFS layers from one central hub vertex, the
+hub is `metrics.central_vertex`: one linear pass over the dual tree of
+a `MopGraph`, and ball growth on any other graph. The layer
+certificate reads the BFS layers from one central hub vertex, the
 levels of one run of `core.breadth_first` (the package's one plain
 breadth-first search, which every distance table here comes from), and
 proves every pair at once when each layer owns its colors and gives its
@@ -428,7 +430,7 @@ def is_rainbow_connected(
     """
     bit = _prepare(g, coloring, max_n, max_colors)
     # The hub is found after the caps are checked, so an input over a
-    # cap is refused before any distance ball grows.
+    # cap is refused before any eccentricity is computed.
     hub = central_vertex(g)
     if _layer_certificate(coloring.colors, bit, _levels(g, hub)):
         pairs = g.n * (g.n - 1) // 2

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import moprc.metrics
-from moprc import exact_rc, from_canonical, is_rainbow_connected, parse_coloring, parse_mop
+from moprc import Graph, exact_rc, from_canonical, is_rainbow_connected, parse_coloring, parse_mop
 from moprc.cli import main
 from moprc.metrics import central_vertex, layers
 
@@ -54,27 +54,26 @@ def test_info_reports_metrics(workdir, capsys):
 
 
 @pytest.mark.parametrize("n", [9, 20, 60])
-def test_info_grows_the_balls_once_and_roots_layers_at_the_central_vertex(
+def test_info_grows_no_balls_and_roots_layers_at_the_central_vertex(
     n, workdir, capsys, monkeypatch
 ):
-    grown = []
-    balls = moprc.metrics._balls
+    # info reads its table off the MopGraph's dual-tree pass, and its
+    # layers from the vertex central_vertex picks, which ball growth on
+    # a plain Graph copy confirms.
+    def refuse(g):
+        raise AssertionError("a distance ball grew")
 
-    def counting(g):
-        grown.append(g)
-        return balls(g)
-
-    monkeypatch.setattr(moprc.metrics, "_balls", counting)
     for seed in range(3):
         assert main(["gen", "random", str(n), "--seed", str(seed), "--out", "g"]) == 0
         g = from_canonical(parse_mop(Path("g.mop").read_text()))
+        root = central_vertex(Graph(g.n, g.edges))
         capsys.readouterr()
-        del grown[:]
-        assert main(["info", "g.mop"]) == 0
-        assert len(grown) == 1, seed
+        with monkeypatch.context() as m:
+            m.setattr(moprc.metrics, "_balls", refuse)
+            assert main(["info", "g.mop"]) == 0
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("layers: "))
         printed = tuple(tuple(map(int, band.split())) for band in line[8:].split(" | "))
-        assert printed == layers(g, central_vertex(g)), seed
+        assert printed == layers(g, root), seed
 
 
 def test_color_verify_round_trip(workdir, capsys):

@@ -129,13 +129,14 @@ def test_frozen_digests_beyond_n10(name):
 
 
 # (graph, radius, path): at radius 2 no long path is "routed" at all,
-# a "layered" graph routes every node and then fails its check, and a
-# "strip" or a "fan" is colored before any spine is built, so it grows
-# no distance balls either.
+# a "layered" graph routes every node and then fails its check, a
+# "strip" or a "fan" is colored before any spine is built, and a
+# "large" graph (n >= N0) takes the layered coloring with no spine.
 CALL_COUNT_GRAPHS = {
     "random_mop(10,10010)": (lambda: random_mop_graph(10, 10010), 2, "staged"),
     "random_mop(60,3)": (lambda: random_mop_graph(60, 3), 4, "routed"),
     "random_mop(120,2)": (lambda: random_mop_graph(120, 2), 4, "layered"),
+    "random_mop(200,1)": (lambda: random_mop_graph(200, 1), 5, "large"),
     "lad(12)": (lambda: lad(12).graph, 6, "strip"),
     "lad_plus(10)": (lambda: lad_plus(10).graph, 5, "strip"),
     "fan(8)": (lambda: fan(8).graph, 1, "fan"),
@@ -148,7 +149,7 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
     g = make()
     spine = build_ccs(g)
     assert spine.radius == radius
-    calls = {"realize": 0, "ecc": 0, "balls": 0, "ends": 0}
+    calls = {"realize": 0, "ecc": 0, "ends": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -157,28 +158,37 @@ def test_one_realization_per_node_and_one_eccentricity_pass(name, monkeypatch):
 
         return wrapped
 
+    def refuse(g):
+        raise AssertionError("a distance ball grew")
+
     monkeypatch.setattr(
         moprc.coloring, "realize_paths", counting("realize", moprc.coloring.realize_paths)
     )
     # Count the eccentricity table under every name a moprc module binds
-    # it to; the spine reads its root and radius off one ball growth.
+    # it to. The root, for the spine, the layered coloring and the
+    # verifier's hub alike, is read off the MopGraph's dual-tree pass,
+    # so no distance ball grows.
     ecc = ecc_diam_rad_center
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("moprc") and getattr(mod, "ecc_diam_rad_center", None) is ecc:
             monkeypatch.setattr(mod, "ecc_diam_rad_center", counting("ecc", ecc))
-    monkeypatch.setattr(moprc.metrics, "_balls", counting("balls", moprc.metrics._balls))
+    monkeypatch.setattr(moprc.metrics, "_balls", refuse)
     # Each green node's (primary, secondary) pair is derived once.
     ends = counting("ends", moprc.spine.primary_secondary)
     monkeypatch.setattr(moprc.spine, "primary_secondary", ends)
-    rainbow_coloring(g)
+    coloring, _ = rainbow_coloring(g)
     expected = len(spine.nodes) - 1 if path in ("routed", "layered") else 0
-    spined = path not in ("strip", "fan")
+    spined = path not in ("strip", "fan", "large")
     assert calls == {
         "realize": expected,
         "ecc": 0,
-        "balls": int(spined),
         "ends": (len(spine.nodes) - 1) * spined,
     }
+    result = is_rainbow_connected(g, coloring)
+    assert result.ok
+    if path in ("layered", "large"):
+        # The layer certificate proves every pair of a layered coloring.
+        assert result.pairs_certified == result.pairs_checked
 
 
 def test_deterministic_across_runs():

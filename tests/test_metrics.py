@@ -156,16 +156,21 @@ def test_linear_eccentricities_fixed_values():
 
 
 def test_the_constructor_alone_builds_the_face_index(monkeypatch):
+    # The face check and the dual tree run once per MopGraph, in its
+    # constructor; every eccentricity question reads the tree.
     from moprc import core
 
     calls = []
-    real = core._side_map
-    monkeypatch.setattr(core, "_side_map", lambda g: calls.append(g) or real(g))
+    for name in ("_side_map", "_dual_tree"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda g, real=real: calls.append(g) or real(g))
     graphs = [random_mop_graph(30, 4), lad(6).graph, fan(9).graph]
-    assert [sum(c is g for c in calls) for g in graphs] == [1, 1, 1]
+    assert [sum(c is g for c in calls) for g in graphs] == [2, 2, 2]
     built = len(calls)
     for g in graphs:
-        assert linear_eccentricities(g) == bfs_ecc(g)
+        ecc = bfs_ecc(g)
+        assert linear_eccentricities(g) == ecc
+        assert central_vertex(g) == min(g.vertices(), key=lambda v: (ecc[v], g.degree(v), v))
         build_ccs(g)
         rainbow_coloring(g)
     assert len(calls) == built
@@ -256,15 +261,45 @@ def test_ball_growth_rejects_disconnected():
         ecc_diam_rad_center(Graph(3, [(1, 2)]))
 
 
+def assert_pass_matches_ball_growth(g: MopGraph) -> None:
+    # The MopGraph reads the dual-tree pass; its plain Graph copy, the
+    # oracle, grows distance balls.
+    # The center is the ball-grown table's least (degree, label) center.
+    oracle = ecc_diam_rad_center(Graph(g.n, g.edges))
+    s = ecc_diam_rad_center(g)
+    assert s == oracle and list(s.ecc) == list(g.vertices()), g
+    assert linear_eccentricities(g) == s.ecc, g
+    assert central_vertex(g) == min(oracle.center, key=lambda v: (g.degree(v), v)), g
+
+
+PASS_CORPORA = {
+    "orders": lambda: (from_canonical(c) for n in range(3, 10) for c in construction_orders(n)),
+    "random": lambda: (
+        random_mop_graph(n, s) for n in [*range(3, 101), *range(110, 401, 10)] for s in range(5)
+    ),
+    "families": lambda: (fam(d).graph for d in range(2, 61) for fam in (fan, lad, lad_plus)),
+    # lad(600)'s dual tree is a path of 1,198 faces, deeper than the
+    # default recursion limit.
+    "large": lambda: (*(random_mop_graph(20000, s) for s in (1, 2)), lad(600).graph),
+}
+
+
+@pytest.mark.parametrize("name", list(PASS_CORPORA))
+def test_the_dual_tree_pass_matches_ball_growth(name):
+    for g in PASS_CORPORA[name]():
+        assert_pass_matches_ball_growth(g)
+
+
 def test_central_vertex_matches_the_eccentricity_table():
     # central_vertex, the spine's root, is the least (eccentricity,
-    # degree, label) vertex of the eccentricity table. From n = N0 on,
-    # that vertex roots every layered coloring returned.
+    # degree, label) vertex of the eccentricity table, which ball
+    # growth on a plain Graph copy computes. From n = N0 on, that
+    # vertex roots every layered coloring returned.
     mops = [from_canonical(c) for n in range(3, 9) for c in construction_orders(n)]
     mops += [random_mop_graph(n, s) for n in (9, 20, 60, 150, 200, 400) for s in range(5)]
     mops += [fan(50).graph, lad(30).graph]
     for g in mops:
-        s = ecc_diam_rad_center(g)
+        s = ecc_diam_rad_center(Graph(g.n, g.edges))
         least = min(g.vertices(), key=lambda v: (s.ecc[v], g.degree(v), v))
         assert central_vertex(g) == least, g
         assert build_ccs(g).radius == s.radius, g

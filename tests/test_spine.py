@@ -24,6 +24,7 @@ from moprc import (
     triangles,
 )
 import moprc.metrics
+from moprc.metrics import central_vertex
 from moprc.spine import SpineNode, _route, primary_secondary
 
 from conftest import all_simple_paths, construction_orders, is_vertex_pair_cut
@@ -452,21 +453,20 @@ def test_corridor_search_matches_bfs_oracle(name):
     assert hashlib.sha256(routes.encode()).hexdigest()[:16] == FROZEN_ROUTES[name]
 
 
-def test_one_ball_growth_per_spine(monkeypatch):
-    # The root is read off one ball growth that stops at the radius: the
-    # balls of radius 0..rad, and none past it. Long paths grow none.
-    drawn = []
-    grow = moprc.metrics._balls
+def test_no_ball_growth_per_spine(monkeypatch):
+    # The root is read off the linear pass over the MopGraph's dual
+    # tree, and each long path is one breadth-first search, so no
+    # distance ball grows. Ball growth on a plain Graph copy still
+    # picks the same root.
+    graphs = (lad(12).graph, random_mop_graph(60, 3), fan(6).graph, random_mop_graph(400, 1))
+    roots = [central_vertex(Graph(g.n, g.edges)) for g in graphs]
 
-    def counted(g):
-        for ball in grow(g):
-            drawn.append(g)
-            yield ball
+    def refuse(g):
+        raise AssertionError("a distance ball grew")
 
-    monkeypatch.setattr(moprc.metrics, "_balls", counted)
-    for g in (lad(12).graph, random_mop_graph(60, 3), fan(6).graph):
-        drawn.clear()
+    monkeypatch.setattr(moprc.metrics, "_balls", refuse)
+    for g, root in zip(graphs, roots):
         spine = build_ccs(g)
         for node in spine.nodes:
             realize_paths(g, spine, node)
-        assert drawn == [g] * (spine.radius + 1)
+        assert spine.root_vertex == root, g

@@ -32,6 +32,7 @@ from moprc import (
     rainbow_witness,
     random_mop_graph,
 )
+import moprc.metrics
 from moprc import verify
 from moprc.coloring import N0, _layered, _staged
 from moprc.metrics import central_vertex, layers
@@ -513,6 +514,29 @@ def test_totality_then_caps_before_the_hub(monkeypatch):
         is_rainbow_connected(g, EdgeColoring(distinct), max_n=n, max_colors=k - 1)
     with pytest.raises(AssertionError, match="central_vertex ran"):
         is_rainbow_connected(g, EdgeColoring(distinct), max_n=n, max_colors=k)
+
+
+def test_only_a_plain_graph_grows_distance_balls(monkeypatch):
+    # The verifier and the exact search take any graph. A MopGraph's
+    # hub and diameter come from its dual-tree pass, a plain Graph's
+    # from ball growth, and both give the same results.
+    g = random_mop_graph(200, 1)
+    coloring, _ = rainbow_coloring(g)
+    small = random_mop_graph(9, 2)
+    plain, plain_small = Graph(g.n, g.edges), Graph(small.n, small.edges)
+    expect = is_rainbow_connected(plain, coloring)
+    assert expect.ok and expect.pairs_certified == expect.pairs_checked
+    expect_rc = exact_rc(plain_small)
+
+    def refuse(g):
+        raise AssertionError("a distance ball grew")
+
+    monkeypatch.setattr(moprc.metrics, "_balls", refuse)
+    assert is_rainbow_connected(g, coloring) == expect
+    assert exact_rc(small) == expect_rc
+    for call in (lambda: is_rainbow_connected(plain, coloring), lambda: exact_rc(plain_small)):
+        with pytest.raises(AssertionError, match="a distance ball grew"):
+            call()
 
 
 def verdict_matches(g: Graph, colors) -> bool:
