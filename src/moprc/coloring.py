@@ -392,9 +392,10 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
     the root comes from one linear pass over the MopGraph's dual tree,
     with no cut spine, no staged coloring and no check, since the
     census cited at `N0` found no staged coloring there that passes. It
-    is the coloring the staged path falls back to, from the same root. Every other MOP gets the cut spine. Its staged
-    coloring is checked once, exactly, and returned when it passes. The
-    check (`verify._rainbow_verdict`) first tries to refute it with one
+    is the coloring the staged path falls back to, from the same root.
+    Every other MOP gets the cut spine. Its staged coloring is checked
+    once, exactly, and returned when it passes. The check
+    (`verify._rainbow_verdict`) first tries to refute it with one
     rainbow search from the deepest layer below the root; a vertex that
     search cannot reach has no rainbow path to its start, so the
     verdict is always `is_rainbow_connected`'s. When the check fails,

@@ -200,8 +200,9 @@ class MopGraph(Graph):
     vertex gets a fan-ordered neighbor list: neighbors sorted by their
     cyclic position after the vertex on the Hamiltonian cycle. In a MOP
     that ordering is exactly the induced path of the neighborhood,
-    which several algorithms walk directly. The constructor also
-    records the inner faces once, as the dual tree in pre-order over
+    which several algorithms walk directly. After the edge count and
+    the cycle's edges, one walk over the inner faces both checks the
+    triangulation and records it, as the dual tree in pre-order over
     half-edge slots (`_dual_tree`), which `metrics` reads for every
     eccentricity of a MopGraph.
     """
@@ -210,6 +211,8 @@ class MopGraph(Graph):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], ham_cycle: tuple[int, ...]):
         super().__init__(n, edges)
+        if n < 3:
+            raise NotMop(f"a MOP needs n >= 3, got n={n}")
         if self.m != 2 * n - 3:
             raise NotMop(f"a MOP on {n} vertices has {2 * n - 3} edges, got {self.m}")
         pos = {v: i for i, v in enumerate(ham_cycle)}
@@ -227,7 +230,6 @@ class MopGraph(Graph):
             )
         self._fan = fan
         self.edge_kind = {e: "outer" if e in outer else "chord" for e in self.edges}
-        _side_map(self)
         self._dual = _dual_tree(self)
 
     def fan_neighbors(self, v: int) -> tuple[int, ...]:
@@ -242,31 +244,6 @@ class MopGraph(Graph):
         return f"MopGraph(n={self.n}, m={self.m})"
 
 
-def _side_map(g: MopGraph) -> None:
-    """Raise NotMop unless the fans triangulate the Hamiltonian cycle.
-
-    Consecutive fan neighbors a, b of v close the face (v, a, b), and
-    only the face's smallest vertex lists it, so the check costs O(m).
-    Raises NotMop when a listed face is not a triangle, or an edge does
-    not lie in one face (cycle edges) or two (chords): the chords then
-    cross or leave a face of the cycle untriangulated.
-    """
-    faces = dict.fromkeys(g.edges, 0)
-    for v in g.vertices():
-        fan = g.fan_neighbors(v)
-        for a, b in zip(fan, fan[1:]):
-            if v < a and v < b:
-                if not g.has_edge(a, b):
-                    raise NotMop(f"fan neighbors {a} and {b} of vertex {v} are not adjacent")
-                faces[(v, a)] += 1
-                faces[(v, b)] += 1
-                faces[edge(a, b)] += 1
-    for e, k in faces.items():
-        expect = 2 if g.edge_kind[e] == "chord" else 1
-        if k != expect:
-            raise NotMop(f"edge {e} lies in {k} inner faces, expected {expect}")
-
-
 def _dual_tree(g: MopGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """The inner faces of a MOP as its dual tree in pre-order.
 
@@ -279,6 +256,25 @@ def _dual_tree(g: MopGraph) -> tuple[list[int], list[int], list[int], list[int]]
     the arc's children. The root is the arc (ham_cycle[0],
     ham_cycle[-1]), whose side is every vertex but its ends, so the
     tree's inner arcs are the n - 2 faces.
+
+    The walk is also the MOP check. At the face (v, c, u) it finds v at
+    index k of the fan of c and raises NotMop unless u is at k - 1.
+    The constructor has already checked n >= 3, the edge count and the
+    cycle's edges, so this is enough:
+    - c lies strictly between v and u on the cycle, since it comes
+      before u in the fan of v. As the cycle's edges are graph edges,
+      each fan starts at its vertex's successor on the cycle and ends
+      at its predecessor. So c is not the predecessor of v, v is not
+      the first entry of c's fan, and k >= 1.
+    - So each face that passes has three graph edges and splits the
+      arc's side into the two strictly smaller sides of (v, c) and
+      (c, u). The walk ends, and its faces tile the polygon.
+    - A triangulation of the n-gon has n - 3 chords. With the n cycle
+      edges they make 2n - 3 graph edges, which is all of them, so
+      the graph is that triangulation.
+    Conversely, in a MOP the walk's faces are its inner faces, and two
+    vertices of a face are consecutive in the fan of the third, so
+    every MOP passes.
 
     Returns off (with off[n + 1] the slot count) and three lists with
     one entry per face, in pre-order: the arc's slot, the slot of
@@ -300,12 +296,18 @@ def _dual_tree(g: MopGraph) -> tuple[list[int], list[int], list[int], list[int]]
     while stack:
         v, i, back = stack.pop()
         if i:
-            c = fan[v][i - 1]
-            j = off[c] + fan[c].index(v) - 1
+            c, u = fan[v][i - 1], fan[v][i]
+            k = fan[c].index(v)
+            if fan[c][k - 1] != u:
+                raise NotMop(
+                    f"fan neighbors {c} and {u} of vertex {v} close no inner face: "
+                    f"{u} does not precede {v} in the fan of {c}"
+                )
+            j = off[c] + k - 1
             arcs.append(off[v] + i)
             kids.append(j)
             backs.append(back)
-            stack.append((c, j - off[c], back + 1))
+            stack.append((c, k - 1, back + 1))
             stack.append((v, i - 1, j + 1))
     return off, arcs, kids, backs
 

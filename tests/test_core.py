@@ -336,14 +336,54 @@ def test_mop_from_edges_agrees_with_validate_mop():
 
 def test_mop_graph_rejects_what_is_not_a_mop():
     ring = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
-    with pytest.raises(NotMop, match="not adjacent"):
+    with pytest.raises(NotMop, match="close no inner face"):
         MopGraph(5, ring + [(1, 3), (2, 4)], (1, 2, 3, 4, 5))
+    with pytest.raises(NotMop, match="n >= 3"):
+        MopGraph(2, [(1, 2)], (1, 2))
     triangle = [(1, 2), (1, 3), (2, 3)]
     with pytest.raises(NotMop, match="each of 1..n once"):
         MopGraph(3, triangle, (1, 2, 3, 1))
     g = lad(3).graph
     with pytest.raises(NotMop, match="each of 1..n once"):
         MopGraph(g.n, g.edges, g.ham_cycle + g.ham_cycle[:1])
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["identity", "relabelled"])
+def test_mop_graph_agrees_with_validate_mop_on_every_chord_set(relabel):
+    # Every set of n - 3 chords of an n-cycle, n = 3..8: 16,602 in all.
+    # The constructor accepts the Catalan(n - 2) triangulations and
+    # nothing else. Each refusal names a face (v, c, u) of the walk that
+    # fails: u is not adjacent to c, or not just before v in c's fan.
+    # Some name a triangle that is no face, so c and u are adjacent.
+    face = re.compile(r"fan neighbors (\d+) and (\d+) of vertex (\d+) close no inner face")
+    count, accepted, triangles_named = 0, [], []
+    for n in range(3, 9):
+        cycle = tuple(random.Random(n).sample(range(1, n + 1), n)) if relabel else tuple(range(1, n + 1))
+        pos = {v: i for i, v in enumerate(cycle)}
+        ring = [(cycle[i - 1], cycle[i]) for i in range(n)]
+        chords = [(cycle[i], cycle[j]) for i, j in itertools.combinations(range(n), 2) if 1 < j - i < n - 1]
+        mops = named = 0
+        for cs in itertools.combinations(chords, n - 3):
+            count += 1
+            plain = Graph(n, ring + list(cs))
+            ok = validate_mop(plain).ok
+            try:
+                g = MopGraph(n, plain.edges, cycle)
+            except NotMop as e:
+                assert not ok, cs
+                c, u, v = map(int, face.match(str(e)).groups())
+                fan_of = {w: sorted(plain.neighbors(w), key=lambda x: (pos[x] - pos[w]) % n) for w in (v, c)}
+                assert fan_of[v].index(u) == fan_of[v].index(c) + 1, (cs, str(e))
+                assert u not in fan_of[c] or fan_of[c].index(v) != fan_of[c].index(u) + 1, (cs, str(e))
+                named += u in fan_of[c]
+            else:
+                assert ok and g.edges == plain.edges, cs
+                mops += 1
+        accepted.append(mops)
+        triangles_named.append(named)
+    assert count == 16602
+    assert accepted == [1, 2, 5, 14, 42, 132]
+    assert triangles_named == [0, 0, 0, 5, 79, 1130]
 
 
 def test_fan_neighbors_walk_the_neighborhood_path():

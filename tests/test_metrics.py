@@ -156,16 +156,15 @@ def test_linear_eccentricities_fixed_values():
 
 
 def test_the_constructor_alone_builds_the_face_index(monkeypatch):
-    # The face check and the dual tree run once per MopGraph, in its
-    # constructor; every eccentricity question reads the tree.
+    # The dual tree, which is also the face check, is walked once per
+    # MopGraph, in its constructor; every eccentricity question reads it.
     from moprc import core
 
     calls = []
-    for name in ("_side_map", "_dual_tree"):
-        real = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda g, real=real: calls.append(g) or real(g))
+    real = core._dual_tree
+    monkeypatch.setattr(core, "_dual_tree", lambda g: calls.append(g) or real(g))
     graphs = [random_mop_graph(30, 4), lad(6).graph, fan(9).graph]
-    assert [sum(c is g for c in calls) for g in graphs] == [2, 2, 2]
+    assert [sum(c is g for c in calls) for g in graphs] == [1, 1, 1]
     built = len(calls)
     for g in graphs:
         ecc = bfs_ecc(g)
