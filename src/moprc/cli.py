@@ -26,7 +26,7 @@ from .core import EdgeColoring, from_canonical, to_canonical
 from .errors import MoprcError, ScaleLimit
 from .files import parse_coloring, parse_mop, spine_to_dot, to_dot, write_coloring, write_mop
 from .generators import fan, lad, lad_plus, random_mop
-from .metrics import central_vertex, ecc_diam_rad_center, layers
+from .metrics import _least_degree, ecc_diam_rad_center, layers
 from .spine import build_ccs
 from .verify import exact_rc, exact_src, is_rainbow_connected, is_strong_rainbow_connected
 
@@ -85,7 +85,7 @@ def _cmd_gen(args) -> int:
 def _cmd_info(args) -> int:
     g = _load_graph(args.mop)
     summary = ecc_diam_rad_center(g)
-    lay = layers(g, central_vertex(g))
+    lay = layers(g, _least_degree(g, summary.center))
     print(f"n: {g.n}")
     print(f"edges: {g.m}")
     print(f"diam: {summary.diameter}")

@@ -120,15 +120,20 @@ def central_vertex(g: Graph) -> int:
     if isinstance(g, MopGraph):
         ecc = _mop_eccentricities(g)
         radius = min(ecc[1:])
-        # Scanned in label order, so min keeps the least label on ties.
-        return min((v for v in g.vertices() if ecc[v] == radius), key=g.degree)
+        return _least_degree(g, [v for v in g.vertices() if ecc[v] == radius])
     full = (1 << g.n + 1) - 2  # bits 1..n: the whole graph
     center = []
     for ball in _balls(g):
         if full in ball:
             center = [v for v in g.vertices() if ball[v] == full]
             break
-    return min(center or g.vertices(), key=lambda v: (g.degree(v), v))
+    return _least_degree(g, center or g.vertices())
+
+
+def _least_degree(g: Graph, vertices) -> int:
+    """The vertex of least (degree, label) among vertices: `central_vertex`
+    given the center, as in `EccentricitySummary.center`."""
+    return min(vertices, key=lambda v: (g.degree(v), v))
 
 
 def layers(g: Graph, sources: tuple[int, ...] | int) -> tuple[tuple[int, ...], ...]:

@@ -535,8 +535,11 @@ class ExactResult:
     impossible, by the diameter lower bound together with the exhausted
     sizes listed in ruled_out (the sizes the search actually tried and
     refuted). nodes: the search-tree nodes visited for each palette size
-    tried, in the order ruled_out + (value,). seconds: the wall time of
-    each of those sizes, in the same order; it takes no part in equality.
+    tried, in the order ruled_out + (value,); backjumping skips the
+    subtrees a failure's conflict shows hold no valid leaf, so a node
+    count depends on the jumps as well as on the prunes. seconds: the
+    wall time of each of those sizes, in the same order; it takes no
+    part in equality.
     """
 
     value: int
@@ -556,9 +559,14 @@ def _check_deadline(deadline) -> None:
 
 
 def _search_k(
-    g: Graph, edges_sorted, k: int, strong: bool, deadline
+    edges_sorted, steps, far, pairs, k: int, deadline
 ) -> tuple[EdgeColoring | None, int]:
     """Find any valid k-coloring, or prove there is none.
+
+    edges_sorted, steps (per source vertex, the (neighbor, edge index)
+    steps its walks may take), far (`_levels` per vertex) and pairs are
+    built once per graph by `_exact`; only the walks and regions below
+    depend on k.
 
     DFS in lexicographic edge order with the restricted-growth rule:
     color i may be used only if some earlier edge used color i-1, which
@@ -588,20 +596,46 @@ def _search_k(
     region is built at its first failure. The memo answers only
     searches that would fail, so every node is pruned as before, at
     the same pair, and every found walk is the same.
+
+    Conflict-directed backjumping (Prosser 1993): a node at edge i
+    that finds no valid leaf returns a conflict, a bitmask over edges
+    < i, such that no k-coloring at all (restricted-growth or not) that
+    agrees with the current one on the conflict's edges is valid. The
+    rules:
+
+    - color c of i fails the forward check at pair p: its explanation
+      is i with p's region restricted to edges < i. The relaxation
+      reads only region edges, edges > i are wildcards, and assigning a
+      wildcard never makes a failed relaxation pass, so no coloring
+      that agrees on these edges and gives i color c is valid;
+    - a child returns a conflict without i: it holds whatever color i
+      takes, so the node returns it at once and skips i's other colors.
+      Each ancestor whose edge it lacks does the same, so the search
+      resumes at the deepest edge in it;
+    - else, after every color of i fails, the node returns the union of
+      the colors' explanations and the children's conflicts, minus i.
+      A valid coloring that agrees on the union and gives i a tried
+      color agrees with that color's explanation or conflict.
+
+    The restricted-growth rule may cut i's domain short, to the colors
+    1..t with t = max_used + 1 < k, and the conflict needs no edge for
+    that. A valid coloring that agrees on the union and gives i an
+    untried color c > t stays valid when colors c and t swap. The
+    current coloring uses no color above t - 1 on edges < i, so the
+    swap leaves the union's edges as they are and gives i the tried
+    color t, which is ruled out as above.
+
+    No subtree the conflicts skip holds a valid leaf, since each of its
+    leaves agrees with the current coloring on the conflict. Pruning
+    depends only on the partial coloring, not on the stored walks, so
+    the first valid leaf in DFS order, and the certificate, are those
+    of the chronological search, and the nodes visited are a subset of
+    its nodes.
     Returns the coloring (or None) and the number of DFS nodes.
     """
     _check_deadline(deadline)
     m = len(edges_sorted)
-    # The steps a walk from each source may take: every edge, or for the
-    # strong check only the shortest-path steps.
-    adj_idx = _steps(g, edges_sorted, range(m))
-    steps = [adj_idx] * (g.n + 1)
-    if strong:
-        for u in g.vertices():
-            steps[u] = _shortest_steps(g, adj_idx, u)
-    far = [[]] + [_levels(g, v) for v in g.vertices()]
     bits = [0] * m
-    pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
     # All edges are wildcards, and k is at least the diameter, so every
     # pair has a walk.
     walks = [_rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
@@ -613,21 +647,24 @@ def _search_k(
             users[ei].add(p)
     width = k.bit_length()
     state = 0
-    # Per pair, its region's fields (0 until its first failure) and the
-    # region keys of its failed searches.
+    # Per pair, its region's fields and edge mask (0 until its first
+    # failure) and the region keys of its failed searches.
     regions = [0] * len(pairs)
+    region_edges = [0] * len(pairs)
     failed: list[set[int]] = [set() for _ in pairs]
     ticks = 0
 
-    def region(u: int, v: int) -> int:
-        """The fields of state that a search for (u, v) can read."""
+    def region(u: int, v: int) -> tuple[int, int]:
+        """The fields of state and the edge mask that a search for
+        (u, v) can read."""
         du, dv = far[u], far[v]
         full = (1 << width) - 1
-        fields = 0
+        fields = edges = 0
         for i, (a, b) in enumerate(edges_sorted):
             if min(du[a] + dv[b], du[b] + dv[a]) < k:
                 fields |= full << i * width
-        return fields
+                edges |= 1 << i
+        return fields, edges
 
     def rainbow(walk: list[int]) -> bool:
         """Whether the walk's assigned colors are pairwise distinct."""
@@ -639,7 +676,9 @@ def _search_k(
             mask |= b
         return True
 
-    def consistent(idx: int) -> bool:
+    def conflict(idx: int) -> int | None:
+        """None when every pair keeps a walk, else idx and the region
+        edges < idx of a pair that has none."""
         for p in list(users[idx]):
             walk = walks[p]
             if rainbow(walk):
@@ -653,35 +692,46 @@ def _search_k(
                 )
                 if found is None:
                     if not fails:
-                        regions[p] = region(u, v)
+                        regions[p], region_edges[p] = region(u, v)
                     fails.add(state & regions[p])
-                    return False
+                    here = 1 << idx
+                    return region_edges[p] & (here - 1) | here
             for ei in walk:
                 users[ei].discard(p)
             for ei in found:
                 users[ei].add(p)
             walks[p] = found
             spares[p] = walk
-        return True
+        return None
 
-    def dfs(idx: int, max_used: int) -> bool:
+    def dfs(idx: int, max_used: int) -> int | None:
+        """None at a valid leaf (the coloring stays in bits), else the
+        conflict of this node."""
         nonlocal ticks, state
         ticks += 1
         if ticks % 256 == 0:
             _check_deadline(deadline)
         if idx == m:
-            return True
+            return None
         shift = idx * width
+        here = 1 << idx
+        union = 0
         for c in range(1, min(max_used + 1, k) + 1):
             bits[idx] = 1 << c
             state ^= c << shift
-            if consistent(idx) and dfs(idx + 1, max(max_used, c)):
-                return True
+            failure = conflict(idx)
+            if failure is None:
+                failure = dfs(idx + 1, max(max_used, c))
+                if failure is None:
+                    return None
             bits[idx] = 0
             state ^= c << shift
-        return False
+            if not failure & here:
+                return failure
+            union |= failure
+        return union & ~here
 
-    if dfs(0, 0):
+    if dfs(0, 0) is None:
         colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges_sorted)}
         return EdgeColoring(colors), ticks
     return None, ticks
@@ -696,12 +746,22 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
         )
     summary = ecc_diam_rad_center(g)  # also proves connectivity
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
+    edges_sorted = sorted(g.edges)
+    # The steps a walk from each source may take: every edge, or for the
+    # strong check only the shortest-path steps.
+    adj_idx = _steps(g, edges_sorted, range(g.m))
+    steps = [adj_idx] * (g.n + 1)
+    if strong:
+        for u in g.vertices():
+            steps[u] = _shortest_steps(g, adj_idx, u)
+    far = [[]] + [_levels(g, v) for v in g.vertices()]
+    pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
     ruled: list[int] = []
     nodes: list[int] = []
     seconds: list[float] = []
     for k in range(summary.diameter, g.m + 1):
         t0 = time.perf_counter()
-        cert, visited = _search_k(g, sorted(g.edges), k, strong, deadline)
+        cert, visited = _search_k(edges_sorted, steps, far, pairs, k, deadline)
         seconds.append(time.perf_counter() - t0)
         nodes.append(visited)
         if cert is not None:

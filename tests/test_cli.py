@@ -57,12 +57,14 @@ def test_info_reports_metrics(workdir, capsys):
 def test_info_grows_no_balls_and_roots_layers_at_the_central_vertex(
     n, workdir, capsys, monkeypatch
 ):
-    # info reads its table off the MopGraph's dual-tree pass, and its
-    # layers from the vertex central_vertex picks, which ball growth on
-    # a plain Graph copy confirms.
+    # info reads its table off one run of the MopGraph's dual-tree pass,
+    # and its layers from the vertex central_vertex picks, which ball
+    # growth on a plain Graph copy confirms.
     def refuse(g):
         raise AssertionError("a distance ball grew")
 
+    passes = []
+    dual_tree_pass = moprc.metrics._mop_eccentricities
     for seed in range(3):
         assert main(["gen", "random", str(n), "--seed", str(seed), "--out", "g"]) == 0
         g = from_canonical(parse_mop(Path("g.mop").read_text()))
@@ -70,7 +72,13 @@ def test_info_grows_no_balls_and_roots_layers_at_the_central_vertex(
         capsys.readouterr()
         with monkeypatch.context() as m:
             m.setattr(moprc.metrics, "_balls", refuse)
+            m.setattr(
+                moprc.metrics,
+                "_mop_eccentricities",
+                lambda g: passes.append(g) or dual_tree_pass(g),
+            )
             assert main(["info", "g.mop"]) == 0
+        assert len(passes) == seed + 1
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("layers: "))
         printed = tuple(tuple(map(int, band.split())) for band in line[8:].split(" | "))
         assert printed == layers(g, root), seed

@@ -744,25 +744,25 @@ def test_exact_result_certificate_and_bounds():
 
 # exact_rc / exact_src outputs: the sha256 of repr((value, ruled_out,
 # sorted certificate)) and the search-tree nodes per palette size tried.
-# Any sound pruning keeps the first valid leaf in DFS order, so a changed
-# digest means a changed DFS order or an unsound prune; a changed node
-# count means a changed prune decision.
+# Any sound pruning or backjumping keeps the first valid leaf in DFS
+# order, so a changed digest means a changed DFS order or an unsound
+# skip; a changed node count means a changed prune or jump decision.
 FROZEN_EXACT = [
     pytest.param(exact_rc, Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)]),
                  "f2d2340715924320acf1030a5ca90c32ab4e15b00c15531523361814284803b6",
                  (3, 4, 5), id="rc-star5"),
     pytest.param(exact_rc, fan(8).graph,
                  "d8326c59e2f77ff168b809af094e75f9f790ccc880b9d5a917a87b701767d9d0",
-                 (356, 16), id="rc-fan8"),
+                 (80, 16), id="rc-fan8"),
     pytest.param(exact_rc, fan(10).graph,
                  "ad5e67dcf3d1d7f50dc7329a851117790246c50e091f9ddb49b2198511fdbd01",
-                 (356, 20), id="rc-fan10"),
+                 (80, 20), id="rc-fan10"),
     pytest.param(exact_rc, random_mop_graph(9, 1),
                  "0d18abcf56411b29465d050d5ed05011c8c607c79deae4a24865d305b6f15bb9",
                  (16,), id="rc-random9_1"),
     pytest.param(exact_rc, random_mop_graph(9, 2),
                  "ddc9dcba65c4132018b5af3d2246fb8d2cc535a1645207d1ec26e1a561dd754e",
-                 (47,), id="rc-random9_2"),
+                 (35,), id="rc-random9_2"),
     pytest.param(exact_rc, random_mop_graph(10, 1),
                  "8bcaf3f35f32d9a17584a96db23986fc2ed3cfa071d8f39e952a49ac541c3477",
                  (18,), id="rc-random10_1"),
@@ -771,13 +771,13 @@ FROZEN_EXACT = [
                  (22,), id="rc-random10_2"),
     pytest.param(exact_rc, random_mop_graph(11, 1),
                  "5980abd61f0bcfdd710a89f2bff0f24a17b6f6d1755084ed2994e2655ed75cf1",
-                 (1303,), id="rc-random11_1"),
+                 (315,), id="rc-random11_1"),
     pytest.param(exact_rc, random_mop_graph(11, 2),
                  "d8c13c9b168872f011045a4c794dd1c43156bf3eac18bdddeb1a6f3338b86801",
                  (38,), id="rc-random11_2"),
     pytest.param(exact_src, fan(8).graph,
                  "18a43c15f24ec68444bea4e15679a6805aa49fd588c52b5f0a435391ea4c8bd1",
-                 (356, 129), id="src-fan8"),
+                 (80, 129), id="src-fan8"),
     pytest.param(exact_src, lad(4).graph,
                  "25a62fff444437157583cabaa0aac62dafd5ebacf880b23a3dae671aba4becaf",
                  (14,), id="src-lad4"),
@@ -943,9 +943,11 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
     # Every walk search the exact search makes returns what the unpruned
     # kernel returns; the distance pruning tries fewer than half of its
     # steps. Re-searching each broken walk from scratch made 14,847
-    # searches; trying the pair's spare walk first left 9,940, and
-    # remembering each pair's failed searches leaves 3,857: the 91
-    # initial walks and 3,766 in the search.
+    # searches; trying the pair's spare walk first left 9,940,
+    # remembering each pair's failed searches left 3,857 over 2,147
+    # nodes, and backjumping over the edges a failure never read leaves
+    # 3,841 over 2,061 nodes: the 91 initial walks and 3,750 in the
+    # search.
     kernel = verify._rainbow_walk
     calls = pruned_reads = plain_reads = 0
 
@@ -961,9 +963,9 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
 
     monkeypatch.setattr(verify, "_rainbow_walk", counted)
     res = exact_rc(random_mop_graph(14, 1))
-    assert res.nodes == (2147,)
-    assert calls == 3857 < 9940
-    assert (pruned_reads, plain_reads) == (103760, 234071)
+    assert res.nodes == (2061,)
+    assert calls == 3841 < 9940
+    assert (pruned_reads, plain_reads) == (103260, 233189)
 
 
 @pytest.mark.parametrize(
@@ -995,6 +997,129 @@ def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
         verify, "_search_unless_failed", lambda failed, key, *args: helper(set(), key, *args)
     )
     assert solver(g) == res  # value, ruled_out, certificate and nodes
+
+
+def chronological_search_k(edges_sorted, steps, far, pairs, k, deadline):
+    """`verify._search_k` without backjumping, for comparison: on each
+    failure the DFS tries the next color of the deepest edge it has
+    colored (chronological backtracking). Forward checking, the spares
+    and the memo are the same."""
+    m = len(edges_sorted)
+    bits = [0] * m
+    walks = [verify._rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
+    spares = [None] * len(pairs)
+    users = [set() for _ in range(m)]
+    for p, walk in enumerate(walks):
+        for ei in walk:
+            users[ei].add(p)
+    width = k.bit_length()
+    state = 0
+    regions = [0] * len(pairs)
+    failed = [set() for _ in pairs]
+    ticks = 0
+
+    def region(u, v):
+        du, dv = far[u], far[v]
+        full = (1 << width) - 1
+        fields = 0
+        for i, (a, b) in enumerate(edges_sorted):
+            if min(du[a] + dv[b], du[b] + dv[a]) < k:
+                fields |= full << i * width
+        return fields
+
+    def rainbow(walk):
+        mask = 0
+        for ei in walk:
+            b = bits[ei]
+            if mask & b:
+                return False
+            mask |= b
+        return True
+
+    def consistent(idx):
+        for p in list(users[idx]):
+            walk = walks[p]
+            if rainbow(walk):
+                continue
+            found = spares[p]
+            if found is None or not rainbow(found):
+                u, v = pairs[p]
+                fails = failed[p]
+                found = verify._search_unless_failed(
+                    fails, state & regions[p], steps[u], bits, u, v, k, far[v]
+                )
+                if found is None:
+                    if not fails:
+                        regions[p] = region(u, v)
+                    fails.add(state & regions[p])
+                    return False
+            for ei in walk:
+                users[ei].discard(p)
+            for ei in found:
+                users[ei].add(p)
+            walks[p] = found
+            spares[p] = walk
+        return True
+
+    def dfs(idx, max_used):
+        nonlocal ticks, state
+        ticks += 1
+        if idx == m:
+            return True
+        shift = idx * width
+        for c in range(1, min(max_used + 1, k) + 1):
+            bits[idx] = 1 << c
+            state ^= c << shift
+            if consistent(idx) and dfs(idx + 1, max(max_used, c)):
+                return True
+            bits[idx] = 0
+            state ^= c << shift
+        return False
+
+    if dfs(0, 0):
+        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges_sorted)}
+        return EdgeColoring(colors), ticks
+    return None, ticks
+
+
+def backjump_cases():
+    """The graphs the backjumping search is checked on, with their n."""
+    for n in range(4, 9):
+        for c in construction_orders(n):
+            yield f"order{n}", from_canonical(c)
+    for d in range(3, 11):
+        yield f"fan{d}", fan(d).graph
+    for d in range(2, 6):
+        yield f"lad{d}", lad(d).graph
+    yield "star5", Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
+    yield "C5", cycle(5)
+    yield "C6", cycle(6)
+    # Each refutes a palette of 2 colors.
+    yield "random10_161", random_mop_graph(10, 161)
+    yield "random10_262", random_mop_graph(10, 262)
+
+
+@pytest.mark.parametrize(
+    "solver, max_n", [(exact_rc, 10), (exact_src, 9)], ids=["rc", "src"]
+)
+def test_backjumping_matches_the_chronological_search(monkeypatch, solver, max_n):
+    # Backjumping skips only subtrees without a valid leaf, so value,
+    # ruled_out and certificate equal the chronological search's, and
+    # it visits no more nodes at any palette size.
+    fewer = 0
+    for name, g in backjump_cases():
+        if g.n > max_n:
+            continue
+        res = solver(g)
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "_search_k", chronological_search_k)
+            ref = solver(g)
+        assert (res.value, res.ruled_out, res.certificate) == (
+            ref.value, ref.ruled_out, ref.certificate
+        ), name
+        assert all(a <= b for a, b in zip(res.nodes, ref.nodes, strict=True)), name
+        fewer += res.nodes != ref.nodes
+    assert fewer > 0
 
 
 @pytest.mark.parametrize("strong", [False, True])
