@@ -48,10 +48,11 @@ That argument is not a proof for every MOP. `_staged` builds the
 staged coloring, or returns None when some spine node has no long path
 or its long path finds no free reserve color; `rainbow_coloring` is the
 one place that falls back. It checks a staged coloring once, by
-`verify._rainbow_verdict`, and otherwise returns `_layered`'s coloring
-of the root's BFS layers, which spends three colors per layer and is
-rainbow connected by construction from any root (see its docstring);
-the cut spine serves the staged coloring only. The verdict is exactly
+`verify._rainbow_verdict(g, coloring, spine.layers)`, which reads its
+hub and levels off the spine's BFS layers and so runs no BFS, and
+otherwise returns `_layered`'s coloring of the same layers, which
+spends three colors per layer and is rainbow connected by construction
+from any root (see its docstring). The verdict is exactly
 `is_rainbow_connected`'s: after the layer certificate, one exhaustive
 rainbow search from a vertex of the deepest BFS layer below the root
 rejects the coloring as soon as it leaves some vertex unreached, since
@@ -418,7 +419,7 @@ def rainbow_coloring(g: MopGraph) -> tuple[EdgeColoring, ColoringStats]:
         spine = build_ccs(g)
         lay = spine.layers
         coloring = _staged(g, spine)
-        if coloring is not None and _rainbow_verdict(g, coloring, 3 * spine.radius, spine.root_vertex):
+        if coloring is not None and _rainbow_verdict(g, coloring, lay):
             return coloring, ColoringStats(spine.radius, len(coloring.used), True)
     coloring = _layered(g, lay)
     return coloring, ColoringStats(len(lay) - 1, len(coloring.used), False)

@@ -183,10 +183,8 @@ def from_canonical(c: CanonicalMop) -> "MopGraph":
 
 
 def _normalize_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate to start at vertex 1, orient toward its smaller neighbor."""
-    i = cycle.index(1)
-    cycle = cycle[i:] + cycle[:i]
-    if len(cycle) > 2 and cycle[1] > cycle[-1]:
+    """Orient a cycle that starts at vertex 1 toward its smaller neighbor."""
+    if cycle[1] > cycle[-1]:
         cycle = (1,) + tuple(reversed(cycle[1:]))
     return cycle
 

@@ -43,12 +43,19 @@ def _split_ints(line: str, lineno: int, expect: int) -> list[int]:
     return out
 
 
-def parse_mop(text: str) -> CanonicalMop:
+def _lines(text: str) -> list[str]:
+    """The LF-separated lines of a file, the final empty one dropped;
+    FormatError on empty input."""
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise FormatError("empty input", 1)
+    return lines
+
+
+def parse_mop(text: str) -> CanonicalMop:
+    lines = _lines(text)
     header = lines[0].split(" ")
     if len(header) != 2 or header[0] != "MOP" or not _is_digits(header[1]):
         raise FormatError("header must be 'MOP <n>'", 1)
@@ -86,11 +93,7 @@ def parse_coloring(text: str) -> tuple[int, EdgeColoring]:
     Cross-validates the header's color count against the rows and
     requires rows in lexicographic order with u < v.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty input", 1)
+    lines = _lines(text)
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != "COLORING":
         raise FormatError("header must be 'COLORING <n> <colors_used>'", 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from ._rng import SplitMix64
-from .core import CanonicalMop, EdgeColoring, MopGraph, edge, from_canonical, mop_from_edges
+from .core import CanonicalMop, EdgeColoring, MopGraph, edge, from_canonical
 from .errors import DomainError
 
 
@@ -87,7 +87,7 @@ def fan(n: int) -> FamilyInstance:
     hub = n + 1
     edges = [(i, i + 1) for i in range(1, n)]
     edges += [(i, hub) for i in range(1, hub)]
-    g = mop_from_edges(hub, edges)
+    g = MopGraph(hub, edges, tuple(range(1, hub + 1)))
     rc = 1 if n == 2 else (2 if n <= 6 else 3)
     return FamilyInstance(
         g, EdgeColoring(fan_coloring(tuple(range(1, hub)), hub)), "fan", rc, None

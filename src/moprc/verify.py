@@ -29,9 +29,12 @@ Only when it fails are the sorted edges and the per-vertex step tables
 of the searches built. Then a single search out of the hub proves most
 pairs (the hub certificate); only the pairs it leaves open go to the
 exhaustive per-source search, which alone decides the verdict. The
-coloring's check adds one exhaustive search between the layer
+coloring's check, `_rainbow_verdict(g, coloring, layers)`, reads its
+hub and levels off the BFS layers the cut spine already holds, so it
+runs no BFS, and adds one exhaustive search between the layer
 certificate and the hub: a vertex it cannot reach refutes the coloring
-at once, and the verdict stays the same.
+at once, and the verdict stays the same. The exact search reads the
+diameter off the per-vertex BFS table it builds anyway.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .core import EdgeColoring, Graph, breadth_first, edge
 from .errors import DomainError, NotACut, ScaleLimit
-from .metrics import central_vertex, ecc_diam_rad_center
+from .metrics import central_vertex
 
 _DEFAULT_MAX_N = 200
 _DEFAULT_MAX_COLORS = 32
@@ -96,14 +99,14 @@ def _levels(g: Graph, s: int) -> list[int]:
     return breadth_first(g.neighbors, g.n, (s,))[0]
 
 
-def _shortest_steps(g: Graph, steps, u: int) -> list[tuple[tuple[int, int], ...]]:
-    """The steps that lead one BFS level further from u.
+def _shortest_steps(g: Graph, steps, level: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The steps that lead one BFS level further from u, given
+    level = `_levels(g, u)`.
 
     Rows may hold any steps whose first entry is the neighbor. A walk
     from u over the kept steps is a shortest path. Vertices u cannot
     reach keep no steps.
     """
-    level = _levels(g, u)
     return [()] + [
         tuple(st for st in steps[x] if level[st[0]] == level[x] + 1) for x in g.vertices()
     ]
@@ -456,33 +459,39 @@ def _searched(g: Graph, adj, k: int, hub: int) -> VerifyResult:
     return VerifyResult(True, None, pairs, certified)
 
 
-def _rainbow_verdict(g: Graph, coloring: EdgeColoring, max_colors: int, hub: int) -> bool:
-    """`is_rainbow_connected(g, coloring, max_n=g.n, max_colors=max_colors).ok`,
-    with one refutation search before phases 1 and 2.
+def _rainbow_verdict(g: Graph, coloring: EdgeColoring, layers) -> bool:
+    """`is_rainbow_connected(g, coloring, max_n=g.n, max_colors=k).ok` for
+    the coloring's own color count k, with one refutation search before
+    phases 1 and 2.
 
-    hub is the vertex `central_vertex` picks, as the cut spine's root
-    vertex is. After the layer certificate fails, one exhaustive search
-    runs from the probe, the least-label vertex of the deepest BFS layer
-    from the hub: `_masks` with no cap, stopping once every vertex holds
-    a mask. A vertex left with no mask has no rainbow walk from the
-    probe, of any length up to min(n - 1, k), so no rainbow path, and
-    `is_rainbow_connected` rejects the coloring too. When every vertex
-    holds one, phases 1 and 2 decide as they do there. So the verdict
-    is the same either way; a refuted coloring costs one search. How
+    layers are the BFS layers of a connected g from one hub vertex, as
+    `metrics.layers` returns them; `rainbow_coloring` passes the cut
+    spine's. The hub is layers[0][0] and the levels are read off the
+    layers, so the check runs no BFS. After the layer certificate fails,
+    one exhaustive search runs from the probe layers[-1][0], the
+    least-label vertex of the deepest layer: `_masks` with no cap,
+    stopping once every vertex holds a mask. A vertex left with no mask
+    has no rainbow walk from the probe, of any length up to
+    min(n - 1, k), so no rainbow path, and `is_rainbow_connected`
+    rejects the coloring too. When every vertex holds one, phases 1 and
+    2 decide as they do there. So the verdict is the same either way,
+    from any hub; a refuted coloring costs one search. How
     many staged colorings it refutes is pinned, not tallied here:
     `(3576, 3329, 72)` in `test_verdict_matches_the_checker_on_staged_colorings`
     (colorings checked, passed, refuted by the probe alone).
     """
-    bit = _prepare(g, coloring, g.n, max_colors)
-    level = _levels(g, hub)
+    bit = _prepare(g, coloring, g.n, len(coloring.used))
+    level = [sys.maxsize] * (g.n + 1)
+    for d, layer in enumerate(layers):
+        for v in layer:
+            level[v] = d
     if _layer_certificate(coloring.colors, bit, level):
         return True
     adj, k = _steps(g, *_edge_bits(g, coloring, bit)), len(bit)
-    probe = level.index(max(level[1:]), 1)
-    reach = _masks(adj, probe, min(g.n - 1, k), targets=g.vertices())
+    reach = _masks(adj, layers[-1][0], min(g.n - 1, k), targets=g.vertices())
     if not all(reach[1:]):
         return False
-    return _searched(g, adj, k, hub).ok
+    return _searched(g, adj, k, layers[0][0]).ok
 
 
 def is_strong_rainbow_connected(
@@ -498,7 +507,7 @@ def is_strong_rainbow_connected(
     for u in range(1, g.n):
         targets = range(u + 1, g.n + 1)
         pairs += g.n - u
-        best = _masks(_shortest_steps(g, adj, u), u, g.n - 1, targets=targets)
+        best = _masks(_shortest_steps(g, adj, _levels(g, u)), u, g.n - 1, targets=targets)
         missed = [v for v in targets if not best[v]]
         if missed:
             return VerifyResult(False, (u, missed[0]), pairs)
@@ -522,7 +531,7 @@ def rainbow_witness(
     edges, bits = _edge_bits(g, coloring, bit)
     steps = _steps(g, edges, range(len(edges)))
     if strong:
-        steps = _shortest_steps(g, steps, u)
+        steps = _shortest_steps(g, steps, _levels(g, u))
     walk = _rainbow_walk(steps, bits, u, v, min(g.n - 1, len(bit)), _levels(g, v))
     return None if walk is None else _walk_path(edges, walk, u)
 
@@ -744,7 +753,10 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
         raise ScaleLimit(
             f"exact search capped at n<={max_n}, m<={max_edges}; got n={g.n}, m={g.m}"
         )
-    summary = ecc_diam_rad_center(g)  # also proves connectivity
+    far = [[]] + [_levels(g, v) for v in g.vertices()]
+    diameter = max(max(row[1:]) for row in far[1:])
+    if diameter == sys.maxsize:
+        raise DomainError("graph is not connected")
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
     edges_sorted = sorted(g.edges)
     # The steps a walk from each source may take: every edge, or for the
@@ -753,13 +765,12 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
     steps = [adj_idx] * (g.n + 1)
     if strong:
         for u in g.vertices():
-            steps[u] = _shortest_steps(g, adj_idx, u)
-    far = [[]] + [_levels(g, v) for v in g.vertices()]
+            steps[u] = _shortest_steps(g, adj_idx, far[u])
     pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
     ruled: list[int] = []
     nodes: list[int] = []
     seconds: list[float] = []
-    for k in range(summary.diameter, g.m + 1):
+    for k in range(diameter, g.m + 1):
         t0 = time.perf_counter()
         cert, visited = _search_k(edges_sorted, steps, far, pairs, k, deadline)
         seconds.append(time.perf_counter() - t0)

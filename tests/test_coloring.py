@@ -496,12 +496,13 @@ def test_one_check_then_staged_or_layered(name, monkeypatch):
     check = moprc.coloring._rainbow_verdict
     verdicts = []
 
-    def recording(g_, coloring, max_colors, hub):
-        # The spine's root is the hub the public checker would pick, and
-        # the verdict is the public checker's.
-        assert hub == spine.root_vertex == central_vertex(g)
-        ok = check(g_, coloring, max_colors, hub)
-        assert ok == is_rainbow_connected(g, coloring, max_n=g.n, max_colors=max_colors).ok
+    def recording(g_, coloring, lay):
+        # The check reads the spine's layers, rooted at the hub the
+        # public checker would pick, and the verdict is the public
+        # checker's.
+        assert lay == spine.layers and lay[0] == (central_vertex(g),)
+        ok = check(g_, coloring, lay)
+        assert ok == is_rainbow_connected(g, coloring, max_n=g.n, max_colors=len(coloring.used)).ok
         verdicts.append(ok)
         return ok
 

@@ -455,11 +455,13 @@ def test_layer_certificate_accepts_every_layered_coloring():
 def test_certified_path_builds_no_search_tables(monkeypatch):
     # A layered coloring is proven from its color map and one run of the
     # BFS kernel, for the hub's levels: no sorted edge list and no step
-    # table. A recolored one fails the certificate and reaches the
-    # patched builders.
+    # table. The coloring's check reads the levels off the layers it is
+    # given and runs the kernel not at all. A recolored one fails the
+    # certificate and reaches the patched builders.
     g = random_mop_graph(200, 1)
     hub = central_vertex(g)
-    layered = _layered(g, layers(g, hub)).colors
+    lay = layers(g, hub)
+    layered = _layered(g, lay).colors
 
     def refuse(*args, **kwargs):
         raise AssertionError("search table built")
@@ -481,8 +483,8 @@ def test_certified_path_builds_no_search_tables(monkeypatch):
     res = is_rainbow_connected(g, EdgeColoring(layered), max_colors=64)
     assert (res.ok, res.pairs_checked, res.pairs_certified) == (True, 19900, 19900)
     assert runs == [(hub,)]
-    assert verify._rainbow_verdict(g, EdgeColoring(layered), 64, hub)
-    assert runs == [(hub,), (hub,)]
+    assert verify._rainbow_verdict(g, EdgeColoring(layered), lay)
+    assert runs == [(hub,)]
     # A deepest layer's color on a spoke of the hub: two layers share it.
     level = verify._levels(g, hub)
     deep = max(sorted(g.edges), key=lambda e: level[e[0]] + level[e[1]])
@@ -517,33 +519,92 @@ def test_totality_then_caps_before_the_hub(monkeypatch):
 
 
 def test_only_a_plain_graph_grows_distance_balls(monkeypatch):
-    # The verifier and the exact search take any graph. A MopGraph's
-    # hub and diameter come from its dual-tree pass, a plain Graph's
-    # from ball growth, and both give the same results.
+    # The verifier and the exact search take any graph. The verifier's
+    # hub comes from a MopGraph's dual-tree pass and from a plain
+    # Graph's ball growth, with the same results. The exact search reads
+    # the diameter off its own BFS table, so it runs neither, on either
+    # graph type.
     g = random_mop_graph(200, 1)
     coloring, _ = rainbow_coloring(g)
     small = random_mop_graph(9, 2)
     plain, plain_small = Graph(g.n, g.edges), Graph(small.n, small.edges)
     expect = is_rainbow_connected(plain, coloring)
     assert expect.ok and expect.pairs_certified == expect.pairs_checked
-    expect_rc = exact_rc(plain_small)
+    expect_exact = exact_rc(small), exact_src(small)
 
     def refuse(g):
         raise AssertionError("a distance ball grew")
 
     monkeypatch.setattr(moprc.metrics, "_balls", refuse)
     assert is_rainbow_connected(g, coloring) == expect
-    assert exact_rc(small) == expect_rc
-    for call in (lambda: is_rainbow_connected(plain, coloring), lambda: exact_rc(plain_small)):
-        with pytest.raises(AssertionError, match="a distance ball grew"):
-            call()
+    with pytest.raises(AssertionError, match="a distance ball grew"):
+        is_rainbow_connected(plain, coloring)
+
+    def no_pass(g):
+        raise AssertionError("the dual-tree pass ran")
+
+    monkeypatch.setattr(moprc.metrics, "_mop_eccentricities", no_pass)
+    for h in (small, plain_small):
+        assert (exact_rc(h), exact_src(h)) == expect_exact
+    # The same table proves connectivity.
+    for exact in (exact_rc, exact_src):
+        with pytest.raises(DomainError, match="^graph is not connected$"):
+            exact(Graph(4, [(1, 2), (3, 4)]))
+
+
+def test_exact_setup_runs_one_bfs_per_vertex(monkeypatch):
+    # One BFS table serves the diameter, the walk kernel's pruning and,
+    # for exact_src, the shortest-path steps. The search itself runs no
+    # BFS.
+    kernel, runs = verify.breadth_first, []
+
+    def counted(neighbors, n, sources):
+        runs.append(tuple(sources))
+        return kernel(neighbors, n, sources)
+
+    monkeypatch.setattr(verify, "breadth_first", counted)
+    cycle5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    for g in (random_mop_graph(9, 2), fan(6).graph, cycle5):
+        for exact in (exact_rc, exact_src):
+            del runs[:]
+            exact(g)
+            assert runs == [(v,) for v in g.vertices()], (exact, g)
+
+
+def test_coloring_check_runs_no_bfs(monkeypatch):
+    # Staged and recolored layered colorings past the layer
+    # certificate, both passing and failing: the check reads the hub,
+    # the probe and the levels off the layers it is given, and its
+    # verdict is the checker's.
+    rng = SplitMix64(41)
+    cases = []
+    for n in range(8, 21):
+        g = random_mop_graph(n, 4100 + n)
+        spine = build_ccs(g)
+        layered = _layered(g, spine.layers).colors
+        edges = sorted(g.edges)
+        recolored = dict(layered)
+        for _ in range(2):
+            recolored[edges[rng.below(len(edges))]] = 1 + rng.below(max(layered.values()))
+        for coloring in (_staged(g, spine), EdgeColoring(recolored)):
+            if coloring is not None:
+                ok = is_rainbow_connected(g, coloring, max_n=g.n, max_colors=len(coloring.used)).ok
+                cases.append((g, coloring, spine.layers, ok))
+
+    def refuse(*args):
+        raise AssertionError("the check ran a BFS")
+
+    monkeypatch.setattr(verify, "breadth_first", refuse)
+    verdicts = [verify._rainbow_verdict(g, coloring, lay) for g, coloring, lay, _ in cases]
+    assert verdicts == [ok for *_, ok in cases]
+    assert True in verdicts and False in verdicts
 
 
 def verdict_matches(g: Graph, colors) -> bool:
     """Assert that the coloring's private verdict is the public checker's."""
     coloring = EdgeColoring(colors)
     k = len(coloring.used)
-    ok = verify._rainbow_verdict(g, coloring, k, central_vertex(g))
+    ok = verify._rainbow_verdict(g, coloring, layers(g, central_vertex(g)))
     assert ok == is_rainbow_connected(g, coloring, max_n=g.n, max_colors=k).ok, g
     return ok
 
@@ -572,7 +633,7 @@ def test_verdict_matches_the_checker_on_staged_colorings(monkeypatch):
             continue
         staged_count += 1
         del searched[:]
-        ok = verify._rainbow_verdict(g, staged, len(staged.used), central_vertex(g))
+        ok = verify._rainbow_verdict(g, staged, spine.layers)
         refuted += not ok and not searched
         valid += ok
         assert ok == is_rainbow_connected(g, staged, max_n=g.n, max_colors=len(staged.used)).ok, g
@@ -619,7 +680,7 @@ def test_coloring_refutes_random_200_staged_colorings_before_the_hub_rows(monkey
         if staged is None:
             return None
         saved = len(_layered(g, spine.layers).used) - len(staged.used)
-        return saved, verify._rainbow_verdict(g, staged, 3 * spine.radius, spine.root_vertex)
+        return saved, verify._rainbow_verdict(g, staged, spine.layers)
 
     sample = [(n, 5_000_000 + 1000 * n + s) for n in (N0, 200, 300) for s in range(20)]
     runs = [r for r in (staged_run(random_mop_graph(*ns)) for ns in sample) if r is not None]
@@ -931,7 +992,7 @@ def test_pruned_walk_kernel_matches_the_unpruned_one(case):
     g, edges, bits, u, v, k, shortest = case
     steps = verify._steps(g, edges, range(len(edges)))
     if shortest:
-        steps = verify._shortest_steps(g, steps, u)
+        steps = verify._shortest_steps(g, steps, verify._levels(g, u))
     plain, plain_reads = walk_and_reads(plain_rainbow_walk, steps, bits, u, v, k)
     far = verify._levels(g, v)
     walk, reads = walk_and_reads(verify._rainbow_walk, steps, bits, u, v, k, far)
