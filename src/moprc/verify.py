@@ -34,7 +34,11 @@ hub and levels off the BFS layers the cut spine already holds, so it
 runs no BFS, and adds one exhaustive search between the layer
 certificate and the hub: a vertex it cannot reach refutes the coloring
 at once, and the verdict stays the same. The exact search reads the
-diameter off the per-vertex BFS table it builds anyway.
+diameter off the per-vertex BFS table it builds anyway. It forward
+checks each pair against a list of its simple paths of at most k
+edges (`_short_paths`), where a witness breaks on one int AND, and
+explains each failure by one same-colored pair of edges per path, the
+conflict its backjumping reads.
 """
 
 from __future__ import annotations
@@ -227,15 +231,64 @@ def _rainbow_walk(adj_idx, bits, u: int, v: int, k: int, far) -> list[int] | Non
     return None
 
 
-def _search_unless_failed(failed: set[int], key: int, adj_idx, bits, u, v, k, far):
-    """`_rainbow_walk`, or None without a search when key is in failed.
+def _short_paths(adj_idx, u: int, v: int, k: int, far) -> list[tuple[int, tuple[int, ...]]]:
+    """Every simple u..v path of at most k edges over the steps adj_idx,
+    shortest first, as (edge mask, edge indices in ascending order).
 
-    key packs the colors of the edges the search can read, and failed
-    holds the keys of the pair's earlier searches that found nothing.
+    adj_idx and far are as for `_rainbow_walk`: a step to x is dropped
+    when far[x] exceeds the edges left after it, which no such path
+    takes. Paths of one length come in the order the rows list their
+    steps.
     """
-    if key in failed:
-        return None
-    return _rainbow_walk(adj_idx, bits, u, v, k, far)
+    paths = []
+    frontier = [(u, 1 << u, 0, ())]
+    for left in range(k - 1, -1, -1):
+        nxt = []
+        for x, seen, mask, idxs in frontier:
+            for w, ei in adj_idx[x]:
+                if far[w] > left or seen >> w & 1:
+                    continue
+                if w == v:
+                    paths.append((mask | 1 << ei, tuple(sorted(idxs + (ei,)))))
+                else:
+                    nxt.append((w, seen | 1 << w, mask | 1 << ei, idxs + (ei,)))
+        frontier = nxt
+    return paths
+
+
+def _scan(paths, bits):
+    """The first of the paths whose assigned colors are pairwise
+    distinct, or, when none is, the failure's explanation: an edge mask
+    holding each path's first repeat, the least edge index whose color
+    a lesser one of the path holds, and that lesser one. bits is as for
+    `_rainbow_walk`."""
+    why = 0
+    for path in paths:
+        seen = 0
+        idxs = path[1]
+        for ei in idxs:
+            b = bits[ei]
+            if seen & b:
+                for first in idxs:
+                    if bits[first] == b:
+                        break
+                why |= 1 << first | 1 << ei
+                break
+            seen |= b
+        else:
+            return path
+    return why
+
+
+def _scan_unless_failed(failed: dict[int, int], key: int, paths, bits):
+    """`_scan`, or the explanation stored under key in failed.
+
+    key packs the colors of the paths' edges, and failed maps the keys
+    of the pair's earlier scans that found no path to their
+    explanations.
+    """
+    why = failed.get(key)
+    return _scan(paths, bits) if why is None else why
 
 
 def _walk_path(edges_sorted, walk: list[int], u: int) -> tuple[int, ...]:
@@ -545,10 +598,12 @@ class ExactResult:
     sizes listed in ruled_out (the sizes the search actually tried and
     refuted). nodes: the search-tree nodes visited for each palette size
     tried, in the order ruled_out + (value,); backjumping skips the
-    subtrees a failure's conflict shows hold no valid leaf, so a node
-    count depends on the jumps as well as on the prunes. seconds: the
-    wall time of each of those sizes, in the same order; it takes no
-    part in equality.
+    subtrees a failure's conflict (one same-colored pair of edges on
+    each short path of a pair) shows hold no valid leaf, so a node
+    count depends on the explanations and the jumps as well as on the
+    prunes, which alone fix value, ruled_out and certificate. seconds:
+    the wall time of each of those sizes, in the same order; it takes
+    no part in equality.
     """
 
     value: int
@@ -573,38 +628,73 @@ def _search_k(
     """Find any valid k-coloring, or prove there is none.
 
     edges_sorted, steps (per source vertex, the (neighbor, edge index)
-    steps its walks may take), far (`_levels` per vertex) and pairs are
-    built once per graph by `_exact`; only the walks and regions below
-    depend on k.
+    steps its paths may take), far (`_levels` per vertex) and pairs are
+    built once per graph by `_exact`; only the path lists below depend
+    on k.
 
     DFS in lexicographic edge order with the restricted-growth rule:
     color i may be used only if some earlier edge used color i-1, which
     kills color-permutation symmetry.
 
-    Forward checking against the wildcard relaxation of `_rainbow_walk`:
-    every pair stores one walk whose assigned colors are pairwise
-    distinct, and users[i] lists the pairs whose stored walk uses edge
-    i. Coloring edge i can break only those walks. A broken walk gives
-    way to the pair's spare, the walk it last replaced, when the spare's
-    assigned colors are still distinct, and otherwise to a new search;
-    the node is pruned when some pair has no walk left. A valid spare
-    only saves a search that would have found some walk. So a node is
-    pruned exactly when the relaxation fails for some pair, whichever
-    pair is checked first, and at a leaf every pair holds a rainbow
-    path. Clearing an edge on backtrack only turns it back into a
-    wildcard, which breaks no stored walk, so nothing is undone.
+    Forward checking against the wildcard relaxation of `_rainbow_walk`,
+    unassigned edges acting as fresh colors: a pair (u, v) passes while
+    some u..v path of at most k edges over the rows steps[u] has
+    pairwise distinct assigned colors. Its simple such paths are listed
+    by `_short_paths`, and the relaxation holds exactly when one of
+    them passes. A path is a walk. A walk of at most k edges whose
+    assigned colors are distinct contains a simple u..v path on a
+    subset of its edges (cut out each closed sub-walk), no longer, over
+    the same rows; it takes no assigned edge twice, since that would
+    repeat a color, so the path's assigned colors are distinct too.
 
-    Failed searches are remembered per pair. `_rainbow_walk` drops a
-    step to w when far[w] exceeds the edges left, before it reads that
-    edge's bit, so a search for (u, v) reads only the edges (a, b) of
-    its region, those with d(u, a) + d(b, v) < k either way round, and
-    its outcome is a function of their colors. state packs the partial
-    coloring, edge i's color (0 for a wildcard) in field i; when a
-    search fails, state masked to the region is stored, and a later
-    state with the same masked value fails without a search. A pair's
-    region is built at its first failure. The memo answers only
-    searches that would fail, so every node is pruned as before, at
-    the same pair, and every found walk is the same.
+    Every pair holds a witness, one passing path, as (edge mask, edge
+    indices). The first ones come from `_rainbow_walk` with every edge
+    a wildcard: each vertex's first state then dominates every later
+    one, so the walk is a shortest path, and it is listed. users[i]
+    lists the pairs whose witness uses edge i. Giving edge i color c
+    breaks exactly the witnesses that use i and an earlier edge of
+    color c: one AND of the witness's mask with holding[c], the edges
+    before i in color c. A pair whose witness breaks scans its list
+    (`_scan`) for the first passing path, and the node is pruned when
+    there is none. So a node is pruned exactly when the relaxation
+    fails for some pair, whichever pair is checked first, and at a
+    leaf every pair holds a rainbow path. Clearing an edge on backtrack
+    only turns it back into a wildcard, which breaks no witness, so
+    nothing is undone.
+
+    A pair's list grows by length as scans need it: at its first break
+    it holds the shortest paths, and it is rebuilt one edge longer each
+    time all its paths fail, up to k. Under any bound the paths of at
+    most j edges come in the same order, since a step the lower bound
+    drops leads to no path of at most j edges. So a scan finds the path
+    a scan of the full list finds, and the list is full before the
+    pair's first failure.
+
+    A failed scan explains itself by each listed path's first repeat,
+    two of its edges in one color. No coloring that agrees with the
+    current one on these edges is valid. Each listed path repeats a
+    color in it, and every rainbow u..v path of a k-coloring is listed:
+    it is simple, it has at most k edges because it has at most k
+    colors, and for exact_src, where steps[u] holds the shortest-path
+    steps, a rainbow shortest path takes only those. The explanation
+    holds i, since the broken witness is listed and its edges other
+    than i had distinct colors, so its repeat includes i; its other
+    edges are assigned, so they are < i. An edge (a, b) on a u..v path
+    of at most k edges has d(u, a) + d(b, v) < k either way round. So
+    the explanation is a subset of i and the edges < i of the pair's
+    distance region, the edges with that property, which is the
+    explanation a walk search that reads the whole region gives: a
+    failure at the same pair jumps at least as far.
+
+    The scan reads only the colors of the pair's region, the union of
+    its path masks. state packs the partial coloring, edge i's color (0
+    for a wildcard) in field i; a failed scan stores its explanation
+    under state masked to the region, and a later state with the same
+    masked value gets it back without a scan. It is the scan's own
+    answer, so pruning, witnesses and explanations are those of the
+    search without the memo. Its edges carry the colors they had, so
+    it still holds i: without i it would have broken the witness
+    before i was colored.
 
     Conflict-directed backjumping (Prosser 1993): a node at edge i
     that finds no valid leaf returns a conflict, a bitmask over edges
@@ -612,11 +702,8 @@ def _search_k(
     agrees with the current one on the conflict's edges is valid. The
     rules:
 
-    - color c of i fails the forward check at pair p: its explanation
-      is i with p's region restricted to edges < i. The relaxation
-      reads only region edges, edges > i are wildcards, and assigning a
-      wildcard never makes a failed relaxation pass, so no coloring
-      that agrees on these edges and gives i color c is valid;
+    - color c of i fails the forward check at some pair: its
+      explanation is the failed scan's, as above;
     - a child returns a conflict without i: it holds whatever color i
       takes, so the node returns it at once and skips i's other colors.
       Each ancestor whose edge it lacks does the same, so the search
@@ -636,7 +723,7 @@ def _search_k(
 
     No subtree the conflicts skip holds a valid leaf, since each of its
     leaves agrees with the current coloring on the conflict. Pruning
-    depends only on the partial coloring, not on the stored walks, so
+    depends only on the partial coloring, not on the witnesses, so
     the first valid leaf in DFS order, and the certificate, are those
     of the chronological search, and the nodes visited are a subset of
     its nodes.
@@ -646,71 +733,65 @@ def _search_k(
     m = len(edges_sorted)
     bits = [0] * m
     # All edges are wildcards, and k is at least the diameter, so every
-    # pair has a walk.
-    walks = [_rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
-    # The walk each pair last replaced, tried before a new search.
-    spares: list[list[int] | None] = [None] * len(pairs)
+    # pair has a witness.
+    witnesses = []
     users: list[set[int]] = [set() for _ in range(m)]
-    for p, walk in enumerate(walks):
-        for ei in walk:
-            users[ei].add(p)
-    width = k.bit_length()
-    state = 0
-    # Per pair, its region's fields and edge mask (0 until its first
-    # failure) and the region keys of its failed searches.
-    regions = [0] * len(pairs)
-    region_edges = [0] * len(pairs)
-    failed: list[set[int]] = [set() for _ in pairs]
-    ticks = 0
-
-    def region(u: int, v: int) -> tuple[int, int]:
-        """The fields of state and the edge mask that a search for
-        (u, v) can read."""
-        du, dv = far[u], far[v]
-        full = (1 << width) - 1
-        fields = edges = 0
-        for i, (a, b) in enumerate(edges_sorted):
-            if min(du[a] + dv[b], du[b] + dv[a]) < k:
-                fields |= full << i * width
-                edges |= 1 << i
-        return fields, edges
-
-    def rainbow(walk: list[int]) -> bool:
-        """Whether the walk's assigned colors are pairwise distinct."""
+    for p, (u, v) in enumerate(pairs):
+        walk = _rainbow_walk(steps[u], bits, u, v, k, far[v])
         mask = 0
         for ei in walk:
-            b = bits[ei]
-            if mask & b:
-                return False
-            mask |= b
-        return True
+            mask |= 1 << ei
+            users[ei].add(p)
+        witnesses.append((mask, walk))
+    holding = [0] * (k + 1)
+    width = k.bit_length()
+    full = (1 << width) - 1
+    state = 0
+    # Per pair: the paths listed so far, the length they reach, the
+    # region's fields of state from its first failure on (0 before), and
+    # the failed scans by region key.
+    paths: list = [()] * len(pairs)
+    lengths = [far[u][v] - 1 for u, v in pairs]
+    fields = [0] * len(pairs)
+    failed: list[dict[int, int]] = [{} for _ in pairs]
+    ticks = 0
 
-    def conflict(idx: int) -> int | None:
-        """None when every pair keeps a walk, else idx and the region
-        edges < idx of a pair that has none."""
+    def conflict(idx: int, same: int) -> int | None:
+        """None when every pair keeps a witness once edge idx joins the
+        edges same of its color, else a failed scan's explanation."""
         for p in list(users[idx]):
-            walk = walks[p]
-            if rainbow(walk):
+            old = witnesses[p]
+            if not old[0] & same:
                 continue
-            found = spares[p]
-            if found is None or not rainbow(found):
+            listed = paths[p]
+            if fields[p]:
+                key = state & fields[p]
+                found = _scan_unless_failed(failed[p], key, listed, bits)
+            else:
+                # Until the pair's first failure, the list lengthens only
+                # while its paths all fail.
+                found = _scan(listed, bits)
                 u, v = pairs[p]
-                fails = failed[p]
-                found = _search_unless_failed(
-                    fails, state & regions[p], steps[u], bits, u, v, k, far[v]
-                )
-                if found is None:
-                    if not fails:
-                        regions[p], region_edges[p] = region(u, v)
-                    fails.add(state & regions[p])
-                    here = 1 << idx
-                    return region_edges[p] & (here - 1) | here
-            for ei in walk:
+                while isinstance(found, int) and lengths[p] < k:
+                    lengths[p] += 1
+                    longer = paths[p] = _short_paths(steps[u], u, v, lengths[p], far[v])
+                    more = _scan(longer[len(listed) :], bits)
+                    found = found | more if isinstance(more, int) else more
+                    listed = longer
+                if isinstance(found, int):
+                    region = 0
+                    for mask, _ in listed:
+                        region |= mask
+                    fields[p] = sum(full << i * width for i in range(m) if region >> i & 1)
+                    key = state & fields[p]
+            if isinstance(found, int):
+                failed[p][key] = found
+                return found
+            for ei in old[1]:
                 users[ei].discard(p)
-            for ei in found:
+            for ei in found[1]:
                 users[ei].add(p)
-            walks[p] = found
-            spares[p] = walk
+            witnesses[p] = found
         return None
 
     def dfs(idx: int, max_used: int) -> int | None:
@@ -728,11 +809,13 @@ def _search_k(
         for c in range(1, min(max_used + 1, k) + 1):
             bits[idx] = 1 << c
             state ^= c << shift
-            failure = conflict(idx)
+            failure = conflict(idx, holding[c])
             if failure is None:
+                holding[c] |= here
                 failure = dfs(idx + 1, max(max_used, c))
                 if failure is None:
                     return None
+                holding[c] ^= here
             bits[idx] = 0
             state ^= c << shift
             if not failure & here:

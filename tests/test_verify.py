@@ -832,13 +832,13 @@ FROZEN_EXACT = [
                  (22,), id="rc-random10_2"),
     pytest.param(exact_rc, random_mop_graph(11, 1),
                  "5980abd61f0bcfdd710a89f2bff0f24a17b6f6d1755084ed2994e2655ed75cf1",
-                 (315,), id="rc-random11_1"),
+                 (307,), id="rc-random11_1"),
     pytest.param(exact_rc, random_mop_graph(11, 2),
                  "d8c13c9b168872f011045a4c794dd1c43156bf3eac18bdddeb1a6f3338b86801",
-                 (38,), id="rc-random11_2"),
+                 (30,), id="rc-random11_2"),
     pytest.param(exact_src, fan(8).graph,
                  "18a43c15f24ec68444bea4e15679a6805aa49fd588c52b5f0a435391ea4c8bd1",
-                 (80, 129), id="src-fan8"),
+                 (80, 29), id="src-fan8"),
     pytest.param(exact_src, lad(4).graph,
                  "25a62fff444437157583cabaa0aac62dafd5ebacf880b23a3dae671aba4becaf",
                  (14,), id="src-lad4"),
@@ -1000,17 +1000,145 @@ def test_pruned_walk_kernel_matches_the_unpruned_one(case):
     assert reads <= plain_reads
 
 
+def plain_graph(n, rng):
+    """A connected graph on n vertices: a random tree plus a few random
+    edges."""
+    chosen = {edge(v, 1 + rng.below(v - 1)) for v in range(2, n + 1)}
+    for _ in range(rng.below(n + 1)):
+        a, b = 1 + rng.below(n), 1 + rng.below(n)
+        if a != b:
+            chosen.add(edge(a, b))
+    return Graph(n, sorted(chosen))
+
+
+@st.composite
+def partial_path_cases(draw):
+    """A small MOP or plain connected graph, a partial coloring, a pair
+    and a length bound, and whether steps are shortest-path steps."""
+    n = draw(st.integers(3, 14))
+    seed = draw(st.integers(0, 2**32))
+    g = random_mop_graph(n, seed) if draw(st.booleans()) else plain_graph(n, SplitMix64(seed))
+    edges = sorted(g.edges)
+    top = draw(st.integers(1, 5))
+    # Color 0 leaves an edge unassigned: a wildcard bit of 0.
+    bits = [0 if c == 0 else 1 << c for c in (draw(st.integers(0, top)) for _ in edges)]
+    u = draw(st.integers(1, n))
+    v = draw(st.integers(1, n).filter(lambda x: x != u))
+    d = levels(g, u)[v]
+    k = draw(st.integers(d, min(d + 3, n - 1)))
+    return g, edges, bits, u, v, k, draw(st.booleans())
+
+
+def case_steps(g, edges, u, shortest):
+    """The (neighbor, edge index) rows a search from u may take."""
+    steps = verify._steps(g, edges, range(len(edges)))
+    if shortest:
+        steps = verify._shortest_steps(g, steps, verify._levels(g, u))
+    return steps
+
+
+def simple_paths(steps, u, v, k):
+    """The edge masks of every simple u..v path of at most k edges over
+    steps, by plain depth-first search."""
+    found = set()
+
+    def grow(x, seen, mask, left):
+        if x == v:
+            found.add(mask)
+            return
+        if not left:
+            return
+        for w, ei in steps[x]:
+            if w not in seen:
+                grow(w, seen | {w}, mask | 1 << ei, left - 1)
+
+    grow(u, {u}, 0, k)
+    return found
+
+
+def distinct_colors(idxs, bits):
+    """Whether the assigned color bits of the edges idxs are distinct."""
+    held = [bits[i] for i in idxs if bits[i]]
+    return len(held) == len(set(held))
+
+
+@given(partial_path_cases())
+@settings(max_examples=300, deadline=None)
+def test_path_scan_finds_a_path_exactly_when_the_walk_kernel_does(case):
+    g, edges, bits, u, v, k, shortest = case
+    steps = case_steps(g, edges, u, shortest)
+    far = verify._levels(g, v)
+    paths = verify._short_paths(steps, u, v, k, far)
+    # Every simple u..v path of at most k edges, once each, shortest
+    # first, its indices ascending.
+    assert {mask for mask, _ in paths} == simple_paths(steps, u, v, k)
+    assert len(paths) == len({mask for mask, _ in paths})
+    sizes = [mask.bit_count() for mask, _ in paths]
+    assert sizes == sorted(sizes)
+    for mask, idxs in paths:
+        assert idxs == tuple(i for i in range(len(edges)) if mask >> i & 1)
+    found = verify._scan(paths, bits)
+    walk = verify._rainbow_walk(steps, bits, u, v, k, far)
+    assert isinstance(found, int) == (walk is None)
+    if isinstance(found, int):
+        # Two edges of each path share a color, and both are in the
+        # explanation.
+        for mask, idxs in paths:
+            held = [bits[i] for i in idxs if found >> i & 1]
+            assert any(b and held.count(b) > 1 for b in held)
+    else:
+        assert found == next(p for p in paths if distinct_colors(p[1], bits))
+
+
+def test_scan_explanations_hold_whatever_the_other_edges_take():
+    # A failed scan's explanation is a conflict: recolor every edge
+    # outside it at random, wildcards included, and the pair still has
+    # no walk.
+    rng = SplitMix64(42)
+
+    def color_bit():
+        c = rng.below(3)  # colors 1 and 2, or 0 for a wildcard
+        return 1 << c if c else 0
+
+    explained = 0
+    for _ in range(1000):
+        n = 4 + rng.below(9)
+        g = random_mop_graph(n, rng.next_u64()) if rng.below(2) else plain_graph(n, rng)
+        edges = sorted(g.edges)
+        bits = [color_bit() for _ in edges]
+        u = 1 + rng.below(n)
+        level = levels(g, u)
+        # A pair at distance 2 or more, which a partial coloring can fail.
+        apart = sorted(x for x in level if level[x] > 1)
+        if not apart:
+            continue
+        v = apart[rng.below(len(apart))]
+        k = min(level[v] + rng.below(2), n - 1)
+        steps = case_steps(g, edges, u, rng.below(2) == 1)
+        far = verify._levels(g, v)
+        why = verify._scan(verify._short_paths(steps, u, v, k, far), bits)
+        if not isinstance(why, int):
+            continue
+        explained += 1
+        for _ in range(5):
+            recolored = [b if why >> i & 1 else color_bit() for i, b in enumerate(bits)]
+            assert verify._rainbow_walk(steps, recolored, u, v, k, far) is None
+    assert explained > 150
+
+
 def test_exact_search_walk_searches_on_random14(monkeypatch):
-    # Every walk search the exact search makes returns what the unpruned
-    # kernel returns; the distance pruning tries fewer than half of its
-    # steps. Re-searching each broken walk from scratch made 14,847
-    # searches; trying the pair's spare walk first left 9,940,
-    # remembering each pair's failed searches left 3,857 over 2,147
-    # nodes, and backjumping over the edges a failure never read leaves
-    # 3,841 over 2,061 nodes: the 91 initial walks and 3,750 in the
-    # search.
-    kernel = verify._rainbow_walk
-    calls = pruned_reads = plain_reads = 0
+    # The walk kernel finds only the first witnesses, one per pair, each
+    # what the unpruned kernel finds. Re-searching each broken walk
+    # from scratch made 14,847 searches; trying the pair's spare walk
+    # first left 9,940, remembering each pair's failed searches left
+    # 3,857 over 2,147 nodes, and backjumping over the edges a failure
+    # never read left 3,841 over 2,061 nodes. Scanning path lists in
+    # their place, with path-level explanations, leaves the 91 first
+    # walks over 566 nodes. 59 pairs list their paths, in 145 calls of
+    # `_short_paths` as the lists lengthen, and 3,203 scans of those
+    # lists replace broken witnesses or explain failures.
+    kernel, scan, short_paths = verify._rainbow_walk, verify._scan, verify._short_paths
+    calls = pruned_reads = plain_reads = scans = built = 0
 
     def counted(adj_idx, bits, u, v, k, far):
         nonlocal calls, pruned_reads, plain_reads
@@ -1022,11 +1150,24 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
         pruned_reads += pruned
         return walk
 
+    def counted_scan(paths, bits):
+        nonlocal scans
+        scans += 1
+        return scan(paths, bits)
+
+    def counted_paths(*args):
+        nonlocal built
+        built += 1
+        return short_paths(*args)
+
     monkeypatch.setattr(verify, "_rainbow_walk", counted)
+    monkeypatch.setattr(verify, "_scan", counted_scan)
+    monkeypatch.setattr(verify, "_short_paths", counted_paths)
     res = exact_rc(random_mop_graph(14, 1))
-    assert res.nodes == (2061,)
-    assert calls == 3841 < 9940
-    assert (pruned_reads, plain_reads) == (103260, 233189)
+    assert res.nodes == (566,)
+    assert calls == 91
+    assert (pruned_reads, plain_reads) == (1220, 1655)
+    assert (scans, built) == (3203, 145)
 
 
 @pytest.mark.parametrize(
@@ -1039,23 +1180,24 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
     ids=["rc-random12_1", "rc-random14_1", "src-fan8"],
 )
 def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
-    # Every failure the memo answers is one a fresh search would find,
-    # and the search with the memo bypassed gives the same result.
-    helper = verify._search_unless_failed
+    # Every explanation the memo answers with is the one a fresh scan
+    # of the pair's path list gives, and the search with the memo
+    # bypassed gives the same result.
+    helper = verify._scan_unless_failed
     hits = 0
 
-    def checked(failed, key, adj_idx, bits, u, v, k, far):
+    def checked(failed, key, paths, bits):
         nonlocal hits
         if key in failed:
             hits += 1
-            assert verify._rainbow_walk(adj_idx, bits, u, v, k, far) is None
-        return helper(failed, key, adj_idx, bits, u, v, k, far)
+            assert failed[key] == verify._scan(paths, bits)
+        return helper(failed, key, paths, bits)
 
-    monkeypatch.setattr(verify, "_search_unless_failed", checked)
+    monkeypatch.setattr(verify, "_scan_unless_failed", checked)
     res = solver(g)
     assert hits > 0
     monkeypatch.setattr(
-        verify, "_search_unless_failed", lambda failed, key, *args: helper(set(), key, *args)
+        verify, "_scan_unless_failed", lambda failed, key, *args: helper({}, key, *args)
     )
     assert solver(g) == res  # value, ruled_out, certificate and nodes
 
@@ -1063,30 +1205,17 @@ def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
 def chronological_search_k(edges_sorted, steps, far, pairs, k, deadline):
     """`verify._search_k` without backjumping, for comparison: on each
     failure the DFS tries the next color of the deepest edge it has
-    colored (chronological backtracking). Forward checking, the spares
-    and the memo are the same."""
+    colored (chronological backtracking). It forward checks with the
+    walk kernel alone: each pair keeps a walk, and a walk the new color
+    breaks is searched for afresh."""
     m = len(edges_sorted)
     bits = [0] * m
     walks = [verify._rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
-    spares = [None] * len(pairs)
     users = [set() for _ in range(m)]
     for p, walk in enumerate(walks):
         for ei in walk:
             users[ei].add(p)
-    width = k.bit_length()
-    state = 0
-    regions = [0] * len(pairs)
-    failed = [set() for _ in pairs]
     ticks = 0
-
-    def region(u, v):
-        du, dv = far[u], far[v]
-        full = (1 << width) - 1
-        fields = 0
-        for i, (a, b) in enumerate(edges_sorted):
-            if min(du[a] + dv[b], du[b] + dv[a]) < k:
-                fields |= full << i * width
-        return fields
 
     def rainbow(walk):
         mask = 0
@@ -1102,39 +1231,27 @@ def chronological_search_k(edges_sorted, steps, far, pairs, k, deadline):
             walk = walks[p]
             if rainbow(walk):
                 continue
-            found = spares[p]
-            if found is None or not rainbow(found):
-                u, v = pairs[p]
-                fails = failed[p]
-                found = verify._search_unless_failed(
-                    fails, state & regions[p], steps[u], bits, u, v, k, far[v]
-                )
-                if found is None:
-                    if not fails:
-                        regions[p] = region(u, v)
-                    fails.add(state & regions[p])
-                    return False
+            u, v = pairs[p]
+            found = verify._rainbow_walk(steps[u], bits, u, v, k, far[v])
+            if found is None:
+                return False
             for ei in walk:
                 users[ei].discard(p)
             for ei in found:
                 users[ei].add(p)
             walks[p] = found
-            spares[p] = walk
         return True
 
     def dfs(idx, max_used):
-        nonlocal ticks, state
+        nonlocal ticks
         ticks += 1
         if idx == m:
             return True
-        shift = idx * width
         for c in range(1, min(max_used + 1, k) + 1):
             bits[idx] = 1 << c
-            state ^= c << shift
             if consistent(idx) and dfs(idx + 1, max(max_used, c)):
                 return True
             bits[idx] = 0
-            state ^= c << shift
         return False
 
     if dfs(0, 0):
