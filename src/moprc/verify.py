@@ -34,9 +34,13 @@ hub and levels off the BFS layers the cut spine already holds, so it
 runs no BFS, and adds one exhaustive search between the layer
 certificate and the hub: a vertex it cannot reach refutes the coloring
 at once, and the verdict stays the same. The exact search reads the
-diameter off the per-vertex BFS table it builds anyway. It forward
-checks each pair against a list of its simple paths of at most k
-edges (`_short_paths`), where a witness breaks on one int AND, and
+diameter off the per-vertex BFS table it builds anyway, and from the
+same table each pair's first witness, a shortest path, and each edge's
+shortest-path load, the number of pairs with the edge on some shortest
+path. It colors the edges by load, highest first, so the edges most
+pairs need are colored first and failures show near the root. It
+forward checks each pair against a list of its simple paths of at most
+k edges (`_short_paths`), where a witness breaks on one int AND, and
 explains each failure by one same-colored pair of edges per path, the
 conflict its backjumping reads.
 """
@@ -83,16 +87,19 @@ class VerifyResult:
     pairs_certified: int = 0
 
 
-def _steps(g: Graph, edges_sorted, labels) -> list[tuple[tuple[int, int], ...]]:
-    """Per vertex, its (neighbor, label) steps by ascending neighbor.
+def _steps(g: Graph, edges, labels) -> list[tuple[tuple[int, int], ...]]:
+    """Per vertex, its (neighbor, label) steps, in the order of edges.
 
-    Edge edges_sorted[i] carries labels[i]: its index for the walk
-    kernel, its color bit for the mask kernel. Row 0 stays empty. In
-    sorted order every edge (a, x) with a < x comes before every edge
-    (x, b), so each row fills in ascending neighbor order.
+    Edge edges[i] carries labels[i]: its index for the walk kernel, its
+    color bit for the mask kernel. Row 0 stays empty. The checks and
+    `rainbow_witness` pass the edges sorted, where every edge (a, x)
+    with a < x comes before every edge (x, b), so each row fills in
+    ascending neighbor order. `_exact` passes them in its search order,
+    by shortest-path load (`_edge_order`), and its rows follow that
+    order.
     """
     rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for (a, b), label in zip(edges_sorted, labels):
+    for (a, b), label in zip(edges, labels):
         rows[a].append((b, label))
         rows[b].append((a, label))
     return [tuple(row) for row in rows]
@@ -601,7 +608,9 @@ class ExactResult:
     subtrees a failure's conflict (one same-colored pair of edges on
     each short path of a pair) shows hold no valid leaf, so a node
     count depends on the explanations and the jumps as well as on the
-    prunes, which alone fix value, ruled_out and certificate. seconds:
+    prunes. The edges are colored in order of shortest-path load, so
+    node counts and the certificate, the first valid coloring in that
+    order, change with the order; value and ruled_out do not. seconds:
     the wall time of each of those sizes, in the same order; it takes
     no part in equality.
     """
@@ -623,18 +632,28 @@ def _check_deadline(deadline) -> None:
 
 
 def _search_k(
-    edges_sorted, steps, far, pairs, k: int, deadline
+    edges, steps, far, pairs, firsts, k: int, deadline
 ) -> tuple[EdgeColoring | None, int]:
     """Find any valid k-coloring, or prove there is none.
 
-    edges_sorted, steps (per source vertex, the (neighbor, edge index)
-    steps its paths may take), far (`_levels` per vertex) and pairs are
-    built once per graph by `_exact`; only the path lists below depend
-    on k.
+    edges, steps (per source vertex, the (neighbor, edge index) steps
+    its paths may take, edge i being edges[i]), far (`_levels` per
+    vertex), pairs and firsts (each pair's first witness) are built once
+    per graph by `_exact`; only the path lists below depend on k.
 
-    DFS in lexicographic edge order with the restricted-growth rule:
-    color i may be used only if some earlier edge used color i-1, which
-    kills color-permutation symmetry.
+    DFS that colors edges[0], edges[1], ... in turn, with the
+    restricted-growth rule: color i may be used only if some earlier
+    edge used color i-1, which kills color-permutation symmetry.
+    `_exact` orders the edges by shortest-path load, highest first
+    (`_edge_order`). This is fail first: the edges most pairs need are
+    colored first, so witnesses break and conflicts show near the root.
+    Nothing below depends on which fixed order it is. Edge indices are
+    positions in it, "earlier" and "< i" mean before edge i in it, the
+    forward check reads only the partial coloring, and the
+    restricted-growth swap below uses only that the edges before i use
+    no color above t - 1. So completeness and the backjumping proof
+    hold in any order, and value and ruled_out are those of any other
+    order; the certificate and the node counts are this order's.
 
     Forward checking against the wildcard relaxation of `_rainbow_walk`,
     unassigned edges acting as fresh colors: a pair (u, v) passes while
@@ -648,9 +667,11 @@ def _search_k(
     repeat a color, so the path's assigned colors are distinct too.
 
     Every pair holds a witness, one passing path, as (edge mask, edge
-    indices). The first ones come from `_rainbow_walk` with every edge
-    a wildcard: each vertex's first state then dominates every later
-    one, so the walk is a shortest path, and it is listed. users[i]
+    indices). The first ones are firsts, from `_tree_path`: shortest
+    paths, each step one level closer to u, so each is listed, since k
+    is at least the diameter and, for exact_src, steps[u] holds every
+    step one level further from u. With every edge a wildcard they
+    pass at any k, so one list serves every palette size. users[i]
     lists the pairs whose witness uses edge i. Giving edge i color c
     breaks exactly the witnesses that use i and an earlier edge of
     color c: one AND of the witness's mask with holding[c], the edges
@@ -730,19 +751,13 @@ def _search_k(
     Returns the coloring (or None) and the number of DFS nodes.
     """
     _check_deadline(deadline)
-    m = len(edges_sorted)
+    m = len(edges)
     bits = [0] * m
-    # All edges are wildcards, and k is at least the diameter, so every
-    # pair has a witness.
-    witnesses = []
+    witnesses = list(firsts)
     users: list[set[int]] = [set() for _ in range(m)]
-    for p, (u, v) in enumerate(pairs):
-        walk = _rainbow_walk(steps[u], bits, u, v, k, far[v])
-        mask = 0
-        for ei in walk:
-            mask |= 1 << ei
+    for p, (_, idxs) in enumerate(witnesses):
+        for ei in idxs:
             users[ei].add(p)
-        witnesses.append((mask, walk))
     holding = [0] * (k + 1)
     width = k.bit_length()
     full = (1 << width) - 1
@@ -824,9 +839,58 @@ def _search_k(
         return union & ~here
 
     if dfs(0, 0) is None:
-        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges_sorted)}
+        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges)}
         return EdgeColoring(colors), ticks
     return None, ticks
+
+
+def _edge_loads(g: Graph, far) -> dict[tuple[int, int], int]:
+    """Per edge of a connected g, its shortest-path load: the vertex
+    pairs {u, v} that have it on some shortest u..v path. far is
+    `_levels` per vertex.
+
+    Per source u, below[x] is the bitset of the vertices v with x on a
+    shortest u..v path, built from the deepest level up. An edge (x, y)
+    with y one level deeper lies on a shortest u..v path exactly when v
+    is in below[y], and each pair is counted from its lesser end, so
+    only v > u count. O(n m) in all, on the table the search builds
+    anyway.
+    """
+    load = dict.fromkeys(g.edges, 0)
+    for u in g.vertices():
+        level = far[u]
+        below = [0] * (g.n + 1)
+        for x in sorted(g.vertices(), key=level.__getitem__, reverse=True):
+            reach = 1 << x
+            for y in g.neighbors(x):
+                if level[y] == level[x] + 1:
+                    reach |= below[y]
+                    load[edge(x, y)] += (below[y] >> u + 1).bit_count()
+            below[x] = reach
+    return load
+
+
+def _edge_order(g: Graph, far) -> list[tuple[int, int]]:
+    """The order `_search_k` colors the edges in: by `_edge_loads`,
+    highest first, ties by label."""
+    load = _edge_loads(g, far)
+    return sorted(load, key=lambda e: (-load[e], e))
+
+
+def _tree_path(adj_idx, level: list[int], v: int) -> tuple[int, list[int]]:
+    """A shortest path to v from the source of level (`_levels` of it),
+    as (edge mask, edge indices from v back): each step goes to the
+    first neighbor of adj_idx's row one level closer."""
+    mask, idxs = 0, []
+    while level[v]:
+        closer = level[v] - 1
+        for w, ei in adj_idx[v]:
+            if level[w] == closer:
+                break
+        v = w
+        mask |= 1 << ei
+        idxs.append(ei)
+    return mask, idxs
 
 
 def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> ExactResult:
@@ -841,21 +905,22 @@ def _exact(g: Graph, strong: bool, max_edges: int, max_n: int, timeout_s) -> Exa
     if diameter == sys.maxsize:
         raise DomainError("graph is not connected")
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
-    edges_sorted = sorted(g.edges)
+    edges = _edge_order(g, far)
     # The steps a walk from each source may take: every edge, or for the
     # strong check only the shortest-path steps.
-    adj_idx = _steps(g, edges_sorted, range(g.m))
+    adj_idx = _steps(g, edges, range(g.m))
     steps = [adj_idx] * (g.n + 1)
     if strong:
         for u in g.vertices():
             steps[u] = _shortest_steps(g, adj_idx, far[u])
     pairs = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
+    firsts = [_tree_path(adj_idx, far[u], v) for u, v in pairs]
     ruled: list[int] = []
     nodes: list[int] = []
     seconds: list[float] = []
     for k in range(diameter, g.m + 1):
         t0 = time.perf_counter()
-        cert, visited = _search_k(edges_sorted, steps, far, pairs, k, deadline)
+        cert, visited = _search_k(edges, steps, far, pairs, firsts, k, deadline)
         seconds.append(time.perf_counter() - t0)
         nodes.append(visited)
         if cert is not None:

@@ -38,7 +38,7 @@ from moprc.coloring import N0, _layered, _staged
 from moprc.metrics import central_vertex, layers
 from moprc._rng import SplitMix64
 
-from conftest import construction_orders, independent_rainbow_ok
+from conftest import all_simple_paths, construction_orders, independent_rainbow_ok
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -813,37 +813,37 @@ FROZEN_EXACT = [
                  "f2d2340715924320acf1030a5ca90c32ab4e15b00c15531523361814284803b6",
                  (3, 4, 5), id="rc-star5"),
     pytest.param(exact_rc, fan(8).graph,
-                 "d8326c59e2f77ff168b809af094e75f9f790ccc880b9d5a917a87b701767d9d0",
-                 (80, 16), id="rc-fan8"),
+                 "1e6fc4eae6c2b9e46a9c623448230c32b496d91185049111e4dd62f09af4fd51",
+                 (5, 16), id="rc-fan8"),
     pytest.param(exact_rc, fan(10).graph,
-                 "ad5e67dcf3d1d7f50dc7329a851117790246c50e091f9ddb49b2198511fdbd01",
-                 (80, 20), id="rc-fan10"),
+                 "fd71a2895019e449b61efe097027c57a8ee299cda259a8657a154ad0b15eadd0",
+                 (5, 20), id="rc-fan10"),
     pytest.param(exact_rc, random_mop_graph(9, 1),
-                 "0d18abcf56411b29465d050d5ed05011c8c607c79deae4a24865d305b6f15bb9",
+                 "5e80849238d72f5b39e7dc24b9f56c33af0558882719926b75f61c4a3d2aa364",
                  (16,), id="rc-random9_1"),
     pytest.param(exact_rc, random_mop_graph(9, 2),
-                 "ddc9dcba65c4132018b5af3d2246fb8d2cc535a1645207d1ec26e1a561dd754e",
-                 (35,), id="rc-random9_2"),
+                 "264499831fae56f0ebd1adaadbba3faddcec8e2dd5ff798eef0206cd952a8441",
+                 (16,), id="rc-random9_2"),
     pytest.param(exact_rc, random_mop_graph(10, 1),
-                 "8bcaf3f35f32d9a17584a96db23986fc2ed3cfa071d8f39e952a49ac541c3477",
+                 "0c136cee320f41e9359baf536b9d9712a61b38a09d476c006b5cbca459041625",
                  (18,), id="rc-random10_1"),
     pytest.param(exact_rc, random_mop_graph(10, 2),
-                 "289a023b2ed5db33ad1fe25de48c35ef91c04e455108047601123d329c96cf80",
-                 (22,), id="rc-random10_2"),
+                 "903cd75eb84709a00016774a90d4b5d3d7ab5a539f64dde8f8d0582a1b4ecf45",
+                 (26,), id="rc-random10_2"),
     pytest.param(exact_rc, random_mop_graph(11, 1),
-                 "5980abd61f0bcfdd710a89f2bff0f24a17b6f6d1755084ed2994e2655ed75cf1",
-                 (307,), id="rc-random11_1"),
+                 "ee20ea08e19f563381c2e552520988c2afb145669cd7ef11f74e01932f38bfe8",
+                 (103,), id="rc-random11_1"),
     pytest.param(exact_rc, random_mop_graph(11, 2),
-                 "d8c13c9b168872f011045a4c794dd1c43156bf3eac18bdddeb1a6f3338b86801",
-                 (30,), id="rc-random11_2"),
+                 "3af61267652684a9f416d1b5c2e5a4d0e0dbb899f51fe8cf377b25b1548dddff",
+                 (35,), id="rc-random11_2"),
     pytest.param(exact_src, fan(8).graph,
-                 "18a43c15f24ec68444bea4e15679a6805aa49fd588c52b5f0a435391ea4c8bd1",
-                 (80, 29), id="src-fan8"),
+                 "b37604f6071749826700ed98694e5995a31c2a38baec4bd83ee1628c97e2eb7b",
+                 (5, 16), id="src-fan8"),
     pytest.param(exact_src, lad(4).graph,
-                 "25a62fff444437157583cabaa0aac62dafd5ebacf880b23a3dae671aba4becaf",
+                 "8e4d2d3b96b32184e11a67d66a25a34a11787e1035cfde8deb938b7e0e9c53ff",
                  (14,), id="src-lad4"),
     pytest.param(exact_src, random_mop_graph(8, 1),
-                 "b9db01d7739a499ee148aae1ad355ad9d953659c55d93ee94ea28e8f9fd9b57c",
+                 "1121517e3322529e166cfb7cd316b2c2634197e85e79dff9e72c0b294cc9f611",
                  (14,), id="src-random8_1"),
 ]
 
@@ -870,8 +870,8 @@ def test_exact_search_respects_caps():
 
 def restricted_growth_colorings(m: int, k: int):
     """Colorings of m edges with colors 1..k in the exact search's DFS
-    order: edge i takes colors ascending, each at most one above the
-    largest color before it."""
+    order: edge i of `verify._edge_order` takes colors ascending, each
+    at most one above the largest color before it."""
     def grow(prefix, top):
         if len(prefix) == m:
             yield prefix
@@ -906,7 +906,7 @@ DFS_ORDER_GRAPHS = {
 )
 def test_exact_certificate_is_first_valid_coloring_in_dfs_order(g, solver, check):
     res = solver(g)
-    edges = sorted(g.edges)
+    edges = verify._edge_order(g, [[]] + [verify._levels(g, v) for v in g.vertices()])
     first = next(
         colors
         for colors in restricted_growth_colorings(len(edges), res.value)
@@ -916,10 +916,79 @@ def test_exact_certificate_is_first_valid_coloring_in_dfs_order(g, solver, check
 
 
 def test_strong_exact_search_on_fan10():
-    # Once 257 s and 10.9 M nodes; forward checking needs about 108 k.
+    # Once 257 s and 10.9 M nodes. In label order forward checking
+    # needed about 108 k, and backjumping on path-level conflicts 507;
+    # in shortest-path-load order the search takes 33 (5, 8 and 20 for
+    # 2, 3 and 4 colors).
     res = exact_src(fan(10).graph, timeout_s=60)
     assert res.value == 4
     assert res.ruled_out == (2, 3)
+
+
+def brute_loads(g: Graph) -> dict[tuple[int, int], int]:
+    """Per edge, the vertex pairs with the edge on some shortest path,
+    by listing every shortest path of every pair."""
+    load = dict.fromkeys(g.edges, 0)
+    for u in range(1, g.n):
+        level = levels(g, u)
+        for v in range(u + 1, g.n + 1):
+            on = set()
+            for path in all_simple_paths(g, u, v, level[v]):
+                if len(path) - 1 == level[v]:
+                    on.update(edge(a, b) for a, b in zip(path, path[1:]))
+            for e in on:
+                load[e] += 1
+    return load
+
+
+def load_cases():
+    for n in range(4, 8):
+        for c in construction_orders(n):
+            yield f"order{n}", from_canonical(c)
+    for n in range(3, 10):
+        yield f"C{n}", cycle(n)
+        yield f"star{n}", Graph(n, [(i, n) for i in range(1, n)])
+
+
+def assert_loads(g):
+    far = [[]] + [verify._levels(g, v) for v in g.vertices()]
+    load = brute_loads(g)
+    assert verify._edge_loads(g, far) == load
+    assert verify._edge_order(g, far) == sorted(g.edges, key=lambda e: (-load[e], e))
+
+
+def test_edge_loads_count_the_pairs_on_shortest_paths():
+    for name, g in load_cases():
+        try:
+            assert_loads(g)
+        except AssertionError:
+            raise AssertionError(name) from None
+
+
+@given(st.integers(2, 10), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_edge_loads_on_connected_graphs(n, seed):
+    assert_loads(plain_graph(n, SplitMix64(seed)))
+
+
+def label_order_cases():
+    for n in range(4, 9):
+        for c in construction_orders(n):
+            yield f"order{n}", from_canonical(c)
+    for n in range(9, 13):
+        for s in range(10):
+            yield f"random{n}_{s}", random_mop_graph(n, s)
+
+
+def test_load_order_keeps_value_and_ruled_out(monkeypatch):
+    # The search is complete in any fixed edge order, so only the
+    # certificate and the node counts may differ from label order.
+    for name, g in label_order_cases():
+        res = exact_rc(g)
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "_edge_order", lambda g, far: sorted(g.edges))
+            ref = exact_rc(g)
+        assert (res.value, res.ruled_out) == (ref.value, ref.ruled_out), name
 
 
 def plain_rainbow_walk(adj_idx, bits, u, v, k):
@@ -1127,28 +1196,23 @@ def test_scan_explanations_hold_whatever_the_other_edges_take():
 
 
 def test_exact_search_walk_searches_on_random14(monkeypatch):
-    # The walk kernel finds only the first witnesses, one per pair, each
-    # what the unpruned kernel finds. Re-searching each broken walk
-    # from scratch made 14,847 searches; trying the pair's spare walk
-    # first left 9,940, remembering each pair's failed searches left
-    # 3,857 over 2,147 nodes, and backjumping over the edges a failure
-    # never read left 3,841 over 2,061 nodes. Scanning path lists in
-    # their place, with path-level explanations, leaves the 91 first
-    # walks over 566 nodes. 59 pairs list their paths, in 145 calls of
-    # `_short_paths` as the lists lengthen, and 3,203 scans of those
-    # lists replace broken witnesses or explain failures.
-    kernel, scan, short_paths = verify._rainbow_walk, verify._scan, verify._short_paths
-    calls = pruned_reads = plain_reads = scans = built = 0
+    # In label order, re-searching each broken walk from scratch made
+    # 14,847 walk searches; trying the pair's spare walk first left
+    # 9,940, remembering each pair's failed searches left 3,857 over
+    # 2,147 nodes, and backjumping over the edges a failure never read
+    # left 3,841 over 2,061 nodes. Scanning path lists in their place,
+    # with path-level explanations, left the 91 first walks over 566
+    # nodes, with 3,203 scans and 145 `_short_paths` calls. The first
+    # witnesses now come off the BFS table, so the walk kernel runs no
+    # search, and in shortest-path-load order the search takes 27
+    # nodes: 57 pairs list their paths, in 131 calls of `_short_paths`
+    # as the lists lengthen, and 303 scans of those lists replace
+    # broken witnesses or explain failures.
+    scan, short_paths = verify._scan, verify._short_paths
+    scans = built = 0
 
-    def counted(adj_idx, bits, u, v, k, far):
-        nonlocal calls, pruned_reads, plain_reads
-        plain, reads = walk_and_reads(plain_rainbow_walk, adj_idx, bits, u, v, k)
-        walk, pruned = walk_and_reads(kernel, adj_idx, bits, u, v, k, far)
-        assert walk == plain
-        calls += 1
-        plain_reads += reads
-        pruned_reads += pruned
-        return walk
+    def no_walk(*args):
+        raise AssertionError("the walk kernel ran")
 
     def counted_scan(paths, bits):
         nonlocal scans
@@ -1160,29 +1224,30 @@ def test_exact_search_walk_searches_on_random14(monkeypatch):
         built += 1
         return short_paths(*args)
 
-    monkeypatch.setattr(verify, "_rainbow_walk", counted)
+    monkeypatch.setattr(verify, "_rainbow_walk", no_walk)
     monkeypatch.setattr(verify, "_scan", counted_scan)
     monkeypatch.setattr(verify, "_short_paths", counted_paths)
     res = exact_rc(random_mop_graph(14, 1))
-    assert res.nodes == (566,)
-    assert calls == 91
-    assert (pruned_reads, plain_reads) == (1220, 1655)
-    assert (scans, built) == (3203, 145)
+    assert res.nodes == (27,)
+    assert (scans, built) == (303, 131)
 
 
 @pytest.mark.parametrize(
     "solver, g",
     [
         (exact_rc, random_mop_graph(12, 1)),
-        (exact_rc, random_mop_graph(14, 1)),
-        (exact_src, fan(8).graph),
+        (exact_rc, random_mop_graph(14, 0)),
+        (exact_src, random_mop_graph(10, 33)),
     ],
-    ids=["rc-random12_1", "rc-random14_1", "src-fan8"],
+    ids=["rc-random12_1", "rc-random14_0", "src-random10_33"],
 )
 def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
     # Every explanation the memo answers with is the one a fresh scan
     # of the pair's path list gives, and the search with the memo
-    # bypassed gives the same result.
+    # bypassed gives the same result. In shortest-path-load order the
+    # memo answers 25, 379 and 22 times on these graphs; it no longer
+    # answers at all on random_mop_graph(14, 1) or on exact_src's
+    # fan(8).
     helper = verify._scan_unless_failed
     hits = 0
 
@@ -1202,13 +1267,14 @@ def test_remembered_walk_failures_are_failures(monkeypatch, solver, g):
     assert solver(g) == res  # value, ruled_out, certificate and nodes
 
 
-def chronological_search_k(edges_sorted, steps, far, pairs, k, deadline):
+def chronological_search_k(edges, steps, far, pairs, firsts, k, deadline):
     """`verify._search_k` without backjumping, for comparison: on each
     failure the DFS tries the next color of the deepest edge it has
     colored (chronological backtracking). It forward checks with the
-    walk kernel alone: each pair keeps a walk, and a walk the new color
-    breaks is searched for afresh."""
-    m = len(edges_sorted)
+    walk kernel alone: each pair keeps a walk, its first one searched
+    here rather than taken from firsts, and a walk the new color breaks
+    is searched for afresh."""
+    m = len(edges)
     bits = [0] * m
     walks = [verify._rainbow_walk(steps[u], bits, u, v, k, far[v]) for u, v in pairs]
     users = [set() for _ in range(m)]
@@ -1255,7 +1321,7 @@ def chronological_search_k(edges_sorted, steps, far, pairs, k, deadline):
         return False
 
     if dfs(0, 0):
-        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges_sorted)}
+        colors = {e: bits[i].bit_length() - 1 for i, e in enumerate(edges)}
         return EdgeColoring(colors), ticks
     return None, ticks
 
@@ -1275,6 +1341,10 @@ def backjump_cases():
     # Each refutes a palette of 2 colors.
     yield "random10_161", random_mop_graph(10, 161)
     yield "random10_262", random_mop_graph(10, 262)
+    # In shortest-path-load order exact_src backjumps on these, and on
+    # none of the graphs above.
+    yield "random9_232", random_mop_graph(9, 232)
+    yield "plain6_30", plain_graph(6, SplitMix64(30))
 
 
 @pytest.mark.parametrize(
